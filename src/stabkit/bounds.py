@@ -27,8 +27,10 @@ from .knots import (
     alexander_module_Q,
     disc_kernel_Q,
 )
-from .modules import PresentedModule, Submodule, quotient_of_submodules
+from .linalg import Mat, block_diag
 from .metabelian import SatelliteScenario, theorem_C_lower_bound
+from .modules import PresentedModule, Submodule, direct_sum, quotient_of_submodules
+from .rings import LAURENT
 
 _QUANTITIES = ("d1", "d2", "d2_metabelian")
 
@@ -121,18 +123,8 @@ def stabilization_monotonicity_check(
         raise SchemaError(
             "submodule must be cyclic", f"{cyclic.generators.ncols} generators given"
         )
-    quot = PresentedModule(
-        module.ring_tag,
-        module.ngens,
-        _hstack_relations(module, cyclic),
-    )
+    quot = module.quotient_by(cyclic.generators)
     return MonotonicityReport(module.generating_rank, quot.generating_rank)
-
-
-def _hstack_relations(module: PresentedModule, sub: Submodule):
-    from .linalg import hstack
-
-    return hstack(module.relations, sub.generators)
 
 
 @dataclass(frozen=True)
@@ -212,16 +204,8 @@ def satellite_abelian_kernel_pair(s: SatelliteScenario):
     The companion block dies rationally, so either satellite disc restricts to
     the base-disc surgery on every summand and the two kernels are equal.
     """
-    from .linalg import block_diag, Mat
-    from .modules import direct_sum
-    from .rings import LAURENT
-
     base = alexander_module_Q(s.base_knot)
-    cols = s.base_disc.class_columns()
-    half = Mat(
-        [[LAURENT.from_int(col[i]) for col in cols] for i in range(base.ngens)],
-        len(cols),
-    )
+    half = base.submodule_from_int_columns(s.base_disc.class_columns()).generators
     if s.copies == 0:
         ambient = PresentedModule(LAURENT.tag, 0, Mat([], 0))
         kernel = Submodule(ambient, Mat([], 0))

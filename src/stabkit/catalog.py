@@ -30,11 +30,6 @@ class CatalogEntry:
             )
         return self.discs[name]
 
-    def default_disc(self) -> SurgeryDisc:
-        if not self.discs:
-            raise UnknownReferenceError(f"{self.id!r} has no discs")
-        return next(iter(self.discs.values()))
-
 
 def _entry(id_, rows, disc_specs, notes, eta_class=None) -> CatalogEntry:
     knot = SeifertKnot.from_rows(id_, rows)
@@ -74,6 +69,11 @@ def _require(cond: bool, invariant: str, detail: str):
         raise SchemaError(invariant, detail)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; `bool` is a subclass of `int` but `true` is not a number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def entry_from_json_dict(data: dict) -> CatalogEntry:
     _require(isinstance(data, dict), "knot entry must be an object", f"got {type(data).__name__}")
     for key in ("name", "genus", "seifert", "discs"):
@@ -87,13 +87,13 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
         repr(seifert),
     )
     _require(
-        all(isinstance(x, int) for r in seifert for x in r),
+        all(_is_int(x) for r in seifert for x in r),
         "seifert must be a matrix of integers",
         repr(seifert),
     )
     knot = SeifertKnot.from_rows(name, seifert)
     _require(
-        data["genus"] == knot.genus,
+        _is_int(data["genus"]) and data["genus"] == knot.genus,
         "genus field disagrees with seifert size",
         f"genus {data['genus']} vs matrix size {2 * knot.genus}",
     )
@@ -102,10 +102,15 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
     for dd in data["discs"]:
         _require(isinstance(dd, dict), "disc entry must be an object", repr(dd))
         _require("name" in dd and "curves" in dd, "disc entry missing field", repr(sorted(dd)))
+        _require(
+            isinstance(dd["name"], str) and dd["name"] != "",
+            "disc name must be a nonempty string",
+            repr(dd["name"]),
+        )
         curves = dd["curves"]
         _require(
             isinstance(curves, list)
-            and all(isinstance(c, list) and all(isinstance(x, int) for x in c) for c in curves),
+            and all(isinstance(c, list) and all(_is_int(x) for x in c) for c in curves),
             "curves must be integer column vectors",
             repr(curves),
         )
@@ -115,9 +120,14 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
     eta = data.get("eta_class")
     if eta is not None:
         _require(
-            isinstance(eta, list) and all(isinstance(x, int) for x in eta),
+            isinstance(eta, list) and all(_is_int(x) for x in eta),
             "eta_class must be an integer vector",
             repr(eta),
+        )
+        _require(
+            len(eta) == 2 * knot.genus,
+            "eta_class has wrong length",
+            f"expected {2 * knot.genus} coordinates, got {len(eta)}",
         )
         eta = tuple(eta)
     return CatalogEntry(name, knot, discs, data.get("notes", ""), eta)

@@ -30,7 +30,7 @@ import sys
 
 from . import __version__
 from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
-from .catalog import CatalogEntry, builtin_catalog, load_catalog, resolve_knot
+from .catalog import CatalogEntry, _is_int, builtin_catalog, load_catalog, resolve_knot
 from .errors import HypothesisError, SchemaError, UnknownReferenceError
 from .knots import (
     SurgeryDisc,
@@ -175,7 +175,10 @@ def scenario_from_json(catalog: dict, path: str) -> SatelliteScenario:
     for key in ("base", "base_disc", "companion", "companion_disc", "copies"):
         if key not in data:
             raise SchemaError("scenario missing field", key)
-    if not isinstance(data["copies"], int) or data["copies"] < 0:
+    for key in ("base", "base_disc", "companion", "companion_disc"):
+        if not isinstance(data[key], str):
+            raise SchemaError(f"scenario {key} must be a string", repr(data[key]))
+    if not _is_int(data["copies"]) or data["copies"] < 0:
         raise SchemaError("copies must be a nonnegative integer", repr(data["copies"]))
     return scenario_from_entries(
         resolve_knot(catalog, data["base"]),
@@ -334,6 +337,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_properties(args) -> int:
+    if args.cases < 1:
+        raise SchemaError("--cases must be at least 1", f"got {args.cases}")
     seed = args.seed if args.seed is not None else propsuite.DEFAULT_SEED
     ok = propsuite.run_all(seed=seed, cases=args.cases, emit=print)
     return 0 if ok else 1

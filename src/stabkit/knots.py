@@ -22,14 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import SchemaError
-from .linalg import Mat, hstack, int_det, smith_normal_form, vstack
-from .modules import (
-    ModuleMap,
-    PresentedModule,
-    Submodule,
-    direct_sum,
-    map_cokernel,
-)
+from .linalg import Mat, int_det, smith_normal_form, vstack
+from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import (
     EISENSTEIN,
     INTEGERS,
@@ -220,10 +214,7 @@ def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodu
 def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
     """A_Q(D) itself: the Alexander module modulo the disc kernel."""
     ambient = alexander_module_Q(disc.knot)
-    kern = disc_kernel_Q(disc, ambient)
-    return PresentedModule(
-        ambient.ring_tag, ambient.ngens, hstack(ambient.relations, kern.generators)
-    )
+    return ambient.quotient_by(disc_kernel_Q(disc, ambient).generators)
 
 
 def specialize_presentation(pres: Mat, target) -> Mat:
@@ -279,8 +270,8 @@ def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
     ring = ambient.ring
     ident = Mat.identity(ring, n)
     matrix = vstack(ident, ident.map_entries(ring.neg))
-    f = ModuleMap(ambient, target, matrix)
-    return TwoKnotModel((disc,), map_cokernel(f))
+    ModuleMap(ambient, target, matrix)  # raises unless the map is well defined
+    return TwoKnotModel((disc,), target.quotient_by(matrix))
 
 
 def two_knot_sum(*models: TwoKnotModel) -> TwoKnotModel:

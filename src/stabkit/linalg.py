@@ -1,7 +1,7 @@
 """Matrices and Smith normal form over the Euclidean domains in `rings`.
 
 Matrices are immutable tuples of row tuples; every algorithm takes the ring
-descriptor explicitly so the same code serves Z, F3, Q[t^±1] and Z[w].
+descriptor explicitly so the same code serves Z, Q[t^±1] and Z[w].
 
 The Smith pass is the classic elimination: pick the smallest-size nonzero
 entry as pivot (ties broken by row-then-column position, so output is
@@ -46,31 +46,13 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def zeros(cls, ring, nrows: int, ncols: int) -> "Mat":
-        return cls([[ring.zero] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, ring, n: int) -> "Mat":
         return cls(
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], n
         )
 
-    @classmethod
-    def from_int_rows(cls, ring, rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> "Mat":
-        return cls([[ring.from_int(x) for x in row] for row in rows], ncols)
-
-    @classmethod
-    def column(cls, entries: Sequence[object]) -> "Mat":
-        return cls([[x] for x in entries], 1)
-
     def entry(self, i: int, j: int):
         return self.rows[i][j]
-
-    def col(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> list[tuple]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Mat":
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)], self.nrows)
@@ -151,45 +133,6 @@ def mat_mul(ring, a: Mat, b: Mat) -> Mat:
             orow.append(acc)
         out.append(orow)
     return Mat(out, b.ncols)
-
-
-def mat_vec(ring, a: Mat, v: Sequence[object]) -> tuple:
-    return mat_mul(ring, a, Mat.column(v)).col(0)
-
-
-def mat_neg(ring, a: Mat) -> Mat:
-    return a.map_entries(ring.neg)
-
-
-def mat_is_zero(ring, a: Mat) -> bool:
-    return all(ring.is_zero(x) for row in a.rows for x in row)
-
-
-def determinant(ring, m: Mat):
-    """Cofactor-expansion determinant; intended for small matrices."""
-    if m.nrows != m.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return ring.one
-    cols = list(range(n))
-
-    def go(i: int, remaining: tuple) -> object:
-        if not remaining:
-            return ring.one
-        acc = ring.zero
-        sign = True
-        for idx, j in enumerate(remaining):
-            x = m.rows[i][j]
-            if not ring.is_zero(x):
-                rest = remaining[:idx] + remaining[idx + 1 :]
-                sub = go(i + 1, rest)
-                term = ring.mul(x, sub)
-                acc = ring.add(acc, term if sign else ring.neg(term))
-            sign = not sign
-        return acc
-
-    return go(0, tuple(cols))
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -382,9 +325,9 @@ def smith_normal_form(
     )
 
 
-def kernel_basis(ring, m: Mat, cancel: Optional[Callable[[], bool]] = None) -> Mat:
+def kernel_basis(ring, m: Mat) -> Mat:
     """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID."""
-    dec = smith_normal_form(ring, m, with_u=False, with_v=True, cancel=cancel)
+    dec = smith_normal_form(ring, m, with_u=False, with_v=True)
     cols = range(dec.rank, m.ncols)
     if m.ncols == 0:
         return Mat([], 0)
@@ -422,12 +365,3 @@ def solve_with(ring, dec: SmithDecomposition, m: Mat, b: Mat) -> Optional[Mat]:
     if m.ncols == 0:
         return Mat([], b.ncols)
     return mat_mul(ring, dec.v, zmat)
-
-
-def solve_columns(ring, m: Mat, b: Mat) -> Optional[Mat]:
-    dec = smith_normal_form(ring, m, with_u=True, with_v=True)
-    return solve_with(ring, dec, m, b)
-
-
-def column_span_contains(ring, m: Mat, b: Mat) -> bool:
-    return solve_columns(ring, m, b) is not None

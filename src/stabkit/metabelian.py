@@ -33,7 +33,7 @@ from .knots import (
     disc_branched_kernel,
     specialize_module,
 )
-from .linalg import Mat, block_diag, hstack
+from .linalg import Mat, block_diag
 from .modules import (
     PresentedModule,
     Submodule,
@@ -66,10 +66,6 @@ def one_oplus_bar(module: PresentedModule) -> PresentedModule:
     )
 
 
-def twisted_homology_abelian_rep(knot: SeifertKnot) -> PresentedModule:
-    return one_oplus_bar(eisenstein_alexander(knot))
-
-
 def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
     """A_xi(J0) / (disc kernel), and whether it is nonzero.
 
@@ -79,9 +75,7 @@ def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
         raise SchemaError("disc/knot mismatch", f"disc {d0.name!r} is not a disc for {j0.name!r}")
     ambient = eisenstein_alexander(j0)
     kern = ambient.submodule_from_int_columns(d0.class_columns())
-    quotient = PresentedModule(
-        ambient.ring_tag, ambient.ngens, hstack(ambient.relations, kern.generators)
-    )
+    quotient = ambient.quotient_by(kern.generators)
     return quotient, not quotient.is_zero_module()
 
 
@@ -164,15 +158,8 @@ class SatelliteScenario:
                 f"generating rank {aq.generating_rank} for {self.base_knot.name!r}",
             )
         for ambient in (aq, eisenstein_alexander(self.base_knot)):
-            quot = PresentedModule(
-                ambient.ring_tag,
-                ambient.ngens,
-                hstack(
-                    ambient.relations,
-                    ambient.submodule_from_int_columns([self.eta_class]).generators,
-                ),
-            )
-            if not quot.is_zero_module():
+            eta = ambient.submodule_from_int_columns([self.eta_class])
+            if not ambient.quotient_by(eta.generators).is_zero_module():
                 raise SchemaError(
                     "eta must generate the base Alexander module",
                     f"class {self.eta_class} does not generate over {ambient.ring.name}",
@@ -299,13 +286,6 @@ def _antidiagonal_columns(ring, n: int) -> Mat:
     return Mat(cols, 2 * n).transpose() if cols else Mat([() for _ in range(2 * n)], 0)
 
 
-def _int_columns_mat(ring, columns, nrows: int) -> Mat:
-    return Mat(
-        [[ring.from_int(col[i]) for col in columns] for i in range(nrows)],
-        len(columns),
-    )
-
-
 def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> EisensteinKernelPair:
     """Both disc-choice kernels of the satellite, assembled block by block.
 
@@ -329,13 +309,13 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
 
     # untwisted block: A_xi(R) ⊕ conj, kernel = base disc classes in both halves
     untwisted = one_oplus_bar(base_xi)
-    half_cols = _int_columns_mat(ring, base_classes, base_xi.ngens)
+    half_cols = base_kernel.generators
     untwisted_kernel_cols = block_diag(ring, half_cols, half_cols)
 
     # companion block: (A ⊕ A ⊕ conj A ⊕ conj A) for A = A_xi(J0)
     comp_xi = eisenstein_alexander(scenario.companion.base_knot)
     comp_classes = scenario.companion.base_disc.class_columns()
-    comp_cols = _int_columns_mat(ring, comp_classes, comp_xi.ngens)
+    comp_cols = comp_xi.submodule_from_int_columns(comp_classes).generators
     comp_block = one_oplus_bar(direct_sum(comp_xi, comp_xi))
     comp_k1 = block_diag(ring, comp_cols, comp_cols, comp_cols, comp_cols)
     anti = _antidiagonal_columns(ring, comp_xi.ngens)
@@ -357,17 +337,6 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
         ambient = PresentedModule(ring.tag, 0, Mat([], 0))
         k1 = k2 = Mat([], 0)
     return EisensteinKernelPair(ambient, Submodule(ambient, k1), Submodule(ambient, k2))
-
-
-def satellite_twisted_kernels(
-    scenario: SatelliteScenario, chi: Character, disc_choice: str
-) -> Submodule:
-    pair = satellite_kernel_pair(scenario, chi)
-    if disc_choice == "one":
-        return pair.kernel_one
-    if disc_choice == "two":
-        return pair.kernel_two
-    raise ValueError(f"disc_choice must be 'one' or 'two', got {disc_choice!r}")
 
 
 def kernel_pair_quotient(pair: EisensteinKernelPair) -> PresentedModule:

@@ -102,6 +102,10 @@ class PresentedModule:
     def zero_submodule(self) -> "Submodule":
         return Submodule(self, Mat([() for _ in range(self.ngens)], 0))
 
+    def quotient_by(self, cols: Mat) -> "PresentedModule":
+        """This module modulo the span of the given ambient coordinate columns."""
+        return PresentedModule(self.ring_tag, self.ngens, hstack(self.relations, cols))
+
     def submodule_from_int_columns(self, columns) -> "Submodule":
         ring = self.ring
         gens = Mat(
@@ -191,10 +195,6 @@ class Submodule:
         return self.presentation.order()
 
 
-def submodule_presentation(s: Submodule) -> PresentedModule:
-    return s.presentation
-
-
 def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
     """Generators of span(s1) ∩ span(s2) inside the common ambient quotient."""
     if s1.ambient != s2.ambient:
@@ -247,24 +247,3 @@ class ModuleMap:
         image_of_relations = mat_mul(ring, self.matrix, self.source.relations)
         if not self.target.relations_contain_columns(image_of_relations):
             raise ValueError("matrix does not send source relations into target relations")
-
-
-def map_kernel(f: ModuleMap) -> Submodule:
-    """The kernel { x : f(x) = 0 in target } as a submodule of the source."""
-    ring = f.source.ring
-    ker = kernel_basis(ring, hstack(f.matrix, f.target.relations))
-    gens = ker.take_rows(f.source.ngens)
-    return Submodule(f.source, gens)
-
-
-def map_cokernel(f: ModuleMap) -> PresentedModule:
-    """target / image(f): append the map columns to the target relations."""
-    return PresentedModule(
-        f.target.ring_tag,
-        f.target.ngens,
-        hstack(f.target.relations, f.matrix),
-    )
-
-
-def map_image(f: ModuleMap) -> Submodule:
-    return Submodule(f.target, f.matrix)

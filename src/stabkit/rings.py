@@ -1,4 +1,4 @@
-"""Exact coefficient rings: Q, Q[t^±1], Z[t^±1], Z[w] (w^2 + w + 1 = 0), F3.
+"""Exact coefficient rings: Q, Q[t^±1], Z[t^±1], Z[w] (w^2 + w + 1 = 0).
 
 Every ring here is either a field or a Euclidean domain with an explicit
 division step, so Smith normal form and gcd computations terminate with
@@ -12,8 +12,7 @@ Units are quotiented away through canonical associates:
   leading coefficient 1;
 * `Z[w]`: units are the six roots of unity; canonical means complex
   argument in `[0, pi/3)`, equivalently coordinates `a > b >= 0` (zero is
-  fixed);
-* `F3`: canonical nonzero value is 1.
+  fixed).
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
-
-Rational = Fraction
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
@@ -119,10 +116,6 @@ class LaurentPolyQ:
         return cls({0: n})
 
     @classmethod
-    def t_power(cls, exp: int, coeff: object = 1) -> "LaurentPolyQ":
-        return cls({exp: coeff})
-
-    @classmethod
     def parse(cls, text: str) -> "LaurentPolyQ":
         return cls(_parse_terms(text, "t"))
 
@@ -146,12 +139,6 @@ class LaurentPolyQ:
     def deg_span(self) -> int:
         return self.max_exp() - self.min_exp()
 
-    def coeff(self, exp: int) -> Fraction:
-        for e, c in self._terms:
-            if e == exp:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
         acc = dict(self._terms)
         for e, c in other._terms:
@@ -172,16 +159,8 @@ class LaurentPolyQ:
                 acc[e] = acc.get(e, Fraction(0)) + c1 * c2
         return LaurentPolyQ(acc)
 
-    def scale(self, q: object) -> "LaurentPolyQ":
-        f = Fraction(q)
-        return LaurentPolyQ({e: c * f for e, c in self._terms})
-
     def shift(self, k: int) -> "LaurentPolyQ":
         return LaurentPolyQ({e + k: c for e, c in self._terms})
-
-    def reverse(self) -> "LaurentPolyQ":
-        """The image under t -> 1/t."""
-        return LaurentPolyQ({-e: c for e, c in self._terms})
 
     def __divmod__(self, other: "LaurentPolyQ") -> tuple["LaurentPolyQ", "LaurentPolyQ"]:
         if other.is_zero():
@@ -209,12 +188,6 @@ class LaurentPolyQ:
         quot = LaurentPolyQ(q).shift(sn - sd)
         rem = LaurentPolyQ(r).shift(sn)
         return quot, rem
-
-    def __floordiv__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
-        return divmod(self, other)[1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPolyQ) and self._terms == other._terms
@@ -255,10 +228,6 @@ class IntLaurentPoly:
     def from_int(cls, n: int) -> "IntLaurentPoly":
         return cls({0: n})
 
-    @classmethod
-    def t_power(cls, exp: int, coeff: int = 1) -> "IntLaurentPoly":
-        return cls({exp: coeff})
-
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
@@ -285,9 +254,6 @@ class IntLaurentPoly:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         return IntLaurentPoly(acc)
-
-    def reverse(self) -> "IntLaurentPoly":
-        return IntLaurentPoly({-e: c for e, c in self._terms})
 
     def to_laurent_q(self) -> LaurentPolyQ:
         return LaurentPolyQ(dict(self._terms))
@@ -330,10 +296,6 @@ class EisensteinInt:
     @classmethod
     def from_int(cls, n: int) -> "EisensteinInt":
         return cls(n, 0)
-
-    @classmethod
-    def omega(cls) -> "EisensteinInt":
-        return cls(0, 1)
 
     @classmethod
     def parse(cls, text: str) -> "EisensteinInt":
@@ -381,12 +343,6 @@ class EisensteinInt:
         r = self - q * other
         return q, r
 
-    def __floordiv__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return divmod(self, other)[1]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EisensteinInt) and self.a == other.a and self.b == other.b
 
@@ -408,57 +364,6 @@ EISENSTEIN_UNITS = (
     EisensteinInt(-1, -1),
     EisensteinInt(1, 1),
 )
-
-
-class F3Scalar:
-    """A residue in {0, 1, 2} modulo 3."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", int(value) % 3)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("F3Scalar is immutable")
-
-    @classmethod
-    def from_int(cls, n: int) -> "F3Scalar":
-        return cls(n)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "F3Scalar") -> "F3Scalar":
-        return F3Scalar(self.value + other.value)
-
-    def __neg__(self) -> "F3Scalar":
-        return F3Scalar(-self.value)
-
-    def __sub__(self, other: "F3Scalar") -> "F3Scalar":
-        return F3Scalar(self.value - other.value)
-
-    def __mul__(self, other: "F3Scalar") -> "F3Scalar":
-        return F3Scalar(self.value * other.value)
-
-    def inverse(self) -> "F3Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse in F3")
-        return F3Scalar(self.value)  # 1*1 = 1, 2*2 = 4 = 1
-
-    def __divmod__(self, other: "F3Scalar") -> tuple["F3Scalar", "F3Scalar"]:
-        return self * other.inverse(), F3Scalar(0)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, F3Scalar) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("F3Scalar", self.value))
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"F3Scalar({self.value})"
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +401,6 @@ class IntegerRing:
     def divmod(self, a, b):
         return divmod(a, b)
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r != 0:
-            raise ValueError(f"{a!r} is not divisible by {b!r}")
-        return q
-
     def size(self, a) -> int:
         return abs(a)
 
@@ -527,66 +426,6 @@ class IntegerRing:
             return int(text)
         except ValueError as exc:
             raise RingFormatError(f"not an integer: {text!r}") from exc
-
-
-class F3Ring:
-    tag = "F3"
-    name = "F3"
-    zero = F3Scalar(0)
-    one = F3Scalar(1)
-
-    def from_int(self, n: int) -> F3Scalar:
-        return F3Scalar(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def divmod(self, a, b):
-        return divmod(a, b)
-
-    def exact_div(self, a, b):
-        return a * b.inverse()
-
-    def size(self, a) -> int:
-        return 1
-
-    def is_unit(self, a) -> bool:
-        return not a.is_zero()
-
-    def canonical(self, a):
-        if a.is_zero():
-            return a, self.one
-        return self.one, a  # a = a * 1
-
-    def inv_unit(self, u):
-        return u.inverse()
-
-    def conj(self, a):
-        return a
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        try:
-            return F3Scalar(int(text))
-        except ValueError as exc:
-            raise RingFormatError(f"not an F3 residue: {text!r}") from exc
 
 
 class LaurentRing:
@@ -618,12 +457,6 @@ class LaurentRing:
 
     def divmod(self, a, b):
         return divmod(a, b)
-
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if not r.is_zero():
-            raise ValueError(f"{a!r} is not divisible by {b!r}")
-        return q
 
     def size(self, a) -> int:
         return a.deg_span()
@@ -684,12 +517,6 @@ class EisensteinRing:
     def divmod(self, a, b):
         return divmod(a, b)
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if not r.is_zero():
-            raise ValueError(f"{a!r} is not divisible by {b!r}")
-        return q
-
     def size(self, a) -> int:
         return a.norm()
 
@@ -722,13 +549,11 @@ class EisensteinRing:
 
 
 INTEGERS = IntegerRing()
-F3 = F3Ring()
 LAURENT = LaurentRing()
 EISENSTEIN = EisensteinRing()
 
 RINGS_BY_TAG = {
     INTEGERS.tag: INTEGERS,
-    F3.tag: F3,
     LAURENT.tag: LAURENT,
     EISENSTEIN.tag: EISENSTEIN,
 }
@@ -766,22 +591,6 @@ def euclid_gcd(ring, a, b):
     return euclid_xgcd(ring, a, b)[0]
 
 
-def laurent_xgcd(a: LaurentPolyQ, b: LaurentPolyQ):
-    return euclid_xgcd(LAURENT, a, b)
-
-
-def laurent_gcd(a: LaurentPolyQ, b: LaurentPolyQ) -> LaurentPolyQ:
-    return euclid_gcd(LAURENT, a, b)
-
-
-def eisenstein_xgcd(a: EisensteinInt, b: EisensteinInt):
-    return euclid_xgcd(EISENSTEIN, a, b)
-
-
-def eisenstein_gcd(a: EisensteinInt, b: EisensteinInt) -> EisensteinInt:
-    return euclid_gcd(EISENSTEIN, a, b)
-
-
 XI3 = "xi3"
 MINUS_ONE = "minus_one"
 
@@ -789,8 +598,8 @@ MINUS_ONE = "minus_one"
 def specialize_t(p: IntLaurentPoly, target):
     """Evaluate an integral Laurent polynomial at a ring homomorphism image of t.
 
-    target is "xi3" (t -> w, giving an Eisenstein integer), "minus_one"
-    (t -> -1, giving an integer), or a nonzero Rational q (t -> q).
+    target is "xi3" (t -> w, giving an Eisenstein integer) or "minus_one"
+    (t -> -1, giving an integer).
     """
     if target == XI3:
         # w^e depends only on e mod 3: 1, w, w^2 = -1 - w
@@ -801,9 +610,4 @@ def specialize_t(p: IntLaurentPoly, target):
         return acc
     if target == MINUS_ONE:
         return sum(c if e % 2 == 0 else -c for e, c in p.terms)
-    if isinstance(target, (int, Fraction)):
-        q = Fraction(target)
-        if q == 0:
-            raise ValueError("t must be sent to a nonzero rational")
-        return sum((Fraction(c) * q ** e for e, c in p.terms), Fraction(0))
     raise ValueError(f"unknown specialization target {target!r}")

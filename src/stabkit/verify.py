@@ -35,7 +35,6 @@ from .metabelian import (
     DiscPairModel,
     SatelliteScenario,
     character_space_dimension,
-    eisenstein_alexander,
     metabelian_obstruction,
     satellite_kernel_pair,
     theorem_C_lower_bound,

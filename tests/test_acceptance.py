@@ -28,7 +28,7 @@ from stabkit.knots import (
     two_knot_sum,
 )
 from stabkit.metabelian import DiscPairModel, SatelliteScenario, metabelian_obstruction
-from stabkit.rings import LAURENT, LaurentPolyQ, associates
+from stabkit.rings import LaurentPolyQ
 
 
 @contextmanager

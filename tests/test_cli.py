@@ -334,6 +334,53 @@ def test_unparseable_catalog_is_exit_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+SCENARIO = {
+    "base": "6_1",
+    "base_disc": "gamma",
+    "companion": "6_1",
+    "companion_disc": "gamma",
+    "copies": 2,
+}
+ETA_ENTRY = dict(
+    CUSTOM_ENTRY,
+    seifert=[[1, 1], [0, -2]],
+    discs=[{"name": "g", "curves": [[1, 1]]}],
+    eta_class=[1, 0],
+)
+
+# (label, catalog entry or None, scenario or None, argv after the file options)
+MALFORMED = [
+    ("disc name int", dict(CUSTOM_ENTRY, discs=[{"name": 5, "curves": [[1, 2]]}]), None,
+     ["kernels", "custom"]),
+    ("seifert bool", dict(CUSTOM_ENTRY, seifert=[[True, 1], [0, -1]]), None,
+     ["alexander", "custom"]),
+    ("curve bool", dict(CUSTOM_ENTRY, discs=[{"name": "d", "curves": [[True, 2]]}]), None,
+     ["kernels", "custom"]),
+    ("genus bool", dict(CUSTOM_ENTRY, genus=True), None, ["alexander", "custom"]),
+    ("eta bool", dict(ETA_ENTRY, eta_class=[True, 0]), None, ["alexander", "custom"]),
+    ("eta short", dict(ETA_ENTRY, eta_class=[1]), None, ["alexander", "custom"]),
+    ("copies bool", None, dict(SCENARIO, copies=True), ["bound", "metabelian"]),
+    ("copies float", None, dict(SCENARIO, copies=2.0), ["bound", "metabelian"]),
+    ("base not a string", None, dict(SCENARIO, base=["6_1"]), ["bound", "metabelian"]),
+    ("disc not a string", None, dict(SCENARIO, companion_disc={"g": 1}), ["bound", "metabelian"]),
+]
+
+
+@pytest.mark.parametrize("label,entry,scenario,argv", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_input_is_exit_2_with_one_line(capsys, tmp_path, label, entry, scenario, argv):
+    opts = []
+    if entry is not None:
+        (tmp_path / "catalog.json").write_text(json.dumps([entry]))
+        opts = ["--catalog", str(tmp_path / "catalog.json")]
+    if scenario is not None:
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        argv = argv + ["--scenario-json", str(tmp_path / "scenario.json")]
+    code, out, err = run(capsys, *opts, *argv)
+    assert code == 2, label
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_entry_validation_details():
     with pytest.raises(SchemaError, match="missing field"):
         entry_from_json_dict({"name": "x", "genus": 1, "seifert": [[0, 1], [0, 0]]})
@@ -390,3 +437,11 @@ def test_properties_command_small(capsys):
     assert code == 0
     assert "PASS snf_integers (3 cases, seed 7)" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+def test_properties_without_cases_is_exit_2(capsys, cases):
+    code, out, err = run(capsys, "properties", "--cases", cases)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cases must be at least 1: got {cases}\n"

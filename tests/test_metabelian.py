@@ -17,9 +17,7 @@ from stabkit.metabelian import (
     metabelian_obstruction,
     one_oplus_bar,
     satellite_kernel_pair,
-    satellite_twisted_kernels,
     theorem_C_lower_bound,
-    twisted_homology_abelian_rep,
 )
 from stabkit.modules import PresentedModule, modules_isomorphic
 from stabkit.rings import EISENSTEIN, EisensteinInt
@@ -86,12 +84,12 @@ def test_one_oplus_bar_of_prime_quotient_is_cyclic():
 
 
 def test_one_oplus_bar_is_self_conjugate(k61):
-    d = twisted_homology_abelian_rep(k61.knot)
+    d = one_oplus_bar(eisenstein_alexander(k61.knot))
     assert modules_isomorphic(d, conjugate_module(d))
 
 
 def test_twisted_homology_abelian_rep_6_1(k61):
-    d = twisted_homology_abelian_rep(k61.knot)
+    d = one_oplus_bar(eisenstein_alexander(k61.knot))
     assert d.order().norm() == 2401
     assert d.generating_rank == 2
 
@@ -295,16 +293,6 @@ def test_empty_scenario_has_empty_kernels(k61):
     pair = satellite_kernel_pair(scenario(k61, 0), Character(()))
     assert pair.ambient.ngens == 0
     assert kernel_pair_quotient(pair).is_zero_module()
-
-
-def test_twisted_kernel_selector(k61):
-    s = scenario(k61, 1)
-    chi = Character((1,))
-    pair = satellite_kernel_pair(s, chi)
-    assert satellite_twisted_kernels(s, chi, "one").spans_equal(pair.kernel_one)
-    assert satellite_twisted_kernels(s, chi, "two").spans_equal(pair.kernel_two)
-    with pytest.raises(ValueError):
-        satellite_twisted_kernels(s, chi, "three")
 
 
 # ------------------------------------------------------------- lower bound

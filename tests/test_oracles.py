@@ -2,7 +2,6 @@
 
 import pytest
 
-from stabkit.linalg import Mat
 from stabkit.oracles import (
     FiniteModuleTable,
     OracleCapExceeded,
