@@ -100,14 +100,19 @@ def test_kernel_basis_over_laurent():
     assert all(LAURENT.is_zero(e) for row in prod.rows for e in row)
 
 
-def test_solve_with():
+def test_solve_columns():
     m = Mat([[2, 0], [0, 3]])
     dec = smith_normal_form(INTEGERS, m)
     b = Mat([[4], [3]])
     x = solve_with(INTEGERS, dec, m, b)
     assert mat_mul(INTEGERS, m, x).rows == b.rows
-    assert solve_with(INTEGERS, dec, m, Mat([[2], [3]])) is not None
     assert solve_with(INTEGERS, dec, m, Mat([[1], [0]])) is None
+
+
+def test_column_span_contains():
+    m = Mat([[2, 0], [0, 3]])
+    dec = smith_normal_form(INTEGERS, m)
+    assert solve_with(INTEGERS, dec, m, Mat([[2], [3]])) is not None
     assert solve_with(INTEGERS, dec, m, Mat([[1], [1]])) is None
 
 
