@@ -78,16 +78,21 @@ def d1_lower_bound(k1: TwoKnotModel, k2: TwoKnotModel) -> int:
     return abs(k1.generating_rank - k2.generating_rank)
 
 
-def d2_lower_bound_abelian(p1: Submodule, p2: Submodule) -> int:
-    """max gr of the two relative kernel quotients; 0 iff the kernels agree."""
+def kernel_quotient_ranks(p1: Submodule, p2: Submodule) -> tuple:
+    """gr(p1 / p1∩p2) and gr(p2 / p2∩p1), the two relative kernel quotients."""
     if p1.ambient != p2.ambient:
         raise SchemaError(
             "kernel ambient mismatch", "both kernels must live in one module"
         )
-    return max(
+    return (
         quotient_of_submodules(p1, p2).generating_rank,
         quotient_of_submodules(p2, p1).generating_rank,
     )
+
+
+def d2_lower_bound_abelian(p1: Submodule, p2: Submodule) -> int:
+    """max gr of the two relative kernel quotients; 0 iff the kernels agree."""
+    return max(kernel_quotient_ranks(p1, p2))
 
 
 def d2_upper_bound(d1: SurgeryDisc, d2: SurgeryDisc) -> Optional[int]:
@@ -162,8 +167,7 @@ def _disc_pair_report(s: DiscPairScenario) -> BoundReport:
     ambient = alexander_module_Q(s.knot)
     p1 = disc_kernel_Q(s.disc_one, ambient)
     p2 = disc_kernel_Q(s.disc_two, ambient)
-    g12 = quotient_of_submodules(p1, p2).generating_rank
-    g21 = quotient_of_submodules(p2, p1).generating_rank
+    g12, g21 = kernel_quotient_ranks(p1, p2)
     lower = max(g12, g21)
     upper = d2_upper_bound(s.disc_one, s.disc_two)
     prov = [
@@ -185,7 +189,7 @@ def _disc_pair_report(s: DiscPairScenario) -> BoundReport:
 def _two_knot_report(s: TwoKnotPairScenario) -> BoundReport:
     g1 = s.left.generating_rank
     g2 = s.right.generating_rank
-    lower = abs(g1 - g2)
+    lower = d1_lower_bound(s.left, s.right)
     upper = 0 if _two_knots_equal(s.left, s.right) else None
     prov = [
         f"generating ranks {g1} and {g2}; each 1-handle changes gr by at most 1, "

@@ -133,14 +133,19 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
     return CatalogEntry(name, knot, discs, data.get("notes", ""), eta)
 
 
+def read_json(path: str, what: str):
+    """Parse a UTF-8 JSON file; bad bytes or bad JSON raise SchemaError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise SchemaError(f"{what} file is not valid JSON", str(e)) from e
+
+
 def load_catalog(path: str) -> dict:
     """Built-ins plus entries from a JSON file (a list or a single object)."""
     catalog = builtin_catalog()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("catalog file is not valid JSON", str(e)) from e
+    data = read_json(path, "catalog")
     if isinstance(data, dict):
         data = [data]
     _require(isinstance(data, list), "catalog must be a list of knot entries", type(data).__name__)

@@ -29,15 +29,14 @@ import re
 import sys
 
 from . import __version__
-from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
-from .catalog import CatalogEntry, _is_int, builtin_catalog, load_catalog, resolve_knot
+from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report, kernel_quotient_ranks
+from .catalog import CatalogEntry, _is_int, builtin_catalog, load_catalog, read_json, resolve_knot
 from .errors import HypothesisError, SchemaError, UnknownReferenceError
 from .knots import (
     SurgeryDisc,
     TwoKnotModel,
     alexander_module_Q,
     alexander_polynomial,
-    alexander_presentation,
     boundary_connect_sum,
     connected_sum,
     disc_kernel_Q,
@@ -45,13 +44,8 @@ from .knots import (
     two_knot_sum,
 )
 from .metabelian import DiscPairModel, SatelliteScenario
-from .modules import quotient_of_submodules, submodule_intersection
-from .rings import LAURENT
+from .modules import submodule_intersection
 from . import propsuite
-
-
-def _fmt_q(x) -> str:
-    return LAURENT.fmt(x)
 
 
 # ---------------------------------------------------------------- references
@@ -165,11 +159,7 @@ def resolve_scenario(catalog: dict, spec: str) -> SatelliteScenario:
 
 
 def scenario_from_json(catalog: dict, path: str) -> SatelliteScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError("scenario file is not valid JSON", str(e)) from e
+    data = read_json(path, "scenario")
     if not isinstance(data, dict):
         raise SchemaError("scenario must be an object", type(data).__name__)
     for key in ("base", "base_disc", "companion", "companion_disc", "copies"):
@@ -199,18 +189,17 @@ def cmd_alexander(args) -> int:
     catalog = _load(args)
     leaves = resolve_knot_ref(catalog, args.knot)
     knot = knot_of_leaves(leaves)
-    pres = alexander_presentation(knot)
     module = alexander_module_Q(knot)
-    rows = [[_fmt_q(e.to_laurent_q()) for e in row] for row in pres.rows]
+    rows = [[str(e) for e in row] for row in module.relations.rows]
     payload = {
         "knot": knot.name,
         "genus": knot.genus,
         "presentation": rows,
-        "invariant_factors": [_fmt_q(d) for d in module.torsion_invariants],
+        "invariant_factors": [str(d) for d in module.torsion_invariants],
         "free_rank": module.free_rank,
         "generating_rank": module.generating_rank,
-        "order": _fmt_q(module.order()),
-        "alexander_polynomial": _fmt_q(alexander_polynomial(knot)),
+        "order": str(module.order()),
+        "alexander_polynomial": str(alexander_polynomial(knot)),
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -241,7 +230,7 @@ def cmd_kernels(args) -> int:
     kernels = [disc_kernel_Q(d, ambient) for d in discs]
     payload = {
         "knot": knot.name,
-        "module_invariant_factors": [_fmt_q(d) for d in ambient.torsion_invariants],
+        "module_invariant_factors": [str(d) for d in ambient.torsion_invariants],
         "kernels": [],
         "pairs": [],
     }
@@ -250,22 +239,21 @@ def cmd_kernels(args) -> int:
         payload["kernels"].append(
             {
                 "disc": spec,
-                "invariant_factors": [_fmt_q(d) for d in pres.torsion_invariants],
+                "invariant_factors": [str(d) for d in pres.torsion_invariants],
                 "generating_rank": pres.generating_rank,
-                "order": _fmt_q(kern.order()),
+                "order": str(kern.order()),
             }
         )
     for i in range(len(kernels)):
         for j in range(i + 1, len(kernels)):
             inter = submodule_intersection(kernels[i], kernels[j])
-            q12 = quotient_of_submodules(kernels[i], kernels[j])
-            q21 = quotient_of_submodules(kernels[j], kernels[i])
+            g12, g21 = kernel_quotient_ranks(kernels[i], kernels[j])
             payload["pairs"].append(
                 {
                     "discs": [specs[i], specs[j]],
                     "intersection_is_zero": inter.is_zero(),
-                    "intersection_order": _fmt_q(inter.order()),
-                    "quotient_gr": [q12.generating_rank, q21.generating_rank],
+                    "intersection_order": str(inter.order()),
+                    "quotient_gr": [g12, g21],
                 }
             )
     if args.json:

@@ -28,7 +28,6 @@ from .rings import (
     EISENSTEIN,
     INTEGERS,
     LAURENT,
-    IntLaurentPoly,
     LaurentPolyQ,
     specialize_t,
 )
@@ -87,12 +86,12 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
 
 
 def alexander_presentation(knot: SeifertKnot) -> Mat:
-    """t*V - V^T as a matrix of integral Laurent polynomials."""
+    """t*V - V^T as a matrix of Laurent polynomials with integer coefficients."""
     v = knot.seifert
     n = len(v)
     return Mat(
         [
-            [IntLaurentPoly({1: v[i][j], 0: -v[j][i]}) for j in range(n)]
+            [LaurentPolyQ({1: v[i][j], 0: -v[j][i]}) for j in range(n)]
             for i in range(n)
         ],
         n,
@@ -100,9 +99,7 @@ def alexander_presentation(knot: SeifertKnot) -> Mat:
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
-    pres = alexander_presentation(knot)
-    rel = pres.map_entries(lambda p: p.to_laurent_q())
-    return PresentedModule(LAURENT.tag, len(knot.seifert), rel)
+    return PresentedModule(LAURENT.tag, len(knot.seifert), alexander_presentation(knot))
 
 
 def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
@@ -269,7 +266,7 @@ def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
     n = ambient.ngens
     ring = ambient.ring
     ident = Mat.identity(ring, n)
-    matrix = vstack(ident, ident.map_entries(ring.neg))
+    matrix = vstack(ident, ident.map_entries(lambda x: -x))
     ModuleMap(ambient, target, matrix)  # raises unless the map is well defined
     return TwoKnotModel((disc,), target.quotient_by(matrix))
 

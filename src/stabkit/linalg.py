@@ -1,7 +1,8 @@
 """Matrices and Smith normal form over the Euclidean domains in `rings`.
 
 Matrices are immutable tuples of row tuples; every algorithm takes the ring
-descriptor explicitly so the same code serves Z, Q[t^±1] and Z[w].
+descriptor explicitly so the same code serves Z, Q[t^±1] and Z[w].  Entries
+do their own arithmetic; the descriptor supplies zero, one, sizes and units.
 
 The Smith pass is the classic elimination: pick the smallest-size nonzero
 entry as pivot (ties broken by row-then-column position, so output is
@@ -129,7 +130,7 @@ def mat_mul(ring, a: Mat, b: Mat) -> Mat:
                 x = arow[k]
                 if ring.is_zero(x):
                     continue
-                acc = ring.add(acc, ring.mul(x, b.rows[k][j]))
+                acc = acc + x * b.rows[k][j]
             orow.append(acc)
         out.append(orow)
     return Mat(out, b.ncols)
@@ -209,19 +210,19 @@ def smith_normal_form(
         # row_i -= q * row_j
         if ring.is_zero(q):
             return
-        d[i] = [ring.sub(d[i][k], ring.mul(q, d[j][k])) for k in range(C)]
+        d[i] = [d[i][k] - q * d[j][k] for k in range(C)]
         if u is not None:
-            u[i] = [ring.sub(u[i][k], ring.mul(q, u[j][k])) for k in range(R)]
+            u[i] = [u[i][k] - q * u[j][k] for k in range(R)]
 
     def col_sub(i: int, j: int, q) -> None:
         # col_i -= q * col_j
         if ring.is_zero(q):
             return
         for row in d:
-            row[i] = ring.sub(row[i], ring.mul(q, row[j]))
+            row[i] = row[i] - q * row[j]
         if v is not None:
             for row in v:
-                row[i] = ring.sub(row[i], ring.mul(q, row[j]))
+                row[i] = row[i] - q * row[j]
 
     def find_pivot(s: int):
         best = None
@@ -245,7 +246,7 @@ def smith_normal_form(
                 if ring.is_zero(d[i][s]):
                     i += 1
                     continue
-                q, _ = ring.divmod(d[i][s], d[s][s])
+                q, _ = divmod(d[i][s], d[s][s])
                 row_sub(i, s, q)
                 if ring.is_zero(d[i][s]):
                     i += 1
@@ -259,7 +260,7 @@ def smith_normal_form(
                 if ring.is_zero(d[s][j]):
                     j += 1
                     continue
-                q, _ = ring.divmod(d[s][j], d[s][s])
+                q, _ = divmod(d[s][j], d[s][s])
                 col_sub(j, s, q)
                 if ring.is_zero(d[s][j]):
                     j += 1
@@ -293,9 +294,9 @@ def smith_normal_form(
                 for j in range(s + 1, C):
                     if ring.is_zero(row[j]):
                         continue
-                    _, r = ring.divmod(row[j], piv)
+                    _, r = divmod(row[j], piv)
                     if not ring.is_zero(r):
-                        row_sub(s, i, ring.neg(ring.one))  # row_s += row_i
+                        row_sub(s, i, -ring.one)  # row_s += row_i
                         clear_pivot(s)
                         patched = True
                         break
@@ -303,11 +304,11 @@ def smith_normal_form(
                     break
         # normalize the pivot to its canonical associate
         assoc, unit = ring.canonical(d[s][s])
-        if not ring.eq(unit, ring.one):
+        if unit != ring.one:
             inv = ring.inv_unit(unit)
-            d[s] = [ring.mul(inv, x) for x in d[s]]
+            d[s] = [inv * x for x in d[s]]
             if u is not None:
-                u[s] = [ring.mul(inv, x) for x in u[s]]
+                u[s] = [inv * x for x in u[s]]
         s += 1
 
     diagonal = tuple(d[i][i] for i in range(steps))
@@ -354,7 +355,7 @@ def solve_with(ring, dec: SmithDecomposition, m: Mat, b: Mat) -> Optional[Mat]:
             w = ub.rows[i][j]
             if i < dec.rank:
                 di = dec.diagonal[i]
-                q, r = ring.divmod(w, di)
+                q, r = divmod(w, di)
                 if not ring.is_zero(r):
                     return None
                 z[i] = q

@@ -281,7 +281,7 @@ def _antidiagonal_columns(ring, n: int) -> Mat:
     for i in range(n):
         col = [ring.zero] * (2 * n)
         col[i] = ring.one
-        col[n + i] = ring.neg(ring.one)
+        col[n + i] = -ring.one
         cols.append(col)
     return Mat(cols, 2 * n).transpose() if cols else Mat([() for _ in range(2 * n)], 0)
 

@@ -86,7 +86,7 @@ class PresentedModule:
             return ring.zero
         acc = ring.one
         for x in self._diag_snf.diagonal:
-            acc = ring.mul(acc, x)
+            acc = acc * x
         return canonical_associate(ring, acc)
 
     def is_zero_module(self) -> bool:

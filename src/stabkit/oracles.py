@@ -38,8 +38,8 @@ def _minor_dets(ring, rows: Sequence[Sequence[object]], k: int) -> Iterable[obje
             x = rows[ridx[0]][c]
             if not ring.is_zero(x):
                 sub = det(ridx[1:], cidx[:pos] + cidx[pos + 1 :])
-                term = ring.mul(x, sub)
-                acc = ring.add(acc, term if sign else ring.neg(term))
+                term = x * sub
+                acc = acc + term if sign else acc - term
             sign = not sign
         return acc
 

@@ -57,14 +57,14 @@ def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
     dec = smith_normal_form(ring, m, with_u=with_transforms, with_v=with_transforms)
     pivots = dec.diagonal[: dec.rank]
     for a, b in zip(pivots, pivots[1:]):
-        _, r = ring.divmod(b, a)
+        _, r = divmod(b, a)
         assert ring.is_zero(r), f"divisibility chain broken {note}"
     divisors = minor_gcd_divisors(ring, m.rows)
     prod = ring.one
     for k, dk in enumerate(divisors, start=1):
         if k <= dec.rank:
-            prod = ring.canonical(ring.mul(prod, pivots[k - 1]))[0]
-            assert ring.eq(prod, dk), (
+            prod = ring.canonical(prod * pivots[k - 1])[0]
+            assert prod == dk, (
                 f"invariant-factor product differs from determinantal divisor "
                 f"at k={k} {note}"
             )

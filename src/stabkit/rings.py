@@ -1,8 +1,12 @@
-"""Exact coefficient rings: Q, Q[t^±1], Z[t^±1], Z[w] (w^2 + w + 1 = 0).
+"""Exact coefficient rings: Z, Q[t^±1], Z[w] (w^2 + w + 1 = 0).
 
-Every ring here is either a field or a Euclidean domain with an explicit
-division step, so Smith normal form and gcd computations terminate with
-exact results.  No floating point is used anywhere; rational numbers are
+Every ring here is a Euclidean domain with an explicit division step, so
+Smith normal form and gcd computations terminate with exact results.  Ring
+elements do their own arithmetic through Python operators (`+`, `-`, `*`,
+`==`, builtin `divmod`, `str`); a ring descriptor (`INTEGERS`, `LAURENT`,
+`EISENSTEIN`) holds only the Euclidean structure that the generic matrix
+algorithms need: zero and one, the zero test, the Euclidean size, the units
+and the canonical associates.  No floating point is used anywhere; rational numbers are
 `fractions.Fraction` and all integers are arbitrary precision.
 
 Units are quotiented away through canonical associates:
@@ -202,75 +206,6 @@ class LaurentPolyQ:
         return f"LaurentPolyQ({dict(self._terms)!r})"
 
 
-class IntLaurentPoly:
-    """A Laurent polynomial over Z: the carrier for integral presentations.
-
-    `Z[t^±1]` is not a PID, so no division or gcd is offered here; matrices
-    over this ring exist to be specialized (t -> xi3, t -> -1, t -> q) or
-    widened to `Q[t^±1]`.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for exp, coeff in items:
-            c = int(coeff)
-            if c != 0:
-                acc[exp] = acc.get(exp, 0) + c
-        object.__setattr__(self, "_terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntLaurentPoly is immutable")
-
-    @classmethod
-    def from_int(cls, n: int) -> "IntLaurentPoly":
-        return cls({0: n})
-
-    @property
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "IntLaurentPoly") -> "IntLaurentPoly":
-        acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, 0) + c
-        return IntLaurentPoly(acc)
-
-    def __neg__(self) -> "IntLaurentPoly":
-        return IntLaurentPoly({e: -c for e, c in self._terms})
-
-    def __sub__(self, other: "IntLaurentPoly") -> "IntLaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntLaurentPoly") -> "IntLaurentPoly":
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return IntLaurentPoly(acc)
-
-    def to_laurent_q(self) -> LaurentPolyQ:
-        return LaurentPolyQ(dict(self._terms))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntLaurentPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(("IntLaurentPoly", self._terms))
-
-    def __str__(self) -> str:
-        return _format_terms({e: Fraction(c) for e, c in self._terms}, "t")
-
-    def __repr__(self) -> str:
-        return f"IntLaurentPoly({dict(self._terms)!r})"
-
-
 def _round_half_down(f: Fraction) -> int:
     """Nearest integer; a tie (fraction exactly 1/2) rounds toward -infinity."""
     return math.ceil(f - Fraction(1, 2))
@@ -367,7 +302,8 @@ EISENSTEIN_UNITS = (
 
 
 # ---------------------------------------------------------------------------
-# Ring descriptors: a uniform facade so matrix algorithms stay generic.
+# Ring descriptors: the Euclidean structure generic matrix algorithms need;
+# the arithmetic itself is the elements' own operators.
 # ---------------------------------------------------------------------------
 
 
@@ -380,26 +316,8 @@ class IntegerRing:
     def from_int(self, n: int) -> int:
         return int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def divmod(self, a, b):
-        return divmod(a, b)
 
     def size(self, a) -> int:
         return abs(a)
@@ -415,18 +333,6 @@ class IntegerRing:
     def inv_unit(self, u):
         return u
 
-    def conj(self, a):
-        return a
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise RingFormatError(f"not an integer: {text!r}") from exc
-
 
 class LaurentRing:
     tag = "Q_Laurent"
@@ -437,26 +343,8 @@ class LaurentRing:
     def from_int(self, n: int) -> LaurentPolyQ:
         return LaurentPolyQ.from_int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def divmod(self, a, b):
-        return divmod(a, b)
 
     def size(self, a) -> int:
         return a.deg_span()
@@ -477,15 +365,6 @@ class LaurentRing:
         (exp, coeff), = u.terms
         return LaurentPolyQ({-exp: Fraction(1, 1) / coeff})
 
-    def conj(self, a):
-        return a
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        return LaurentPolyQ.parse(text)
-
 
 class EisensteinRing:
     tag = "Eisenstein"
@@ -496,26 +375,8 @@ class EisensteinRing:
     def from_int(self, n: int) -> EisensteinInt:
         return EisensteinInt.from_int(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def divmod(self, a, b):
-        return divmod(a, b)
 
     def size(self, a) -> int:
         return a.norm()
@@ -538,15 +399,6 @@ class EisensteinRing:
                 return v
         raise ValueError(f"{u!r} is not a unit")
 
-    def conj(self, a):
-        return a.conj()
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def parse(self, text: str):
-        return EisensteinInt.parse(text)
-
 
 INTEGERS = IntegerRing()
 LAURENT = LaurentRing()
@@ -566,7 +418,7 @@ def canonical_associate(ring, x):
 
 def associates(ring, x, y) -> bool:
     """True when x and y differ by a unit factor."""
-    return ring.eq(canonical_associate(ring, x), canonical_associate(ring, y))
+    return canonical_associate(ring, x) == canonical_associate(ring, y)
 
 
 def euclid_xgcd(ring, a, b):
@@ -578,13 +430,13 @@ def euclid_xgcd(ring, a, b):
     s0, s1 = ring.one, ring.zero
     t0, t1 = ring.zero, ring.one
     while not ring.is_zero(r1):
-        q, r = ring.divmod(r0, r1)
+        q, r = divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
-        t0, t1 = t1, ring.sub(t0, ring.mul(q, t1))
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
     g, unit = ring.canonical(r0)
     inv = ring.inv_unit(unit)
-    return g, ring.mul(inv, s0), ring.mul(inv, t0)
+    return g, inv * s0, inv * t0
 
 
 def euclid_gcd(ring, a, b):
@@ -595,19 +447,23 @@ XI3 = "xi3"
 MINUS_ONE = "minus_one"
 
 
-def specialize_t(p: IntLaurentPoly, target):
+def specialize_t(p: LaurentPolyQ, target):
     """Evaluate an integral Laurent polynomial at a ring homomorphism image of t.
 
     target is "xi3" (t -> w, giving an Eisenstein integer) or "minus_one"
-    (t -> -1, giving an integer).
+    (t -> -1, giving an integer).  A non-integral coefficient raises
+    ValueError: neither image ring contains it.
     """
+    if any(c.denominator != 1 for _, c in p.terms):
+        raise ValueError(f"non-integral coefficient in {p}")
+    terms = [(e, int(c)) for e, c in p.terms]
     if target == XI3:
         # w^e depends only on e mod 3: 1, w, w^2 = -1 - w
         powers = (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))
         acc = EisensteinInt(0, 0)
-        for e, c in p.terms:
+        for e, c in terms:
             acc = acc + powers[e % 3] * EisensteinInt(c, 0)
         return acc
     if target == MINUS_ONE:
-        return sum(c if e % 2 == 0 else -c for e, c in p.terms)
+        return sum(c if e % 2 == 0 else -c for e, c in terms)
     raise ValueError(f"unknown specialization target {target!r}")

@@ -1,6 +1,8 @@
 """CLI behavior: reference grammar, output formats, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -259,10 +261,11 @@ def test_scenario_json_missing_field_is_exit_2(capsys, tmp_path):
 
 def test_scenario_json_unparseable_is_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "bound", "metabelian", "--scenario-json", str(path))
-    assert code == 2
-    assert "not valid JSON" in err
+    for content in (b"{not json", b"\xff\xfe["):  # the second is not UTF-8
+        path.write_bytes(content)
+        code, _, err = run(capsys, "bound", "metabelian", "--scenario-json", str(path))
+        assert code == 2
+        assert "not valid JSON" in err and err.count("\n") == 1
 
 
 def test_scenario_json_missing_file_is_exit_2(capsys, tmp_path):
@@ -328,10 +331,11 @@ def test_invalid_catalog_curve_is_exit_2(capsys, tmp_path):
 
 def test_unparseable_catalog_is_exit_2(capsys, tmp_path):
     path = tmp_path / "catalog.json"
-    path.write_text("[")
-    code, _, err = run(capsys, "--catalog", str(path), "alexander", "9_46")
-    assert code == 2
-    assert "not valid JSON" in err
+    for content in (b"[", b"\xff\xfe["):  # the second is not UTF-8
+        path.write_bytes(content)
+        code, _, err = run(capsys, "--catalog", str(path), "alexander", "9_46")
+        assert code == 2
+        assert "not valid JSON" in err and err.count("\n") == 1
 
 
 SCENARIO = {
@@ -419,6 +423,15 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_readme_outputs_match_recorded_digests(capsys):
+    """Every README `--json` command prints exactly what the benchmark recorded."""
+    digests = Path(__file__).resolve().parents[1] / "bench" / "readme_digests.json"
+    for item in json.loads(digests.read_text(encoding="utf-8")):
+        code, out, _ = run(capsys, *item["argv"])
+        text = f"exit {code}\n{out}"
+        assert hashlib.sha256(text.encode()).hexdigest() == item["sha256"], item["argv"]
 
 
 # --------------------------------------------------------- verify, properties
