@@ -113,21 +113,32 @@ def resolve_disc_spec(leaves: list, spec: str) -> SurgeryDisc:
 
 
 def resolve_two_knot_ref(catalog: dict, ref: str) -> TwoKnotModel:
-    ref = ref.strip()
-    if "+" in ref:
-        parts = [resolve_two_knot_ref(catalog, p) for p in ref.split("+")]
-        return two_knot_sum(*parts)
-    if ref == "unknot":
-        return TwoKnotModel.unknotted()
-    m = _DOUBLE.match(ref)
-    if m:
+    """`unknot`, `double(ID.DISC)`, `double(ID.DISC)^m`, or `+`-joined terms.
+
+    Each distinct disc is doubled once per call, however many terms name it.
+    """
+    doubles: dict = {}
+
+    def term(part: str) -> TwoKnotModel:
+        part = part.strip()
+        if part == "unknot":
+            return TwoKnotModel.unknotted()
+        m = _DOUBLE.match(part)
+        if not m:
+            raise UnknownReferenceError(f"unknown 2-knot reference {part!r}")
         entry = resolve_knot(catalog, m.group(1))
         disc = entry.disc(m.group(2))
         count = int(m.group(3) or 1)
         if count < 1:
-            raise UnknownReferenceError(f"double power must be >= 1 in {ref!r}")
-        return two_knot_sum(*[double_of_disc(disc)] * count)
-    raise UnknownReferenceError(f"unknown 2-knot reference {ref!r}")
+            raise UnknownReferenceError(f"double power must be >= 1 in {part!r}")
+        if disc not in doubles:
+            doubles[disc] = double_of_disc(disc)
+        return two_knot_sum(*[doubles[disc]] * count)
+
+    ref = ref.strip()
+    if "+" in ref:
+        return two_knot_sum(*(term(p) for p in ref.split("+")))
+    return term(ref)
 
 
 def scenario_from_entries(

@@ -145,9 +145,10 @@ class SurgeryDisc:
                 f"disc {self.name!r} needs vectors of length {n}",
             )
         sym = self.knot.symmetrized()
+        images = [[sum(x * y for x, y in zip(row, c)) for row in sym] for c in self.curves]
         for i, ci in enumerate(self.curves):
-            for j, cj in enumerate(self.curves):
-                val = sum(ci[a] * sym[a][b] * cj[b] for a in range(n) for b in range(n))
+            for j, image in enumerate(images):
+                val = sum(x * y for x, y in zip(ci, image))
                 if val != 0:
                     raise SchemaError(
                         "curves not 0-framed",

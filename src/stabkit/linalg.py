@@ -10,6 +10,19 @@ deterministic), clear its column and row by Euclidean division, patch any
 divisibility failure in the remaining block by a row addition, and normalize
 each finished pivot to its canonical associate.  Transforms U and V are
 accumulated from elementary operations only, so their determinants are units.
+
+Direct sums make most large inputs block-diagonal up to a permutation of rows
+and columns, so `smith_normal_form` first splits the matrix into the connected
+components of its nonzero pattern (union-find on rows and columns) and runs
+the elimination on each block; equal blocks are reduced once per call.  The
+block results are assembled as permuted block-diagonal U and V.  The
+concatenated diagonal is not yet a divisibility chain (diag(2, 3) has
+invariant factors (1, 6)), so after the units, which go first, the nonunit
+entries are merged pairwise by diag(a, b) ~ diag(gcd, lcm) with the unimodular
+2x2 moves of `_gcd_lcm_move` (Cohen, A Course in Computational Algebraic
+Number Theory, GTM 138, section 2.4).  Zero rows and columns add identity rows
+to U and kernel columns to V; the merge never touches those columns, so the
+kernel of M is the per-block kernels embedded at their columns.
 """
 
 from __future__ import annotations
@@ -17,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+from .rings import euclid_xgcd
 
 
 class SmithCancelled(Exception):
@@ -178,13 +193,14 @@ class SmithDecomposition:
     invariant_factors: tuple
 
 
-def smith_normal_form(
+def _smith_block(
     ring,
     m: Mat,
-    with_u: bool = True,
-    with_v: bool = True,
-    cancel: Optional[Callable[[], bool]] = None,
+    with_u: bool,
+    with_v: bool,
+    cancel: Optional[Callable[[], bool]],
 ) -> SmithDecomposition:
+    """The elimination on one connected block; only `smith_normal_form` calls it."""
     R, C = m.nrows, m.ncols
     d = [list(row) for row in m.rows]
     u = [[ring.one if i == j else ring.zero for j in range(R)] for i in range(R)] if with_u else None
@@ -323,6 +339,150 @@ def smith_normal_form(
         rank=rank,
         unit_count=unit_count,
         invariant_factors=invariant_factors,
+    )
+
+
+def _split_blocks(ring, m: Mat):
+    """Connected components of the nonzero pattern, rows joined to columns by union-find.
+
+    Returns (blocks, zero_rows, zero_cols); each block is (rows, cols) in
+    increasing index order, and blocks come in order of their first row.
+    """
+    R = m.nrows
+    parent = list(range(R + m.ncols))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    zero, is_zero = ring.zero, ring.is_zero
+    for i, row in enumerate(m.rows):
+        for j, x in enumerate(row):
+            if x is not zero and not is_zero(x):  # most zeros are the ring's own
+                a, b = find(i), find(R + j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    comps: dict = {}
+    for k in range(len(parent)):
+        rows, cols = comps.setdefault(find(k), ([], []))
+        if k < R:
+            rows.append(k)
+        else:
+            cols.append(k - R)
+    blocks = [(rows, cols) for rows, cols in comps.values() if rows and cols]
+    zero_rows = [rows[0] for rows, cols in comps.values() if not cols]
+    zero_cols = [cols[0] for rows, cols in comps.values() if not rows]
+    return blocks, zero_rows, zero_cols
+
+
+def _gcd_lcm_move(ring, a, b):
+    """The unimodular move taking diag(a, b) to diag(gcd, lcm), or None if a | b.
+
+    With s*a + t*b = g, U' = [[s, t], [-b/g, a/g]] and V' = [[1, -t*b/g],
+    [1, s*a/g]] give U' diag(a, b) V' = diag(g, ab/g); the second row of U'
+    also carries the unit that makes the lcm canonical.  Each transform is
+    returned as the coefficients of (line i, line j) in the new lines i and j.
+    """
+    if ring.is_zero(divmod(b, a)[1]):
+        return None
+    g, s, t = euclid_xgcd(ring, a, b)
+    ag, bg = divmod(a, g)[0], divmod(b, g)[0]
+    lcm, unit = ring.canonical(a * bg)
+    inv = ring.inv_unit(unit)
+    return g, lcm, ((s, t), (-(inv * bg), inv * ag)), ((ring.one, ring.one), (-(t * bg), s * ag))
+
+
+def _combine(ring, lines: list, i: int, j: int, coeffs) -> None:
+    """Replace lines i, j by the given combinations; positions zero in both stay alone."""
+    zero = ring.is_zero
+    xs, ys = lines[i], lines[j]
+    lines[i], lines[j] = [
+        [x if zero(x) and zero(y) else a * x + b * y for x, y in zip(xs, ys)]
+        for a, b in coeffs
+    ]
+
+
+def smith_normal_form(
+    ring,
+    m: Mat,
+    with_u: bool = True,
+    with_v: bool = True,
+    cancel: Optional[Callable[[], bool]] = None,
+) -> SmithDecomposition:
+    R, C = m.nrows, m.ncols
+    blocks, zero_rows, zero_cols = _split_blocks(ring, m)
+    reduced: dict = {}  # block entries -> (decomposition, columns of its V)
+    units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
+    u_rest, v_rest = [], []
+
+    def embed(n: int, at: list, values) -> list:
+        out = [ring.zero] * n
+        for k, x in zip(at, values):
+            out[k] = x
+        return out
+
+    for rows, cols in blocks:
+        sub = Mat([[m.rows[i][j] for j in cols] for i in rows], len(cols))
+        if sub not in reduced:
+            dec = _smith_block(ring, sub, with_u, with_v, cancel)
+            reduced[sub] = dec, tuple(zip(*dec.v.rows)) if with_v else None
+        dec, vcols = reduced[sub]
+        for p in range(dec.rank):
+            x = dec.diagonal[p]
+            (units if ring.is_unit(x) else nonunits).append((
+                x,
+                embed(R, rows, dec.u.rows[p]) if with_u else None,
+                embed(C, cols, vcols[p]) if with_v else None,
+            ))
+        if with_u:
+            u_rest += [embed(R, rows, dec.u.rows[p]) for p in range(dec.rank, len(rows))]
+        if with_v:
+            v_rest += [embed(C, cols, vcols[p]) for p in range(dec.rank, len(cols))]
+    if with_u:
+        u_rest += [embed(R, [i], [ring.one]) for i in zero_rows]
+    if with_v:
+        v_rest += [embed(C, [j], [ring.one]) for j in zero_cols]
+
+    slots = units + nonunits
+    diag = [x for x, _, _ in slots]
+    u = [row for _, row, _ in slots] + u_rest if with_u else None
+    vt = [col for _, _, col in slots] + v_rest if with_v else None  # V by columns
+    # merge the per-block chains: (a, b) -> (gcd, lcm) until d_i | d_j for i < j
+    ids: dict = {}  # diagonal value -> small int, so the move memo hashes cheaply
+    keys = [ids.setdefault(x, len(ids)) for x in diag]
+    moves: dict = {}
+    for i in range(len(units), len(diag)):
+        for j in range(i + 1, len(diag)):
+            pair = keys[i], keys[j]
+            if pair[0] == pair[1]:
+                continue
+            if pair not in moves:
+                move = _gcd_lcm_move(ring, diag[i], diag[j])
+                if move is not None:
+                    move += (ids.setdefault(move[0], len(ids)), ids.setdefault(move[1], len(ids)))
+                moves[pair] = move
+            if moves[pair] is None:
+                continue
+            diag[i], diag[j], u_move, v_move, keys[i], keys[j] = moves[pair]
+            if with_u:
+                _combine(ring, u, i, j, u_move)
+            if with_v:
+                _combine(ring, vt, i, j, v_move)
+
+    d = [[ring.zero] * C for _ in range(R)]
+    for k, x in enumerate(diag):
+        d[k][k] = x
+    diagonal = tuple(diag) + (ring.zero,) * (min(R, C) - len(diag))
+    return SmithDecomposition(
+        u=Mat(u, R) if with_u else None,
+        d=Mat(d, C),
+        v=Mat(zip(*vt), C) if with_v else None,
+        diagonal=diagonal,
+        rank=len(diag),
+        unit_count=sum(1 for x in diagonal if ring.is_unit(x)),
+        invariant_factors=tuple(x for x in diagonal if not ring.is_unit(x)),
     )
 
 

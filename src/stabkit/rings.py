@@ -103,14 +103,20 @@ class LaurentPolyQ:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[int, object], Iterable[tuple[int, object]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Union[dict[int, object], Iterable[tuple[int, object]]] = ()):
         acc: dict[int, Fraction] = {}
-        for exp, coeff in items:
-            c = Fraction(coeff)
-            if c != 0:
-                acc[exp] = acc.get(exp, Fraction(0)) + c
-        object.__setattr__(self, "_terms", tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+        if isinstance(terms, dict):  # distinct exponents: nothing to accumulate
+            for exp, coeff in terms.items():
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                if c:
+                    acc[exp] = c
+        else:
+            for exp, coeff in terms:
+                c = Fraction(coeff)
+                if c != 0:
+                    acc[exp] = acc.get(exp, Fraction(0)) + c
+            acc = {e: c for e, c in acc.items() if c != 0}
+        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPolyQ is immutable")

@@ -85,6 +85,14 @@ def test_disc_rejects_non_zero_framed_curve(k61):
     assert "c^T(V+V^T)c = 2 at (1,1)" in str(exc.value)
 
 
+def test_disc_rejects_curves_with_nonzero_cross_pairing(k946):
+    # each curve is 0-framed on 9_46 # 9_46, but the pair links: c1^T(V+V^T)c2 = 3
+    knot = connected_sum(k946.knot, k946.knot)
+    with pytest.raises(SchemaError) as exc:
+        SurgeryDisc(knot, "bad", ((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert "c^T(V+V^T)c = 3 at (1,2)" in str(exc.value)
+
+
 def test_disc_rejects_imprimitive_curve(k946):
     # 2*(1,0) is 0-framed but spans an index-2 sublattice
     with pytest.raises(SchemaError, match="direct summand"):

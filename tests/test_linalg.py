@@ -1,10 +1,14 @@
 """Exact matrices and Smith normal form over the three Euclidean domains."""
 
+import random
+
 import pytest
 
+from stabkit import linalg
 from stabkit.linalg import (
     Mat,
     SmithCancelled,
+    _smith_block,
     block_diag,
     hstack,
     int_det,
@@ -89,6 +93,10 @@ def test_snf_cancel_hook():
 
     with pytest.raises(SmithCancelled):
         smith_normal_form(INTEGERS, Mat([[2, 3, 5], [7, 11, 13], [17, 19, 23]]), cancel=cancel)
+    calls.clear()
+    blocks = block_diag(INTEGERS, Mat([[2, 3], [7, 11]]), Mat([[5, 13], [17, 19]]))
+    with pytest.raises(SmithCancelled):
+        smith_normal_form(INTEGERS, blocks, cancel=cancel)
 
 
 def test_kernel_basis_over_laurent():
@@ -121,3 +129,120 @@ def test_block_diag():
     b = Mat([[2, 3]], 2)
     c = block_diag(INTEGERS, a, b)
     assert c.rows == ((1, 0, 0), (0, 2, 3))
+
+
+# ------------------------------------------------- block-diagonal inputs
+
+
+def _det(ring, rows):
+    """Determinant by fraction-free (Bareiss) elimination; every division is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = ring.one, ring.one
+    for k in range(n - 1):
+        if ring.is_zero(a[k][k]):
+            swap = next((i for i in range(k + 1, n) if not ring.is_zero(a[i][k])), None)
+            if swap is None:
+                return ring.zero
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
+                assert ring.is_zero(r)
+                a[i][j] = q
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else ring.one
+
+
+def _check_decomposition(ring, m, dec):
+    assert mat_mul(ring, mat_mul(ring, dec.u, m), dec.v) == dec.d
+    assert ring.is_unit(_det(ring, dec.u.rows))
+    assert ring.is_unit(_det(ring, dec.v.rows))
+    diag = dec.diagonal
+    assert all(
+        ring.is_zero(d) or ring.is_zero(divmod(e, d)[1]) for d, e in zip(diag, diag[1:])
+    )
+
+
+def test_snf_merges_coprime_blocks_over_integers():
+    m = Mat([[2, 0], [0, 3]])
+    dec = smith_normal_form(INTEGERS, m)
+    assert dec.diagonal == (1, 6)
+    assert dec.unit_count == 1
+    _check_decomposition(INTEGERS, m, dec)
+    x = solve_with(INTEGERS, dec, m, Mat([[4], [9]]))
+    assert x is not None and mat_mul(INTEGERS, m, x).rows == ((4,), (9,))
+    assert solve_with(INTEGERS, dec, m, Mat([[1], [0]])) is None
+
+
+def test_snf_merges_coprime_blocks_over_laurent():
+    a, b = LaurentPolyQ.parse("t - 2"), LaurentPolyQ.parse("2*t - 1")
+    m = block_diag(LAURENT, Mat([[a]]), Mat([[b]]))
+    dec = smith_normal_form(LAURENT, m)
+    assert dec.diagonal == (LAURENT.one, LaurentPolyQ.parse("1 - 5/2*t + t^2"))
+    assert dec.unit_count == 1
+    _check_decomposition(LAURENT, m, dec)
+    rhs = Mat([[a], [b]])
+    x = solve_with(LAURENT, dec, m, rhs)
+    assert x is not None and mat_mul(LAURENT, m, x) == rhs
+
+
+def _random_int(rng):
+    return rng.choice((0, 0, rng.randint(-6, 6)))
+
+
+def _random_laurent(rng):
+    if rng.random() < 0.4:
+        return LAURENT.zero
+    lo = rng.randint(-1, 0)
+    return LaurentPolyQ({e: rng.randint(-3, 3) for e in range(lo, lo + rng.randint(1, 3))})
+
+
+def _random_eisenstein(rng):
+    if rng.random() < 0.4:
+        return EISENSTEIN.zero
+    return EisensteinInt(rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize(
+    "ring, entry",
+    [(INTEGERS, _random_int), (LAURENT, _random_laurent), (EISENSTEIN, _random_eisenstein)],
+    ids=["integers", "laurent", "eisenstein"],
+)
+def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
+    rng = random.Random(20261018)
+    for _ in range(12):
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            r, c = rng.randint(1, 3), rng.randint(1, 3)
+            blocks.append(Mat([[entry(rng) for _ in range(c)] for _ in range(r)], c))
+        blocks.append(blocks[0])  # equal blocks are reduced once
+        whole = block_diag(ring, *blocks, Mat([[ring.zero]] * rng.randint(0, 1), 1))
+        whole = vstack(whole, Mat([[ring.zero] * whole.ncols] * rng.randint(0, 1), whole.ncols))
+        row_order = rng.sample(range(whole.nrows), whole.nrows)
+        col_order = rng.sample(range(whole.ncols), whole.ncols)
+        m = Mat([[whole.rows[i][j] for j in col_order] for i in row_order], whole.ncols)
+
+        dec = smith_normal_form(ring, m)
+        assert dec.diagonal == _smith_block(ring, m, True, True, None).diagonal
+        _check_decomposition(ring, m, dec)
+        k = kernel_basis(ring, m)
+        assert k.ncols == m.ncols - dec.rank
+        assert all(ring.is_zero(x) for row in mat_mul(ring, m, k).rows for x in row)
+
+
+def test_kernel_basis_of_block_diagonal_is_one_snf_call(monkeypatch):
+    calls = []
+    inner = linalg.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].ncols)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    block = Mat([[2, 4, 1], [0, 6, 3]])
+    m = block_diag(INTEGERS, block, Mat([[3, 0, 0]]), block)
+    k = kernel_basis(INTEGERS, m)
+    assert calls == [m.ncols]
+    assert k.ncols == m.ncols - smith_normal_form(INTEGERS, m).rank
