@@ -345,8 +345,9 @@ def _smith_block(
 def _split_blocks(ring, m: Mat):
     """Connected components of the nonzero pattern, rows joined to columns by union-find.
 
-    Returns (blocks, zero_rows, zero_cols); each block is (rows, cols) in
-    increasing index order, and blocks come in order of their first row.
+    Each block is (rows, cols) in increasing index order; a zero row is a 1x0
+    block and a zero column a 0x1 block.  Blocks with rows come in order of
+    their first row, then the zero columns.
     """
     R = m.nrows
     parent = list(range(R + m.ncols))
@@ -371,10 +372,7 @@ def _split_blocks(ring, m: Mat):
             rows.append(k)
         else:
             cols.append(k - R)
-    blocks = [(rows, cols) for rows, cols in comps.values() if rows and cols]
-    zero_rows = [rows[0] for rows, cols in comps.values() if not cols]
-    zero_cols = [cols[0] for rows, cols in comps.values() if not rows]
-    return blocks, zero_rows, zero_cols
+    return list(comps.values())
 
 
 def _gcd_lcm_move(ring, a, b):
@@ -412,7 +410,7 @@ def smith_normal_form(
     cancel: Optional[Callable[[], bool]] = None,
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
-    blocks, zero_rows, zero_cols = _split_blocks(ring, m)
+    blocks = _split_blocks(ring, m)
     reduced: dict = {}  # block entries -> (decomposition, columns of its V)
     units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
     u_rest, v_rest = [], []
@@ -440,32 +438,23 @@ def smith_normal_form(
             u_rest += [embed(R, rows, dec.u.rows[p]) for p in range(dec.rank, len(rows))]
         if with_v:
             v_rest += [embed(C, cols, vcols[p]) for p in range(dec.rank, len(cols))]
-    if with_u:
-        u_rest += [embed(R, [i], [ring.one]) for i in zero_rows]
-    if with_v:
-        v_rest += [embed(C, [j], [ring.one]) for j in zero_cols]
 
     slots = units + nonunits
     diag = [x for x, _, _ in slots]
     u = [row for _, row, _ in slots] + u_rest if with_u else None
     vt = [col for _, _, col in slots] + v_rest if with_v else None  # V by columns
     # merge the per-block chains: (a, b) -> (gcd, lcm) until d_i | d_j for i < j
-    ids: dict = {}  # diagonal value -> small int, so the move memo hashes cheaply
-    keys = [ids.setdefault(x, len(ids)) for x in diag]
     moves: dict = {}
     for i in range(len(units), len(diag)):
         for j in range(i + 1, len(diag)):
-            pair = keys[i], keys[j]
+            pair = diag[i], diag[j]
             if pair[0] == pair[1]:
                 continue
             if pair not in moves:
-                move = _gcd_lcm_move(ring, diag[i], diag[j])
-                if move is not None:
-                    move += (ids.setdefault(move[0], len(ids)), ids.setdefault(move[1], len(ids)))
-                moves[pair] = move
+                moves[pair] = _gcd_lcm_move(ring, *pair)
             if moves[pair] is None:
                 continue
-            diag[i], diag[j], u_move, v_move, keys[i], keys[j] = moves[pair]
+            diag[i], diag[j], u_move, v_move = moves[pair]
             if with_u:
                 _combine(ring, u, i, j, u_move)
             if with_v:

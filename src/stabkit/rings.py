@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Optional
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-])?\s*
@@ -103,19 +103,12 @@ class LaurentPolyQ:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[dict[int, object], Iterable[tuple[int, object]]] = ()):
+    def __init__(self, terms: Optional[dict[int, object]] = None):
         acc: dict[int, Fraction] = {}
-        if isinstance(terms, dict):  # distinct exponents: nothing to accumulate
-            for exp, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c:
-                    acc[exp] = c
-        else:
-            for exp, coeff in terms:
-                c = Fraction(coeff)
-                if c != 0:
-                    acc[exp] = acc.get(exp, Fraction(0)) + c
-            acc = {e: c for e, c in acc.items() if c != 0}
+        for exp, coeff in (terms or {}).items():  # dict keys: exponents are distinct
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            if c:
+                acc[exp] = c
         object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
 
     def __setattr__(self, name, value):  # immutable
