@@ -17,6 +17,9 @@ powers thereof, or "+"-joined terms.  Metabelian scenarios are "thmC(g=2)"
 (4g satellite copies with the built-in twist-knot pattern) or a JSON file
 via --scenario-json.
 
+References are capped at MAX_SUMMANDS knot summands, 2-knot summands or
+satellite copies; a larger one exits 2 before anything is built.
+
 Exit codes: 0 success, 1 verification mismatch, 2 unknown reference or
 malformed input, 3 failed theorem hypothesis.
 """
@@ -55,6 +58,24 @@ _SUM = re.compile(r"^sum\((.*)\)$")
 _DOUBLE = re.compile(r"^double\((\w+)\.(\w+)\)(?:\^(\d+))?$")
 _THMC = re.compile(r"^thmC\(g=(\d+)\)$")
 
+# The most knot summands, 2-knot summands or satellite copies one reference
+# may resolve to.  Cost grows faster than linearly in each, so a larger
+# reference exits 2 instead of building its summands.
+MAX_SUMMANDS = 256
+
+
+def _within_limit(count: int, what: str, ref: str) -> int:
+    if count > MAX_SUMMANDS:
+        raise SchemaError(f"too many {what}", f"{ref!r} needs more than {MAX_SUMMANDS}")
+    return count
+
+
+def _repeat_count(digits: str, what: str, ref: str) -> int:
+    """A `^n` or `g=N` count, checked against the limit before anything is built."""
+    if len(digits.lstrip("0")) > len(str(MAX_SUMMANDS)):  # over it, maybe too long for int()
+        return _within_limit(MAX_SUMMANDS + 1, what, ref)
+    return _within_limit(int(digits), what, ref)
+
 
 def _split_top(text: str) -> list:
     parts, depth, cur = [], 0, []
@@ -77,7 +98,7 @@ def resolve_knot_ref(catalog: dict, ref: str) -> list:
     ref = ref.strip()
     m = _SUM_POW.match(ref)
     if m:
-        count = int(m.group(1))
+        count = _repeat_count(m.group(1), "knot summands", ref)
         if count < 1:
             raise UnknownReferenceError(f"sum power must be >= 1 in {ref!r}")
         return resolve_knot_ref(catalog, m.group(2)) * count
@@ -86,6 +107,7 @@ def resolve_knot_ref(catalog: dict, ref: str) -> list:
         leaves = []
         for part in _split_top(m.group(1)):
             leaves.extend(resolve_knot_ref(catalog, part))
+            _within_limit(len(leaves), "knot summands", ref)
         return leaves
     return [resolve_knot(catalog, ref)]
 
@@ -102,7 +124,7 @@ def resolve_disc_spec(leaves: list, spec: str) -> SurgeryDisc:
     else:
         m = re.match(r"^(\w+)\^(\d+)$", spec)
         if m:
-            names = [m.group(1)] * int(m.group(2))
+            names = [m.group(1)] * _repeat_count(m.group(2), "disc choices", spec)
         else:
             names = [spec] * len(leaves)
     if len(names) != len(leaves):
@@ -119,26 +141,28 @@ def resolve_two_knot_ref(catalog: dict, ref: str) -> TwoKnotModel:
     """
     doubles: dict = {}
 
-    def term(part: str) -> TwoKnotModel:
+    def term(part: str) -> list:
+        """The doubles one term contributes; `unknot` contributes none."""
         part = part.strip()
         if part == "unknot":
-            return TwoKnotModel.unknotted()
+            return []
         m = _DOUBLE.match(part)
         if not m:
             raise UnknownReferenceError(f"unknown 2-knot reference {part!r}")
         entry = resolve_knot(catalog, m.group(1))
         disc = entry.disc(m.group(2))
-        count = int(m.group(3) or 1)
+        count = _repeat_count(m.group(3) or "1", "2-knot summands", part)
         if count < 1:
             raise UnknownReferenceError(f"double power must be >= 1 in {part!r}")
         if disc not in doubles:
             doubles[disc] = double_of_disc(disc)
-        return two_knot_sum(*[doubles[disc]] * count)
+        return [doubles[disc]] * count
 
-    ref = ref.strip()
-    if "+" in ref:
-        return two_knot_sum(*(term(p) for p in ref.split("+")))
-    return term(ref)
+    models: list = []
+    for part in ref.strip().split("+"):
+        models += term(part)
+        _within_limit(len(models), "2-knot summands", ref)
+    return two_knot_sum(*models)
 
 
 def scenario_from_entries(
@@ -162,9 +186,10 @@ def resolve_scenario(catalog: dict, spec: str) -> SatelliteScenario:
     m = _THMC.match(spec.strip())
     if not m:
         raise UnknownReferenceError(f"unknown scenario {spec!r}; expected thmC(g=N)")
-    g = int(m.group(1))
+    g = _repeat_count(m.group(1), "satellite copies", spec)
     if g < 1:
         raise UnknownReferenceError("scenario needs g >= 1")
+    _within_limit(4 * g, "satellite copies", spec)
     entry = resolve_knot(catalog, "6_1")
     return scenario_from_entries(entry, "gamma", entry, "gamma", 4 * g)
 
@@ -181,6 +206,7 @@ def scenario_from_json(catalog: dict, path: str) -> SatelliteScenario:
             raise SchemaError(f"scenario {key} must be a string", repr(data[key]))
     if not _is_int(data["copies"]) or data["copies"] < 0:
         raise SchemaError("copies must be a nonnegative integer", repr(data["copies"]))
+    _within_limit(data["copies"], "satellite copies", path)
     return scenario_from_entries(
         resolve_knot(catalog, data["base"]),
         data["base_disc"],
@@ -345,7 +371,7 @@ def cmd_properties(args) -> int:
 
 # --------------------------------------------------------------------- main
 
-_GRAMMAR_HELP = """\
+_GRAMMAR_HELP = f"""\
 reference grammar:
   knot        catalog id (9_46, 6_1, unknot), sum(REF,...), or sum^n(ID)
   disc        catalog name, broadcast over summands (left, left^3),
@@ -353,7 +379,10 @@ reference grammar:
   2-knot      unknot, double(ID.DISC), double(ID.DISC)^m, or +-joined terms
   scenario    thmC(g=N): 4N satellite copies of the built-in twist-knot
               pattern with companion disc pair; or --scenario-json FILE with
-              {"base","base_disc","companion","companion_disc","copies"}
+              {{"base","base_disc","companion","companion_disc","copies"}}
+
+limit: at most {MAX_SUMMANDS} knot summands, 2-knot summands or satellite copies
+per reference (exit 2 above it)
 
 exit codes: 0 success, 1 verification mismatch, 2 unknown reference or
 malformed input, 3 failed theorem hypothesis

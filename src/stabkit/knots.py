@@ -11,6 +11,12 @@ kernel of inclusion into the disc exterior is the submodule those classes
 generate.  The branched double cover story is the same presentation at
 t = -1, i.e. coker(V + V^T) up to sign.
 
+Connected sums are block-diagonal and mostly zero, so no check here does
+dense arithmetic: det(V - V^T) is the product of its Smith diagonal, which
+reduces each distinct summand block once; curve classes and the 0-framing
+check loop over the nonzero coordinates of each curve; zero entries of a
+presentation are the ring's own zero, which the SNF block split skips.
+
 2-knots appear as doubles of discs: the module of the double is the cokernel
 of x -> (q(x), -q(x)) into two copies of the disc module, where q kills the
 disc kernel.  Local 2-knot connected sums are bookkeeping only; they change
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import SchemaError
-from .linalg import Mat, int_det, smith_normal_form, vstack
+from .linalg import Mat, smith_normal_form, vstack
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import (
     EISENSTEIN,
@@ -45,8 +51,12 @@ class SeifertKnot:
             raise SchemaError("seifert matrix not square", f"rows of {self.name!r} have mixed lengths")
         if n % 2 != 0:
             raise SchemaError("seifert matrix not even-sized", f"{self.name!r} has size {n}")
-        skew = [[v[i][j] - v[j][i] for j in range(n)] for i in range(n)]
-        d = int_det(skew)
+        # V - V^T is skew-symmetric, so det = Pf^2 >= 0: exactly the product of
+        # its invariant factors, not only up to sign.
+        skew = Mat([[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))], n)
+        d = 1
+        for x in smith_normal_form(INTEGERS, skew, with_u=False, with_v=False).diagonal:
+            d *= x
         if d != 1:
             raise SchemaError(
                 "seifert pairing not unimodular", f"det(V - V^T) = {d} for {self.name!r}"
@@ -60,12 +70,6 @@ class SeifertKnot:
     def genus(self) -> int:
         return len(self.seifert) // 2
 
-    def symmetrized(self) -> tuple:
-        """V + V^T as integer rows."""
-        v = self.seifert
-        n = len(v)
-        return tuple(tuple(v[i][j] + v[j][i] for j in range(n)) for i in range(n))
-
 
 def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
     if not knots:
@@ -74,24 +78,26 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
         return knots[0]
     name = "#".join(k.name for k in knots)
     size = sum(len(k.seifert) for k in knots)
-    rows = [[0] * size for _ in range(size)]
+    rows = []
     off = 0
     for k in knots:
         n = len(k.seifert)
-        for i in range(n):
-            for j in range(n):
-                rows[off + i][off + j] = k.seifert[i][j]
+        rows += [(0,) * off + tuple(row) + (0,) * (size - off - n) for row in k.seifert]
         off += n
-    return SeifertKnot.from_rows(name, rows)
+    return SeifertKnot(name, tuple(rows))
 
 
 def alexander_presentation(knot: SeifertKnot) -> Mat:
     """t*V - V^T as a matrix of Laurent polynomials with integer coefficients."""
     v = knot.seifert
     n = len(v)
+    zero = LAURENT.zero
     return Mat(
         [
-            [LaurentPolyQ({1: v[i][j], 0: -v[j][i]}) for j in range(n)]
+            [
+                LaurentPolyQ({1: v[i][j], 0: -v[j][i]}) if v[i][j] or v[j][i] else zero
+                for j in range(n)
+            ]
             for i in range(n)
         ],
         n,
@@ -107,6 +113,11 @@ def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
     return alexander_module_Q(knot).order()
 
 
+def _nonzeros(vector) -> list:
+    """The (index, value) pairs of the nonzero coordinates of an integer vector."""
+    return [(i, x) for i, x in enumerate(vector) if x]
+
+
 def curve_class(knot: SeifertKnot, curve) -> tuple:
     """Module coordinates of a pushed-off surface curve: V^T times the curve."""
     v = knot.seifert
@@ -114,7 +125,12 @@ def curve_class(knot: SeifertKnot, curve) -> tuple:
     c = tuple(int(x) for x in curve)
     if len(c) != n:
         raise SchemaError("curve has wrong length", f"expected {n} coordinates, got {len(c)}")
-    return tuple(sum(v[i][j] * c[i] for i in range(n)) for j in range(n))
+    out = [0] * n
+    for i, ci in _nonzeros(c):
+        for j, x in enumerate(v[i]):
+            if x:
+                out[j] += x * ci
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -144,11 +160,11 @@ class SurgeryDisc:
                 "curve has wrong length",
                 f"disc {self.name!r} needs vectors of length {n}",
             )
-        sym = self.knot.symmetrized()
-        images = [[sum(x * y for x, y in zip(row, c)) for row in sym] for c in self.curves]
-        for i, ci in enumerate(self.curves):
-            for j, image in enumerate(images):
-                val = sum(x * y for x, y in zip(ci, image))
+        v = self.knot.seifert
+        support = [_nonzeros(c) for c in self.curves]
+        for i, ci in enumerate(support):
+            for j, cj in enumerate(support):
+                val = sum(a * b * (v[k][l] + v[l][k]) for k, a in ci for l, b in cj)
                 if val != 0:
                     raise SchemaError(
                         "curves not 0-framed",

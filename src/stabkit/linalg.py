@@ -23,13 +23,16 @@ entries are merged pairwise by diag(a, b) ~ diag(gcd, lcm) with the unimodular
 Number Theory, GTM 138, section 2.4).  Zero rows and columns add identity rows
 to U and kernel columns to V; the merge never touches those columns, so the
 kernel of M is the per-block kernels embedded at their columns.
+
+There is no separate determinant routine: for a square matrix the product of
+the diagonal is det M up to a unit, so a direct sum costs what its distinct
+blocks cost.  `knots` checks det(V - V^T) of a Seifert matrix this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .rings import euclid_xgcd
 
@@ -149,30 +152,6 @@ def mat_mul(ring, a: Mat, b: Mat) -> Mat:
             orow.append(acc)
         out.append(orow)
     return Mat(out, b.ncols)
-
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant via fraction-free arithmetic over Fractions."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [a[r][k] - f * a[col][k] for k in range(n)]
-    assert det.denominator == 1
-    return int(det)
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,12 @@ class PresentedModule:
 
     def submodule_from_int_columns(self, columns) -> "Submodule":
         ring = self.ring
+        zero = ring.zero
         gens = Mat(
-            [[ring.from_int(col[i]) for col in columns] for i in range(self.ngens)],
+            [
+                [ring.from_int(col[i]) if col[i] else zero for col in columns]
+                for i in range(self.ngens)
+            ],
             len(columns),
         )
         return Submodule(self, gens)

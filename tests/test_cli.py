@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stabkit import cli
 from stabkit.catalog import entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError
@@ -367,6 +368,17 @@ MALFORMED = [
     ("copies float", None, dict(SCENARIO, copies=2.0), ["bound", "metabelian"]),
     ("base not a string", None, dict(SCENARIO, base=["6_1"]), ["bound", "metabelian"]),
     ("disc not a string", None, dict(SCENARIO, companion_disc={"g": 1}), ["bound", "metabelian"]),
+    # references over MAX_SUMMANDS (256) exit before anything is built
+    ("sum power over limit", None, None, ["alexander", "sum^257(9_46)"]),
+    ("sum power too long for int", None, None, ["alexander", "sum^" + "9" * 5000 + "(9_46)"]),
+    ("nested sums over limit", None, None, ["alexander", "sum(sum^200(9_46),sum^57(6_1))"]),
+    ("disc power over limit", None, None, ["kernels", "sum^2(9_46)", "--discs", "left^10000"]),
+    ("double power over limit", None, None,
+     ["bound", "d1", "--two-knot", "double(9_46.right)^257", "--vs", "unknot"]),
+    ("joined doubles over limit", None, None,
+     ["bound", "d1", "--two-knot", "unknot", "--vs", "double(9_46.left)^200+double(6_1.gamma)^57"]),
+    ("thmC over limit", None, None, ["bound", "metabelian", "--scenario", "thmC(g=65)"]),
+    ("copies over limit", None, dict(SCENARIO, copies=257), ["bound", "metabelian"]),
 ]
 
 
@@ -383,6 +395,16 @@ def test_malformed_input_is_exit_2_with_one_line(capsys, tmp_path, label, entry,
     assert code == 2, label
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_references_at_the_limit_resolve(catalog):
+    assert cli.MAX_SUMMANDS == 256
+    assert len(cli.resolve_knot_ref(catalog, "sum^256(unknot)")) == 256
+    assert len(cli.resolve_knot_ref(catalog, "sum(sum^255(unknot),6_1)")) == 256
+    with pytest.raises(SchemaError, match="too many knot summands"):
+        cli.resolve_knot_ref(catalog, "sum(sum^256(unknot),6_1)")
+    model = cli.resolve_two_knot_ref(catalog, "double(9_46.right)^255+unknot+double(9_46.left)")
+    assert len(model.summands) == 256
 
 
 def test_entry_validation_details():

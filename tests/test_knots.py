@@ -5,8 +5,12 @@ the two catalog computations below; both kernel shapes must reproduce
 exactly, otherwise the convention is wrong for every downstream bound.
 """
 
+import random
+import re
+
 import pytest
 
+from stabkit import linalg
 from stabkit.errors import SchemaError
 from stabkit.knots import (
     SeifertKnot,
@@ -26,14 +30,15 @@ from stabkit.knots import (
     double_of_disc,
     two_knot_sum,
 )
-from stabkit.linalg import Mat, vstack
+from stabkit.linalg import Mat, block_diag, vstack
 from stabkit.modules import (
     ModuleMap,
     direct_sum,
     modules_isomorphic,
     submodule_intersection,
 )
-from stabkit.rings import LAURENT, LaurentPolyQ, associates
+from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ, associates
+from test_linalg import _det
 
 UNKNOT = SeifertKnot("unknot", ())
 
@@ -357,3 +362,115 @@ def test_boundary_sum_accumulates_decorations(k946):
     d = add_local_2knot(k946.disc("left"))
     total = boundary_connect_sum(d, k946.disc("right"), d)
     assert total.local_2knots == 2
+
+
+# ------------------------------------------- sparse validation of direct sums
+
+
+def _random_seifert(rng) -> list:
+    """A 2g x 2g integer matrix; about half are symmetric + standard, so unimodular."""
+    n = 2 * rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    for i in range(0, n, 2):
+        rows[i][i + 1] += 1  # V - V^T is the standard symplectic form
+    return rows
+
+
+def _block_sum(matrices) -> list:
+    return [list(r) for r in block_diag(INTEGERS, *(Mat(m, len(m)) for m in matrices)).rows]
+
+
+def _check_seifert(rows) -> None:
+    """Accepted iff det(V - V^T) = 1, else rejected with the Bareiss determinant."""
+    n = len(rows)
+    det = _det(INTEGERS, [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+    if det == 1:
+        SeifertKnot.from_rows("v", rows)
+        return
+    with pytest.raises(SchemaError, match=re.escape(f"det(V - V^T) = {det} for 'v'")):
+        SeifertKnot.from_rows("v", rows)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seifert_validation_of_sums_matches_determinant(seed):
+    rng = random.Random(seed)
+    summands = [_random_seifert(rng) for _ in range(rng.randint(2, 4))]
+    for rows in summands:
+        _check_seifert(rows)
+    _check_seifert(_block_sum(summands))
+    _check_seifert(_block_sum(summands[::-1]))
+
+
+def _dense_curve_class(v, c) -> tuple:
+    n = len(v)
+    return tuple(sum(v[i][j] * c[i] for i in range(n)) for j in range(n))
+
+
+def _dense_framing_error(v, curves):
+    """The first nonzero c_i^T(V+V^T)c_j in (i, j) scan order, as the disc reports it."""
+    n = len(v)
+    sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
+    for i, ci in enumerate(curves):
+        for j, cj in enumerate(curves):
+            val = sum(ci[k] * sym[k][l] * cj[l] for k in range(n) for l in range(n))
+            if val != 0:
+                return f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sparse_curve_checks_match_dense_formulas(catalog, seed):
+    rng = random.Random(seed)
+    entries = [catalog[rng.choice(["9_46", "6_1"])] for _ in range(rng.randint(2, 5))]
+    disc = boundary_connect_sum(*(e.disc(rng.choice(sorted(e.discs))) for e in entries))
+    v = disc.knot.seifert
+    curves = [list(c) for c in disc.curves]
+    # perturb one curve in a few sparse coordinates, so most cases fail off the diagonal
+    r = rng.randrange(len(curves))
+    for k in rng.sample(range(len(v)), rng.randint(1, 2)):
+        curves[r][k] += rng.choice([-1, 1])
+    for c in curves:
+        assert curve_class(disc.knot, c) == _dense_curve_class(v, c)
+    error = _dense_framing_error(v, curves)
+    if error is None:
+        try:
+            SurgeryDisc.from_rows(disc.knot, "d", curves)
+        except SchemaError as exc:  # a perturbed curve may leave the direct summand
+            assert "direct summand" in str(exc)
+        return
+    with pytest.raises(SchemaError, match="0-framed") as exc:
+        SurgeryDisc.from_rows(disc.knot, "d", curves)
+    assert error in str(exc.value)
+
+
+def test_presentation_of_sum_is_block_diagonal_with_shared_zeros(k946, k61):
+    pres = alexander_presentation(connected_sum(k946.knot, k61.knot))
+    parts = [alexander_presentation(k946.knot), alexander_presentation(k61.knot)]
+    assert pres == block_diag(LAURENT, *parts)
+    # zero entries are the ring's own zero, which the SNF block split skips cheaply
+    assert all(x is LAURENT.zero for row in pres.rows for x in row if x.is_zero())
+    gens = alexander_module_Q(k946.knot).submodule_from_int_columns([(1, 0)]).generators
+    assert gens.rows[1][0] is LAURENT.zero
+
+
+def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946):
+    calls = []
+    real = linalg._smith_block
+
+    def counted(*args):
+        calls.append(args[1].nrows)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_smith_block", counted)
+    counts = []
+    for copies in (2, 8, 64):
+        calls.clear()
+        connected_sum(*[k946.knot] * copies)
+        counts.append(len(calls))
+    # V - V^T of 9_46 splits into two 1x1 blocks; more copies add no distinct block
+    assert counts == [2, 2, 2]

@@ -11,7 +11,6 @@ from stabkit.linalg import (
     _smith_block,
     block_diag,
     hstack,
-    int_det,
     kernel_basis,
     mat_mul,
     smith_normal_form,
@@ -37,9 +36,12 @@ def test_mat_is_immutable():
 
 
 def test_int_det():
-    assert int_det([[2, 1], [1, -4]]) == -9
-    assert int_det([[0, 2], [1, 0]]) == -2
-    assert int_det([]) == 1
+    # |det| is the product of the Smith diagonal; `knots` checks det(V - V^T) so
+    for rows, det in (([[2, 1], [1, -4]], 9), ([[0, 2], [1, 0]], 2), ([], 1)):
+        product = 1
+        for x in smith_normal_form(INTEGERS, Mat(rows, len(rows))).diagonal:
+            product *= x
+        assert product == det
 
 
 def test_snf_branched_cover_matrix():
@@ -60,8 +62,8 @@ def test_snf_transform_products():
     dec = smith_normal_form(INTEGERS, m)
     assert mat_mul(INTEGERS, mat_mul(INTEGERS, dec.u, m), dec.v).rows == dec.d.rows
     # transforms have unit determinant, so they are invertible over Z
-    assert int_det(dec.u.rows) in (1, -1)
-    assert int_det(dec.v.rows) in (1, -1)
+    assert _det(INTEGERS, dec.u.rows) in (1, -1)
+    assert _det(INTEGERS, dec.v.rows) in (1, -1)
 
 
 def test_snf_laurent_example():
