@@ -25,11 +25,12 @@ from .knots import (
     SurgeryDisc,
     TwoKnotModel,
     alexander_module_Q,
+    check_disc_for,
     disc_kernel_Q,
 )
 from .linalg import Mat, block_diag
 from .metabelian import SatelliteScenario, theorem_C_lower_bound
-from .modules import PresentedModule, Submodule, direct_sum, quotient_of_submodules
+from .modules import PresentedModule, Submodule, direct_sum, relative_quotients
 from .rings import LAURENT
 
 _QUANTITIES = ("d1", "d2", "d2_metabelian")
@@ -84,10 +85,8 @@ def kernel_quotient_ranks(p1: Submodule, p2: Submodule) -> tuple:
         raise SchemaError(
             "kernel ambient mismatch", "both kernels must live in one module"
         )
-    return (
-        quotient_of_submodules(p1, p2).generating_rank,
-        quotient_of_submodules(p2, p1).generating_rank,
-    )
+    q12, q21 = relative_quotients(p1, p2)
+    return q12.generating_rank, q21.generating_rank
 
 
 def d2_lower_bound_abelian(p1: Submodule, p2: Submodule) -> int:
@@ -142,11 +141,7 @@ class DiscPairScenario:
 
     def __post_init__(self):
         for disc in (self.disc_one, self.disc_two):
-            if disc.knot != self.knot:
-                raise SchemaError(
-                    "disc/knot mismatch",
-                    f"disc {disc.name!r} is not a disc for {self.knot.name!r}",
-                )
+            check_disc_for(disc, self.knot)
 
 
 @dataclass(frozen=True)

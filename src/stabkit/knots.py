@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import SchemaError
-from .linalg import Mat, smith_normal_form, vstack
+from .linalg import Mat, smith_normal_form
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import (
     EISENSTEIN,
@@ -191,6 +191,14 @@ class SurgeryDisc:
         return [curve_class(self.knot, c) for c in self.curves]
 
 
+def check_disc_for(disc: SurgeryDisc, knot: SeifertKnot) -> None:
+    """Raise SchemaError unless `disc` is a slice disc for `knot`."""
+    if disc.knot != knot:
+        raise SchemaError(
+            "disc/knot mismatch", f"disc {disc.name!r} is not a disc for {knot.name!r}"
+        )
+
+
 def add_local_2knot(disc: SurgeryDisc) -> SurgeryDisc:
     """Connected-sum a locally knotted 2-sphere onto the disc: bookkeeping only."""
     return replace(disc, local_2knots=disc.local_2knots + 1)
@@ -275,15 +283,21 @@ class TwoKnotModel:
         return self.module.generating_rank
 
 
+def antidiagonal_columns(ring, n: int) -> Mat:
+    """The 2n x n matrix with columns (e_i, -e_i): it spans { (x, -x) } in a double."""
+    rows = [[ring.zero] * n for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][i] = ring.one
+        rows[n + i][i] = -ring.one
+    return Mat(rows, n)
+
+
 def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
     """The 2-knot doubling the disc: coker(A_Q(K) -> A_Q(D)^2, x -> (q(x), -q(x)))."""
     ambient = alexander_module_Q(disc.knot)
     quotient = disc_quotient_Q(disc)
     target = direct_sum(quotient, quotient)
-    n = ambient.ngens
-    ring = ambient.ring
-    ident = Mat.identity(ring, n)
-    matrix = vstack(ident, ident.map_entries(lambda x: -x))
+    matrix = antidiagonal_columns(ambient.ring, ambient.ngens)
     ModuleMap(ambient, target, matrix)  # raises unless the map is well defined
     return TwoKnotModel((disc,), target.quotient_by(matrix))
 

@@ -70,17 +70,15 @@ class Mat:
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], n
         )
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def transpose(self) -> "Mat":
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)], self.nrows)
 
     def map_entries(self, fn: Callable[[object], object]) -> "Mat":
         return Mat([[fn(x) for x in row] for row in self.rows], self.ncols)
 
-    def take_rows(self, count: int) -> "Mat":
-        return Mat(self.rows[:count], self.ncols)
+    def split_rows(self, k: int) -> tuple["Mat", "Mat"]:
+        """The first k rows and the remaining rows, as two matrices."""
+        return Mat(self.rows[:k], self.ncols), Mat(self.rows[k:], self.ncols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Mat) and self.rows == other.rows and self.ncols == other.ncols

@@ -20,7 +20,6 @@ group presentation is ever computed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import HypothesisError, SchemaError
@@ -29,7 +28,9 @@ from .knots import (
     SurgeryDisc,
     alexander_module_Q,
     alexander_presentation,
+    antidiagonal_columns,
     branched_double_cover,
+    check_disc_for,
     disc_branched_kernel,
     specialize_module,
 )
@@ -71,8 +72,7 @@ def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
 
     A nonzero quotient is the obstruction fueling the lower bound machine.
     """
-    if d0.knot != j0:
-        raise SchemaError("disc/knot mismatch", f"disc {d0.name!r} is not a disc for {j0.name!r}")
+    check_disc_for(d0, j0)
     ambient = eisenstein_alexander(j0)
     kern = ambient.submodule_from_int_columns(d0.class_columns())
     quotient = ambient.quotient_by(kern.generators)
@@ -93,11 +93,7 @@ class DiscPairModel:
     base_disc: SurgeryDisc
 
     def __post_init__(self):
-        if self.base_disc.knot != self.base_knot:
-            raise SchemaError(
-                "disc/knot mismatch",
-                f"disc {self.base_disc.name!r} is not a disc for {self.base_knot.name!r}",
-            )
+        check_disc_for(self.base_disc, self.base_knot)
 
 
 @dataclass(frozen=True)
@@ -139,11 +135,7 @@ class SatelliteScenario:
     eta_winding_zero: bool = True
 
     def __post_init__(self):
-        if self.base_disc.knot != self.base_knot:
-            raise SchemaError(
-                "disc/knot mismatch",
-                f"disc {self.base_disc.name!r} is not a disc for {self.base_knot.name!r}",
-            )
+        check_disc_for(self.base_disc, self.base_knot)
         if self.copies < 0:
             raise SchemaError("copies must be nonnegative", f"got {self.copies}")
         if not self.eta_winding_zero:
@@ -196,7 +188,6 @@ def character_space_dimension(scenario: SatelliteScenario) -> int:
 def _f3_rref(rows: list[list[int]], width: int) -> list[list[int]]:
     """Reduced row echelon form over F3; returns the nonzero rows."""
     mat = [list(r) for r in rows]
-    pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(width):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] % 3 != 0), None)
@@ -209,9 +200,8 @@ def _f3_rref(rows: list[list[int]], width: int) -> list[list[int]]:
             if i != r and mat[i][c] % 3 != 0:
                 f = mat[i][c] % 3
                 mat[i] = [(a - f * b) % 3 for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
         r += 1
-    return [row for row in mat[:r]]
+    return mat[:r]
 
 
 def _f3_nullspace(rows: list[list[int]], width: int) -> list[list[int]]:
@@ -233,10 +223,10 @@ def _f3_nullspace(rows: list[list[int]], width: int) -> list[list[int]]:
 def character_selection(n: int, constraints) -> Character:
     """A character vanishing on every constraint with at least n - m nonzero slots.
 
-    The solution space basis is put in echelon form; the sum of the basis
-    already hits every pivot coordinate, and a greedy pass then pushes the
-    support higher.  An exhaustive sweep of the solution space is the
-    fallback guarantee.
+    The solution space basis is put in reduced echelon form, so the sum of
+    the basis is nonzero at every pivot: its support is at least the
+    dimension, which is at least n - m.  A greedy pass, which only accepts
+    moves that raise the support, then pushes it higher.
     """
     rows = [list(c) for c in constraints]
     m = len(rows)
@@ -262,28 +252,7 @@ def character_selection(n: int, constraints) -> Character:
                 if support(cand) > support(chi):
                     chi = cand
                     improved = True
-    if support(chi) < n - m:
-        best = chi
-        for coeffs in itertools.product(range(3), repeat=len(basis)):
-            cand = [0] * n
-            for k, b in zip(coeffs, basis):
-                if k:
-                    cand = [(a + k * x) % 3 for a, x in zip(cand, b)]
-            if support(cand) > support(best):
-                best = cand
-        chi = best
     return Character(tuple(chi))
-
-
-def _antidiagonal_columns(ring, n: int) -> Mat:
-    """Columns (e_i, -e_i) spanning { (x, -x) } in a double block of n generators."""
-    cols = []
-    for i in range(n):
-        col = [ring.zero] * (2 * n)
-        col[i] = ring.one
-        col[n + i] = -ring.one
-        cols.append(col)
-    return Mat(cols, 2 * n).transpose() if cols else Mat([() for _ in range(2 * n)], 0)
 
 
 def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> EisensteinKernelPair:
@@ -318,7 +287,7 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
     comp_cols = comp_xi.submodule_from_int_columns(comp_classes).generators
     comp_block = one_oplus_bar(direct_sum(comp_xi, comp_xi))
     comp_k1 = block_diag(ring, comp_cols, comp_cols, comp_cols, comp_cols)
-    anti = _antidiagonal_columns(ring, comp_xi.ngens)
+    anti = antidiagonal_columns(ring, comp_xi.ngens)
     comp_k2 = block_diag(ring, anti, anti)
 
     blocks: list[tuple[PresentedModule, Mat, Mat]] = []

@@ -2,13 +2,17 @@
 
 A module is R^ngens / (column span of `relations`); submodules are given by
 generator columns inside such a quotient.  Everything reduces to Smith normal
-form of block matrices:
+form of block matrices, and to one kernel per submodule:
 
-* membership of v in span(G) mod span(L) is solvability of [G | L] x = v;
+* membership of v in span(G) mod span(L) is solvability of [G | L] x = v
+  (`Submodule.contains_columns`; the zero submodule tests v in span(L));
 * the defining relations of a submodule are the x-projection of
-  ker [G | L];
-* intersections come from ker [G1 | G2 | L];
-* quotients of submodules replace L by [G_bottom | L].
+  ker [G | L] (`Submodule.presentation`, the only kernel computed here);
+* a submodule is zero when that presentation is the zero module;
+* a pair of submodules costs one kernel, ker [G1 | G2 | L], the presentation
+  of their sum: its G1 rows present span(G1) / (span(G1) ∩ span(G2)), its G2
+  rows present span(G2) / (span(G1) ∩ span(G2)), and G1 times its G1 rows
+  generates the intersection.
 
 Kernels of matrices over a PID are free, so projecting a kernel basis gives
 honest generating sets.
@@ -56,14 +60,6 @@ class PresentedModule:
     def _diag_snf(self) -> SmithDecomposition:
         return smith_normal_form(self.ring, self.relations, with_u=False, with_v=False)
 
-    @cached_property
-    def _relation_snf(self) -> SmithDecomposition:
-        return smith_normal_form(self.ring, self.relations, with_u=True, with_v=True)
-
-    def relations_contain_columns(self, cols: Mat) -> bool:
-        """Do the given ambient coordinate columns vanish in this module?"""
-        return solve_with(self.ring, self._relation_snf, self.relations, cols) is not None
-
     @property
     def generating_rank(self) -> int:
         """Minimal number of generators, by the structure theorem."""
@@ -95,9 +91,6 @@ class PresentedModule:
     def iso_invariants(self) -> tuple:
         """(free rank, torsion invariant factors): a complete isomorphism invariant."""
         return (self.free_rank, self.torsion_invariants)
-
-    def full_submodule(self) -> "Submodule":
-        return Submodule(self, Mat.identity(self.ring, self.ngens))
 
     def zero_submodule(self) -> "Submodule":
         return Submodule(self, Mat([() for _ in range(self.ngens)], 0))
@@ -176,7 +169,7 @@ class Submodule:
 
     def is_zero(self) -> bool:
         """True when every generator already lies in the ambient relations."""
-        return self.ambient.relations_contain_columns(self.generators)
+        return self.presentation.is_zero_module()
 
     def sum(self, other: "Submodule") -> "Submodule":
         if other.ambient != self.ambient:
@@ -187,8 +180,7 @@ class Submodule:
     def presentation(self) -> PresentedModule:
         """Presents this span abstractly: R^m / {x : G x in span(relations)}."""
         m = self.generators.ncols
-        ker = kernel_basis(self.ring, self._span_matrix)
-        rels = ker.take_rows(m)
+        rels, _ = kernel_basis(self.ring, self._span_matrix).split_rows(m)
         return PresentedModule(self.ambient.ring_tag, m, rels)
 
     @property
@@ -199,32 +191,30 @@ class Submodule:
         return self.presentation.order()
 
 
-def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
-    """Generators of span(s1) ∩ span(s2) inside the common ambient quotient."""
-    if s1.ambient != s2.ambient:
-        raise ValueError("intersection needs a common ambient module")
-    ring = s1.ring
-    g1, g2, rel = s1.generators, s2.generators, s1.ambient.relations
-    ker = kernel_basis(ring, hstack(g1, g2, rel))
-    a_part = ker.take_rows(g1.ncols)
-    gens = mat_mul(ring, g1, a_part)
-    return Submodule(s1.ambient, gens)
+def relative_quotients(s1: Submodule, s2: Submodule) -> tuple:
+    """span(s1) / (s1 ∩ s2) and span(s2) / (s1 ∩ s2), from one kernel.
+
+    The relations of span(s1) + span(s2) are ker [G1 | G2 | L] projected to
+    the G1 and G2 coordinates.  x2 is a relation of the second quotient iff
+    G2 x2 lies in span [G1 | L], iff x2 is the G2 part of such a kernel
+    vector; the same holds for x1.  So the first m1 rows present the first
+    quotient and the remaining rows the second.
+    """
+    m1 = s1.generators.ncols
+    top, bottom = s1.sum(s2).presentation.relations.split_rows(m1)
+    tag = s1.ambient.ring_tag
+    return PresentedModule(tag, m1, top), PresentedModule(tag, s2.generators.ncols, bottom)
 
 
 def quotient_of_submodules(top: Submodule, bottom: Submodule) -> PresentedModule:
-    """Presents span(top) / (span(bottom) ∩ span(top)).
+    """Presents span(top) / (span(bottom) ∩ span(top))."""
+    return relative_quotients(top, bottom)[0]
 
-    Realized as R^m_top / { x : G_top x in column span of [G_bottom | L] }.
-    """
-    if top.ambient != bottom.ambient:
-        raise ValueError("quotient needs a common ambient module")
-    ring = top.ring
-    m = top.generators.ncols
-    ker = kernel_basis(
-        ring, hstack(top.generators, bottom.generators, top.ambient.relations)
-    )
-    rels = ker.take_rows(m)
-    return PresentedModule(top.ambient.ring_tag, m, rels)
+
+def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
+    """Generators of span(s1) ∩ span(s2): G1 times the relations of span(s1) / (s1 ∩ s2)."""
+    rels = quotient_of_submodules(s1, s2).relations
+    return Submodule(s1.ambient, mat_mul(s1.ring, s1.generators, rels))
 
 
 @dataclass(frozen=True)
@@ -249,5 +239,5 @@ class ModuleMap:
             )
         ring = self.source.ring
         image_of_relations = mat_mul(ring, self.matrix, self.source.relations)
-        if not self.target.relations_contain_columns(image_of_relations):
+        if not self.target.zero_submodule().contains_columns(image_of_relations):
             raise ValueError("matrix does not send source relations into target relations")

@@ -107,9 +107,6 @@ class FiniteModuleTable:
     def neg(self, x: Sequence[int]) -> tuple:
         return tuple((-a) % d for a, d in zip(x, self.factors))
 
-    def scale(self, n: int, x: Sequence[int]) -> tuple:
-        return tuple((n * a) % d for a, d in zip(x, self.factors))
-
     def span(self, gens: Iterable[Sequence[int]]) -> frozenset:
         """Closure of the generators under addition and negation."""
         gens = [self.reduce(g) for g in gens]

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+from stabkit import modules
+from stabkit.bounds import kernel_quotient_ranks
 from stabkit.linalg import Mat
 from stabkit.modules import (
     ModuleMap,
@@ -16,6 +18,7 @@ from stabkit.modules import (
     direct_sum,
     modules_isomorphic,
     quotient_of_submodules,
+    relative_quotients,
     submodule_intersection,
 )
 from stabkit.oracles import FiniteModuleTable, brute_submodule_ops
@@ -29,6 +32,11 @@ def z_module(*factors):
         n,
         Mat([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], n),
     )
+
+
+def _whole(m):
+    """The submodule spanned by all generators of m."""
+    return Submodule(m, Mat.identity(m.ring, m.ngens))
 
 
 def test_generating_rank_counts_nonunit_factors():
@@ -76,7 +84,7 @@ def test_submodule_membership_and_span_equality():
     six = m.submodule_from_int_columns([(6,)])
     assert three.spans_equal(six)
     assert three.contains(m.submodule_from_int_columns([(6,)]))
-    assert not three.contains(m.full_submodule())
+    assert not three.contains(_whole(m))
     assert m.zero_submodule().is_zero()
     assert not three.is_zero()
 
@@ -111,13 +119,67 @@ def test_intersection_and_sum_against_oracle():
         ) == want["sum"]
 
 
+def test_relative_quotients_against_oracle():
+    rng = random.Random(11)
+    for _ in range(40):
+        factors = tuple(sorted(rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(1, 2))))
+        table = FiniteModuleTable(factors)
+        module = z_module(*factors)
+        g1 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        g2 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        s1 = module.submodule_from_int_columns(g1)
+        s2 = module.submodule_from_int_columns(g2)
+        want = brute_submodule_ops(table, g1, g2)
+        common = len(want["intersection"])
+        q1, q2 = relative_quotients(s1, s2)
+        assert (q1.ngens, q2.ngens) == (len(g1), len(g2))
+        assert q1.order() == len(want["span1"]) // common
+        assert q2.order() == len(want["span2"]) // common
+        assert q1.iso_invariants() == quotient_of_submodules(s1, s2).iso_invariants()
+        assert q2.iso_invariants() == quotient_of_submodules(s2, s1).iso_invariants()
+
+
+def test_relative_quotients_require_matching_ambient():
+    a, b = z_module(9), z_module(3)
+    with pytest.raises(ValueError):
+        relative_quotients(_whole(a), _whole(b))
+
+
+def test_one_kernel_per_submodule_pair(monkeypatch):
+    calls = []
+    real = modules.kernel_basis
+
+    def counting(ring, m):
+        calls.append(m.ncols)
+        return real(ring, m)
+
+    monkeypatch.setattr(modules, "kernel_basis", counting)
+    g1, g2 = [(2, 0, 1), (0, 3, 0)], [(2, 2, 0), (0, 0, 1)]
+    m = z_module(4, 6, 3)
+    s1 = m.submodule_from_int_columns(g1)
+    s2 = m.submodule_from_int_columns(g2)
+    ranks = kernel_quotient_ranks(s1, s2)
+    assert len(calls) == 1
+    inter = submodule_intersection(s1, s2)
+    assert len(calls) == 2
+    want = brute_submodule_ops(FiniteModuleTable((4, 6, 3)), g1, g2)
+    assert inter.order() == len(want["intersection"]) > 1
+    assert len(calls) == 3
+    assert not inter.is_zero()
+    assert len(calls) == 3
+    assert ranks == (
+        quotient_of_submodules(s1, s2).generating_rank,
+        quotient_of_submodules(s2, s1).generating_rank,
+    )
+
+
 def _int_columns(mat: Mat):
-    return [tuple(mat.entry(i, j) for i in range(mat.nrows)) for j in range(mat.ncols)]
+    return [tuple(row[j] for row in mat.rows) for j in range(mat.ncols)]
 
 
 def test_quotient_of_submodules():
     m = z_module(9)
-    top = m.full_submodule()
+    top = _whole(m)
     bottom = m.submodule_from_int_columns([(3,)])
     q = quotient_of_submodules(top, bottom)
     assert q.torsion_invariants == (3,)
@@ -128,7 +190,7 @@ def test_quotient_of_submodules():
 def test_quotient_requires_matching_ambient():
     a, b = z_module(9), z_module(3)
     with pytest.raises(ValueError):
-        quotient_of_submodules(a.full_submodule(), b.full_submodule())
+        quotient_of_submodules(_whole(a), _whole(b))
 
 
 def test_module_map_validation():
@@ -146,7 +208,7 @@ def test_map_kernel_image_cokernel():
     f = ModuleMap(src, dst, Mat([[1]]))
     assert dst.quotient_by(f.matrix).is_zero_module()
     img = Submodule(dst, f.matrix)
-    assert img.spans_equal(dst.full_submodule())
+    assert img.spans_equal(_whole(dst))
     # 3 generates the kernel: its image vanishes, and the image of 1 does not
     assert Submodule(dst, Mat([[3]])).is_zero()
     assert not img.is_zero()
@@ -175,5 +237,5 @@ def test_laurent_module_example():
 
 def test_relations_contain_columns():
     m = z_module(9)
-    assert m.relations_contain_columns(Mat([[9], [0]][:1], 1))
-    assert not m.relations_contain_columns(Mat([[3]], 1))
+    assert m.zero_submodule().contains_columns(Mat([[9], [0]][:1], 1))
+    assert not m.zero_submodule().contains_columns(Mat([[3]], 1))
