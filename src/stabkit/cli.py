@@ -32,7 +32,7 @@ import re
 import sys
 
 from . import __version__
-from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report, kernel_quotient_ranks
+from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
 from .catalog import CatalogEntry, _is_int, builtin_catalog, load_catalog, read_json, resolve_knot
 from .errors import HypothesisError, SchemaError, UnknownReferenceError
 from .knots import (
@@ -46,8 +46,9 @@ from .knots import (
     double_of_disc,
     two_knot_sum,
 )
+from .linalg import mat_mul
 from .metabelian import DiscPairModel, SatelliteScenario
-from .modules import submodule_intersection
+from .modules import Submodule, relative_quotients
 from . import propsuite
 
 
@@ -283,14 +284,16 @@ def cmd_kernels(args) -> int:
         )
     for i in range(len(kernels)):
         for j in range(i + 1, len(kernels)):
-            inter = submodule_intersection(kernels[i], kernels[j])
-            g12, g21 = kernel_quotient_ranks(kernels[i], kernels[j])
+            # one kernel gives both quotients; as in `submodule_intersection`,
+            # G_i times the first quotient's relations generates the intersection
+            q12, q21 = relative_quotients(kernels[i], kernels[j])
+            inter = Submodule(ambient, mat_mul(ambient.ring, kernels[i].generators, q12.relations))
             payload["pairs"].append(
                 {
                     "discs": [specs[i], specs[j]],
                     "intersection_is_zero": inter.is_zero(),
                     "intersection_order": str(inter.order()),
-                    "quotient_gr": [g12, g21],
+                    "quotient_gr": [q12.generating_rank, q21.generating_rank],
                 }
             )
     if args.json:

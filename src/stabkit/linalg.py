@@ -103,19 +103,6 @@ def hstack(*mats: Mat) -> Mat:
     return Mat([sum((list(m.rows[i]) for m in mats), []) for i in range(n)], ncols)
 
 
-def vstack(*mats: Mat) -> Mat:
-    mats = tuple(m for m in mats)
-    if not mats:
-        raise ValueError("vstack of nothing")
-    c = mats[0].ncols
-    if any(m.ncols != c for m in mats):
-        raise ValueError("vstack: column counts differ")
-    rows: list = []
-    for m in mats:
-        rows.extend(m.rows)
-    return Mat(rows, c)
-
-
 def block_diag(ring, *mats: Mat) -> Mat:
     nrows = sum(m.nrows for m in mats)
     ncols = sum(m.ncols for m in mats)

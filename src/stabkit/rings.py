@@ -6,8 +6,11 @@ elements do their own arithmetic through Python operators (`+`, `-`, `*`,
 `==`, builtin `divmod`, `str`); a ring descriptor (`INTEGERS`, `LAURENT`,
 `EISENSTEIN`) holds only the Euclidean structure that the generic matrix
 algorithms need: zero and one, the zero test, the Euclidean size, the units
-and the canonical associates.  No floating point is used anywhere; rational numbers are
-`fractions.Fraction` and all integers are arbitrary precision.
+and the canonical associates.  No floating point is used anywhere (a float
+coefficient is a `TypeError`).  Integers are Python `int`s of arbitrary
+precision and stay `int`s: a `Q[t^±1]` coefficient is an `int` when it is
+integral and a `fractions.Fraction` only when it is not, and Eisenstein
+division rounds with integer floor division.
 
 Units are quotiented away through canonical associates:
 
@@ -21,7 +24,6 @@ Units are quotiented away through canonical associates:
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -93,23 +95,62 @@ def _format_terms(terms: Mapping[int, Fraction], var: str) -> str:
     return " ".join(parts)
 
 
+def _exact_div(a, b):
+    """a / b for nonzero b, as an int when the quotient is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b  # a Fraction operand makes this exact
+    return q.numerator if q.denominator == 1 else q
+
+
+def _poly(terms: tuple) -> "LaurentPolyQ":
+    """Trusted constructor: terms are sorted, nonzero and already normalised."""
+    if not terms:
+        return _ZERO
+    p = _new(LaurentPolyQ)
+    _set_terms(p, terms)
+    return p
+
+
+def _poly_from(acc: dict) -> "LaurentPolyQ":
+    """Drops zeros, turns integral Fractions into ints and sorts by exponent."""
+    items = []
+    for e in sorted(acc):
+        c = acc[e]
+        if c:
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            items.append((e, c))
+    return _poly(tuple(items))
+
+
 class LaurentPolyQ:
     """A Laurent polynomial over Q, stored as sorted (exponent, coefficient) pairs.
+
+    A coefficient is an `int` when it is integral and a non-integral
+    `Fraction` otherwise, so equal polynomials have equal terms.  The public
+    constructor validates and normalises its input; the operators build
+    their results through a trusted constructor that skips both.
 
     The Euclidean size is the degree span (max exponent - min exponent); the
     division step shifts both operands to honest polynomials, divides there,
     and restores the unit factors.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[dict[int, object]] = None):
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, object] = {}
         for exp, coeff in (terms or {}).items():  # dict keys: exponents are distinct
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if c:
-                acc[exp] = c
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+            if type(coeff) is not int:
+                if isinstance(coeff, float):
+                    raise TypeError(f"float coefficient {coeff!r}: use int or Fraction")
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                coeff = c.numerator if c.denominator == 1 else c
+            if coeff:
+                acc[exp] = coeff
+        _set_terms(self, tuple(sorted(acc.items())))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPolyQ is immutable")
@@ -123,7 +164,7 @@ class LaurentPolyQ:
         return cls(_parse_terms(text, "t"))
 
     @property
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+    def terms(self) -> tuple[tuple[int, object], ...]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -143,60 +184,96 @@ class LaurentPolyQ:
         return self.max_exp() - self.min_exp()
 
     def __add__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         acc = dict(self._terms)
         for e, c in other._terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return LaurentPolyQ(acc)
+            acc[e] = acc[e] + c if e in acc else c
+        return _poly_from(acc)
 
     def __neg__(self) -> "LaurentPolyQ":
-        return LaurentPolyQ({e: -c for e, c in self._terms})
+        return _poly(tuple([(e, -c) for e, c in self._terms]))
 
     def __sub__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
-        return self + (-other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
+        acc = dict(self._terms)
+        for e, c in other._terms:
+            acc[e] = acc[e] - c if e in acc else -c
+        return _poly_from(acc)
 
     def __mul__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return _ZERO
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a single term: shift and rescale, order and support kept
+            (k, s), = b
+            out = []
+            for e, c in a:
+                c = c * s
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                out.append((e + k, c))
+            return _poly(tuple(out))
+        acc: dict[int, object] = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolyQ(acc)
-
-    def shift(self, k: int) -> "LaurentPolyQ":
-        return LaurentPolyQ({e + k: c for e, c in self._terms})
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return _poly_from(acc)
 
     def __divmod__(self, other: "LaurentPolyQ") -> tuple["LaurentPolyQ", "LaurentPolyQ"]:
-        if other.is_zero():
+        den = other._terms
+        if not den:
             raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentPolyQ(), LaurentPolyQ()
+        num = self._terms
+        if not num:
+            return _ZERO, _ZERO
+        sn, sd = num[0][0], den[0][0]
+        lead = den[-1][1]
+        if len(den) == 1:  # a unit: the quotient is an exact rescale and shift
+            return _poly(tuple([(e - sd, _exact_div(c, lead)) for e, c in num])), _ZERO
         # shift to ordinary polynomials with nonzero constant term
-        sn, sd = self.min_exp(), other.min_exp()
-        num = {e - sn: c for e, c in self._terms}
-        den = {e - sd: c for e, c in other._terms}
-        dd = max(den)
-        q: dict[int, Fraction] = {}
-        r = dict(num)
-        while r and max(r) >= dd:
-            dr = max(r)
-            c = r[dr] / den[dd]
-            q[dr - dd] = c
-            for e, dc in den.items():
-                ne = e + dr - dd
-                nv = r.get(ne, Fraction(0)) - c * dc
-                if nv == 0:
-                    r.pop(ne, None)
-                else:
-                    r[ne] = nv
-        quot = LaurentPolyQ(q).shift(sn - sd)
-        rem = LaurentPolyQ(r).shift(sn)
-        return quot, rem
+        dd = den[-1][0] - sd
+        top = num[-1][0] - sn
+        if top < dd:
+            return _ZERO, self
+        r = [0] * (top + 1)
+        for e, c in num:
+            r[e - sn] = c
+        low = [(e - sd, c) for e, c in den[:-1]]
+        q = []  # quotient terms, highest exponent first
+        for k in range(top - dd, -1, -1):
+            c = r[k + dd]
+            if not c:
+                continue
+            c = _exact_div(c, lead)
+            q.append((k + sn - sd, c))
+            r[k + dd] = 0
+            for e, dc in low:
+                v = r[e + k] - c * dc
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                r[e + k] = v
+        rem = tuple([(e + sn, c) for e, c in enumerate(r[:dd]) if c])
+        return _poly(tuple(reversed(q))), _poly(rem)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPolyQ) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(("LaurentPolyQ", self._terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(("LaurentPolyQ", self._terms))
+            _set_hash(self, h)
+            return h
 
     def __str__(self) -> str:
         return _format_terms(dict(self._terms), "t")
@@ -205,9 +282,19 @@ class LaurentPolyQ:
         return f"LaurentPolyQ({dict(self._terms)!r})"
 
 
-def _round_half_down(f: Fraction) -> int:
-    """Nearest integer; a tie (fraction exactly 1/2) rounds toward -infinity."""
-    return math.ceil(f - Fraction(1, 2))
+_new = object.__new__
+_set_terms = LaurentPolyQ._terms.__set__
+_set_hash = LaurentPolyQ._hash.__set__
+_ZERO = _new(LaurentPolyQ)
+_set_terms(_ZERO, ())
+
+
+def _eisenstein(a: int, b: int) -> "EisensteinInt":
+    """Trusted constructor: a and b are already ints."""
+    z = _new(EisensteinInt)
+    _set_a(z, a)
+    _set_b(z, b)
+    return z
 
 
 class EisensteinInt:
@@ -250,32 +337,37 @@ class EisensteinInt:
 
     def conj(self) -> "EisensteinInt":
         """Complex conjugate: w -> w^2 = -1 - w."""
-        return EisensteinInt(self.a - self.b, -self.b)
+        return _eisenstein(self.a - self.b, -self.b)
 
     def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+        return _eisenstein(self.a + other.a, self.b + other.b)
 
     def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
+        return _eisenstein(-self.a, -self.b)
 
     def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
+        return _eisenstein(self.a - other.a, self.b - other.b)
 
     def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
         # (a + b*w)(c + d*w) = ac + (ad + bc)w + bd*w^2, w^2 = -1 - w
         a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+        return _eisenstein(a * c - b * d, a * d + b * c - b * d)
 
     def __divmod__(self, other: "EisensteinInt") -> tuple["EisensteinInt", "EisensteinInt"]:
-        if other.is_zero():
+        a, b, c, d = self.a, self.b, other.a, other.b
+        n = c * c - c * d + d * d
+        if not n:
             raise ZeroDivisionError("division by zero Eisenstein integer")
-        n = other.norm()
-        exact = self * other.conj()
-        qa = _round_half_down(Fraction(exact.a, n))
-        qb = _round_half_down(Fraction(exact.b, n))
-        q = EisensteinInt(qa, qb)
-        r = self - q * other
-        return q, r
+        # self * conj(other) = x + y*w with conj(c + d*w) = (c - d) - d*w;
+        # x/n and y/n round to the nearest integer, ties toward -infinity.
+        x = a * c - a * d + b * d
+        y = b * c - a * d
+        n2 = 2 * n
+        qa = -((n - 2 * x) // n2)
+        qb = -((n - 2 * y) // n2)
+        return _eisenstein(qa, qb), _eisenstein(
+            a - (qa * c - qb * d), b - (qa * d + qb * c - qb * d)
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EisensteinInt) and self.a == other.a and self.b == other.b
@@ -284,10 +376,14 @@ class EisensteinInt:
         return hash(("EisensteinInt", self.a, self.b))
 
     def __str__(self) -> str:
-        return _format_terms({0: Fraction(self.a), 1: Fraction(self.b)}, "w")
+        return _format_terms({0: self.a, 1: self.b}, "w")
 
     def __repr__(self) -> str:
         return f"EisensteinInt({self.a}, {self.b})"
+
+
+_set_a = EisensteinInt.a.__set__
+_set_b = EisensteinInt.b.__set__
 
 
 EISENSTEIN_UNITS = (
@@ -336,14 +432,14 @@ class IntegerRing:
 class LaurentRing:
     tag = "Q_Laurent"
     name = "Q[t^±1]"
-    zero = LaurentPolyQ()
+    zero = _ZERO
     one = LaurentPolyQ({0: 1})
 
     def from_int(self, n: int) -> LaurentPolyQ:
         return LaurentPolyQ.from_int(n)
 
     def is_zero(self, a) -> bool:
-        return a.is_zero()
+        return not a._terms
 
     def size(self, a) -> int:
         return a.deg_span()
@@ -354,15 +450,16 @@ class LaurentRing:
     def canonical(self, a):
         if a.is_zero():
             return a, self.one
-        lead = a.terms[-1][1]
-        shift = a.min_exp()
-        unit = LaurentPolyQ({shift: lead})
-        assoc = a * LaurentPolyQ({-shift: Fraction(1, 1) / lead})
-        return assoc, unit
+        terms = a.terms
+        shift, lead = terms[0][0], terms[-1][1]
+        if shift == 0 and lead == 1:
+            return a, self.one
+        assoc = _poly(tuple([(e - shift, _exact_div(c, lead)) for e, c in terms]))
+        return assoc, _poly(((shift, lead),))
 
     def inv_unit(self, u):
         (exp, coeff), = u.terms
-        return LaurentPolyQ({-exp: Fraction(1, 1) / coeff})
+        return _poly(((-exp, _exact_div(1, coeff)),))
 
 
 class EisensteinRing:
@@ -375,7 +472,7 @@ class EisensteinRing:
         return EisensteinInt.from_int(n)
 
     def is_zero(self, a) -> bool:
-        return a.is_zero()
+        return not (a.a or a.b)
 
     def size(self, a) -> int:
         return a.norm()

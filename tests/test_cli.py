@@ -98,6 +98,40 @@ def test_kernels_per_summand_discs(capsys):
     assert payload["kernels"][0]["generating_rank"] == 1
 
 
+@pytest.mark.parametrize("discs", ["left^4,right^4", "left^4,right^4,left+right+left+right"])
+def test_kernels_computes_one_kernel_per_disc_and_two_per_pair(capsys, monkeypatch, discs):
+    # one kernel for both relative quotients and the intersection's generators,
+    # one for the intersection's presentation
+    from stabkit import modules
+    from stabkit.bounds import kernel_quotient_ranks
+    from stabkit.knots import alexander_module_Q, disc_kernel_Q
+
+    calls = []
+    real = modules.kernel_basis
+
+    def counting(ring, m):
+        calls.append(m.ncols)
+        return real(ring, m)
+
+    monkeypatch.setattr(modules, "kernel_basis", counting)
+    code, out, _ = run(capsys, "--json", "kernels", "sum^4(9_46)", "--discs", discs)
+    assert code == 0
+    d = len(discs.split(","))
+    assert len(calls) == d + 2 * (d * (d - 1) // 2)
+
+    monkeypatch.setattr(modules, "kernel_basis", real)
+    leaves = cli.resolve_knot_ref(cli.builtin_catalog(), "sum^4(9_46)")
+    ambient = alexander_module_Q(cli.knot_of_leaves(leaves))
+    kernels = [disc_kernel_Q(cli.resolve_disc_spec(leaves, s), ambient) for s in discs.split(",")]
+    pairs = json.loads(out)["pairs"]
+    want = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for pair, (i, j) in zip(pairs, want):
+        inter = modules.submodule_intersection(kernels[i], kernels[j])
+        assert pair["quotient_gr"] == list(kernel_quotient_ranks(kernels[i], kernels[j]))
+        assert pair["intersection_is_zero"] is inter.is_zero()
+        assert pair["intersection_order"] == str(inter.order())
+
+
 def test_kernels_on_sum_require_discs(capsys):
     code, _, err = run(capsys, "kernels", "sum(9_46,9_46)")
     assert code == 2

@@ -30,7 +30,7 @@ from stabkit.knots import (
     double_of_disc,
     two_knot_sum,
 )
-from stabkit.linalg import Mat, block_diag, vstack
+from stabkit.linalg import Mat, block_diag
 from stabkit.modules import (
     ModuleMap,
     Submodule,
@@ -39,7 +39,7 @@ from stabkit.modules import (
     submodule_intersection,
 )
 from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ, associates
-from test_linalg import _det
+from test_linalg import _det, _vstack
 
 UNKNOT = SeifertKnot("unknot", ())
 
@@ -342,7 +342,7 @@ def test_double_sign_convention_is_immaterial(k946):
     quotient = disc_quotient_Q(disc)
     target = direct_sum(quotient, quotient)
     ident = Mat.identity(ambient.ring, ambient.ngens)
-    plus_map = vstack(ident, ident)
+    plus_map = _vstack(ident, ident)
     ModuleMap(ambient, target, plus_map)  # well defined
     plus = target.quotient_by(plus_map)
     assert modules_isomorphic(plus, double_of_disc(disc).module)

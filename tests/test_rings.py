@@ -1,9 +1,10 @@
 """Ring layer: exact arithmetic, division, gcd, canonical forms, parsing."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stabkit.rings import (
@@ -109,6 +110,56 @@ def test_laurent_canonical_idempotent(a):
     assert LAURENT.is_unit(unit)
 
 
+def _assert_int_first(p):
+    for _, c in p.terms:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), p.terms
+
+
+def test_laurent_integral_coefficients_are_ints():
+    two = LaurentPolyQ({0: Fraction(2)})
+    assert two == LaurentPolyQ({0: 2})
+    assert hash(two) == hash(LaurentPolyQ({0: 2})) == hash(LaurentPolyQ.from_int(2))
+    assert str(two) == str(LaurentPolyQ({0: 2})) == "2"
+    p = LaurentPolyQ({-1: Fraction(6, 3), 0: Fraction(1, 2), 2: True})
+    assert p.terms == ((-1, 2), (0, Fraction(1, 2)), (2, 1))
+    assert [type(c) for _, c in p.terms] == [int, Fraction, int]
+    # arithmetic that lands on integers stores ints, and hashes like a fresh polynomial
+    half = LaurentPolyQ({0: Fraction(1, 2)})
+    one = half + half
+    assert one.terms == ((0, 1),) and type(one.terms[0][1]) is int
+    assert hash(one) == hash(LAURENT.one) and one == LAURENT.one
+
+
+def test_laurent_rejects_float_coefficients():
+    for coeff in (0.5, 2.0, float("nan")):
+        with pytest.raises(TypeError, match="float"):
+            LaurentPolyQ({1: coeff})
+
+
+@given(laurents(), laurents())
+def test_laurent_results_keep_integer_coefficients_int(a, b):
+    results = [a + b, a - b, -a, a * b]
+    if not LAURENT.is_zero(b):
+        results.extend(divmod(a, b))
+        results.extend(LAURENT.canonical(b))
+    for p in results:
+        _assert_int_first(p)
+        assert p == LaurentPolyQ(dict(p.terms))
+        assert hash(p) == hash(LaurentPolyQ(dict(p.terms)))
+
+
+@given(laurents(), st.integers(-3, 3), rationals, laurents())
+def test_laurent_divmod_by_unit_matches_long_division(a, e, c, v):
+    assume(c != 0 and len(v.terms) > 1)
+    unit = LaurentPolyQ({e: c})
+    q, r = divmod(a, unit)
+    assert LAURENT.is_zero(r)
+    assert q == LaurentPolyQ({k - e: Fraction(x) / c for k, x in a.terms})
+    # multiplying both sides by a non-unit sends the division down the long route
+    q2, r2 = divmod(a * v, unit * v)
+    assert (q2, r2) == (q, LAURENT.zero)
+
+
 # --------------------------------------------------------------- eisenstein
 
 def test_eisenstein_norm_examples():
@@ -142,6 +193,36 @@ def test_eisenstein_divmod_axioms(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert 4 * r.norm() <= 3 * b.norm()
+
+
+def _fraction_divmod(x, y):
+    """Reference Eisenstein division in Fractions: each coordinate is ceil(x/n - 1/2)."""
+    n = y.norm()
+    exact = x * y.conj()
+    q = EisensteinInt(
+        math.ceil(Fraction(exact.a, n) - Fraction(1, 2)),
+        math.ceil(Fraction(exact.b, n) - Fraction(1, 2)),
+    )
+    return q, x - q * y
+
+
+def test_eisenstein_divmod_matches_fraction_rounding():
+    # every divisor of norm <= 49 (|c|, |d| <= 8 reaches them all)
+    divisors = [EisensteinInt(c, d) for c in range(-8, 9) for d in range(-8, 9)]
+    divisors = [y for y in divisors if 0 < y.norm() <= 49]
+    assert len({y.norm() for y in divisors}) == 20
+    ties = 0
+    for y in divisors:
+        n = y.norm()
+        for a in range(-40, 41):
+            for b in range(-40, 41, 20):
+                x = EisensteinInt(a, b)
+                q, r = divmod(x, y)
+                assert (q, r) == _fraction_divmod(x, y)
+                assert type(q.a) is type(q.b) is type(r.a) is type(r.b) is int
+                exact = x * y.conj()
+                ties += (2 * exact.a) % (2 * n) == n or (2 * exact.b) % (2 * n) == n
+    assert ties > 1000  # exact halves, which round toward -infinity
 
 
 @given(eisensteins, eisensteins)
