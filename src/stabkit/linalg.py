@@ -24,9 +24,13 @@ Number Theory, GTM 138, section 2.4).  Zero rows and columns add identity rows
 to U and kernel columns to V; the merge never touches those columns, so the
 kernel of M is the per-block kernels embedded at their columns.
 
-There is no separate determinant routine: for a square matrix the product of
-the diagonal is det M up to a unit, so a direct sum costs what its distinct
-blocks cost.  `knots` checks det(V - V^T) of a Seifert matrix this way.
+A decomposition carries the diagonal, not D: D is that diagonal on a zero
+matrix of M's shape, and no caller reads the rest of it.  There is no solver
+and no separate determinant routine.  Membership in a column span is an
+isomorphism test of two quotients in `modules`, which needs no transforms;
+for a square matrix the product of the diagonal is det M up to a unit, so a
+direct sum costs what its distinct blocks cost.  `knots` checks
+det(V - V^T) of a Seifert matrix this way.
 """
 
 from __future__ import annotations
@@ -70,9 +74,6 @@ class Mat:
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], n
         )
 
-    def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)], self.nrows)
-
     def map_entries(self, fn: Callable[[object], object]) -> "Mat":
         return Mat([[fn(x) for x in row] for row in self.rows], self.ncols)
 
@@ -91,15 +92,12 @@ class Mat:
 
 
 def hstack(*mats: Mat) -> Mat:
-    mats = tuple(m for m in mats)
     if not mats:
         raise ValueError("hstack of nothing")
     n = mats[0].nrows
     if any(m.nrows != n for m in mats):
         raise ValueError("hstack: row counts differ")
     ncols = sum(m.ncols for m in mats)
-    if n == 0:
-        return Mat([], ncols)
     return Mat([sum((list(m.rows[i]) for m in mats), []) for i in range(n)], ncols)
 
 
@@ -121,8 +119,6 @@ def block_diag(ring, *mats: Mat) -> Mat:
 def mat_mul(ring, a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    if a.nrows == 0 or b.ncols == 0:
-        return Mat([[] for _ in range(a.nrows)] if b.ncols == 0 else [], b.ncols)
     out = []
     for i in range(a.nrows):
         arow = a.rows[i]
@@ -143,13 +139,14 @@ def mat_mul(ring, a: Mat, b: Mat) -> Mat:
 class SmithDecomposition:
     """U * M * V = D with D diagonal, d1 | d2 | ..., and unit-determinant U, V.
 
+    D itself is not stored: it is `diagonal` (length min(nrows, ncols),
+    trailing zeros included) placed on the main diagonal of a zero matrix.
     U or V is None when the caller asked not to accumulate it.  Diagonal
     entries are canonical associates; `invariant_factors` keeps the nonunit
     ones (trailing zeros included).
     """
 
     u: Optional[Mat]
-    d: Mat
     v: Optional[Mat]
     diagonal: tuple
     rank: int
@@ -163,12 +160,17 @@ def _smith_block(
     with_u: bool,
     with_v: bool,
     cancel: Optional[Callable[[], bool]],
-) -> SmithDecomposition:
-    """The elimination on one connected block; only `smith_normal_form` calls it."""
+) -> tuple:
+    """The elimination on one connected block; only `smith_normal_form` calls it.
+
+    Returns (pivots, U rows, V columns): the nonzero diagonal entries in
+    order, and the transforms as lists of lines (None when not accumulated).
+    V is kept by columns, so a column operation is a line operation on it.
+    """
     R, C = m.nrows, m.ncols
     d = [list(row) for row in m.rows]
     u = [[ring.one if i == j else ring.zero for j in range(R)] for i in range(R)] if with_u else None
-    v = [[ring.one if i == j else ring.zero for j in range(C)] for i in range(C)] if with_v else None
+    vt = [[ring.one if i == j else ring.zero for j in range(C)] for i in range(C)] if with_v else None
 
     def tick() -> None:
         if cancel is not None and cancel():
@@ -182,9 +184,8 @@ def _smith_block(
     def swap_cols(i: int, j: int) -> None:
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     def row_sub(i: int, j: int, q) -> None:
         # row_i -= q * row_j
@@ -200,9 +201,8 @@ def _smith_block(
             return
         for row in d:
             row[i] = row[i] - q * row[j]
-        if v is not None:
-            for row in v:
-                row[i] = row[i] - q * row[j]
+        if vt is not None:
+            vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
 
     def find_pivot(s: int):
         best = None
@@ -291,19 +291,7 @@ def _smith_block(
                 u[s] = [inv * x for x in u[s]]
         s += 1
 
-    diagonal = tuple(d[i][i] for i in range(steps))
-    rank = sum(1 for x in diagonal if not ring.is_zero(x))
-    unit_count = sum(1 for x in diagonal if ring.is_unit(x))
-    invariant_factors = tuple(x for x in diagonal if not ring.is_unit(x))
-    return SmithDecomposition(
-        u=Mat(u, R) if u is not None else None,
-        d=Mat(d, C),
-        v=Mat(v, C) if v is not None else None,
-        diagonal=diagonal,
-        rank=rank,
-        unit_count=unit_count,
-        invariant_factors=invariant_factors,
-    )
+    return tuple(d[i][i] for i in range(s)), u, vt
 
 
 def _split_blocks(ring, m: Mat):
@@ -375,7 +363,7 @@ def smith_normal_form(
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
     blocks = _split_blocks(ring, m)
-    reduced: dict = {}  # block entries -> (decomposition, columns of its V)
+    reduced: dict = {}  # block rows -> (pivots, U rows, V columns)
     units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
     u_rest, v_rest = [], []
 
@@ -386,22 +374,20 @@ def smith_normal_form(
         return out
 
     for rows, cols in blocks:
-        sub = Mat([[m.rows[i][j] for j in cols] for i in rows], len(cols))
-        if sub not in reduced:
-            dec = _smith_block(ring, sub, with_u, with_v, cancel)
-            reduced[sub] = dec, tuple(zip(*dec.v.rows)) if with_v else None
-        dec, vcols = reduced[sub]
-        for p in range(dec.rank):
-            x = dec.diagonal[p]
+        key = tuple(tuple(m.rows[i][j] for j in cols) for i in rows)
+        if key not in reduced:  # rows fix the width: a block without rows is one zero column
+            reduced[key] = _smith_block(ring, Mat(key, len(cols)), with_u, with_v, cancel)
+        pivots, bu, bvt = reduced[key]
+        for p, x in enumerate(pivots):
             (units if ring.is_unit(x) else nonunits).append((
                 x,
-                embed(R, rows, dec.u.rows[p]) if with_u else None,
-                embed(C, cols, vcols[p]) if with_v else None,
+                embed(R, rows, bu[p]) if with_u else None,
+                embed(C, cols, bvt[p]) if with_v else None,
             ))
         if with_u:
-            u_rest += [embed(R, rows, dec.u.rows[p]) for p in range(dec.rank, len(rows))]
+            u_rest += [embed(R, rows, line) for line in bu[len(pivots):]]
         if with_v:
-            v_rest += [embed(C, cols, vcols[p]) for p in range(dec.rank, len(cols))]
+            v_rest += [embed(C, cols, line) for line in bvt[len(pivots):]]
 
     slots = units + nonunits
     diag = [x for x, _, _ in slots]
@@ -424,13 +410,9 @@ def smith_normal_form(
             if with_v:
                 _combine(ring, vt, i, j, v_move)
 
-    d = [[ring.zero] * C for _ in range(R)]
-    for k, x in enumerate(diag):
-        d[k][k] = x
     diagonal = tuple(diag) + (ring.zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
         u=Mat(u, R) if with_u else None,
-        d=Mat(d, C),
         v=Mat(zip(*vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
@@ -442,40 +424,4 @@ def smith_normal_form(
 def kernel_basis(ring, m: Mat) -> Mat:
     """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID."""
     dec = smith_normal_form(ring, m, with_u=False, with_v=True)
-    cols = range(dec.rank, m.ncols)
-    if m.ncols == 0:
-        return Mat([], 0)
-    rows = [[dec.v.rows[i][j] for j in cols] for i in range(m.ncols)]
-    return Mat(rows, len(range(dec.rank, m.ncols)))
-
-
-def solve_with(ring, dec: SmithDecomposition, m: Mat, b: Mat) -> Optional[Mat]:
-    """All X with m @ X = b, via a precomputed decomposition of m (with U and V).
-
-    Returns one particular solution, or None when some column is unsolvable.
-    """
-    if dec.u is None or dec.v is None:
-        raise ValueError("solve needs both transforms")
-    if b.nrows != m.nrows:
-        raise ValueError("right-hand side has wrong height")
-    if b.ncols == 0:
-        return Mat([() for _ in range(m.ncols)], 0)
-    ub = mat_mul(ring, dec.u, b)
-    xcols = []
-    for j in range(b.ncols):
-        z = [ring.zero] * m.ncols
-        for i in range(m.nrows):
-            w = ub.rows[i][j]
-            if i < dec.rank:
-                di = dec.diagonal[i]
-                q, r = divmod(w, di)
-                if not ring.is_zero(r):
-                    return None
-                z[i] = q
-            elif not ring.is_zero(w):
-                return None
-        xcols.append(z)
-    zmat = Mat(xcols, m.ncols).transpose() if xcols else Mat([], 0)
-    if m.ncols == 0:
-        return Mat([], b.ncols)
-    return mat_mul(ring, dec.v, zmat)
+    return Mat([row[dec.rank:] for row in dec.v.rows], m.ncols - dec.rank)

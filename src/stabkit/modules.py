@@ -4,8 +4,13 @@ A module is R^ngens / (column span of `relations`); submodules are given by
 generator columns inside such a quotient.  Everything reduces to Smith normal
 form of block matrices, and to one kernel per submodule:
 
-* membership of v in span(G) mod span(L) is solvability of [G | L] x = v
-  (`Submodule.contains_columns`; the zero submodule tests v in span(L));
+* membership of v in span(G) mod span(L) is an isomorphism test,
+  R^n / [G | L] ≅ R^n / [G | L | v] (`Submodule.contains_columns`; the zero
+  submodule tests v in span(L)).  The natural map between the two is onto,
+  and an onto map between isomorphic finitely generated modules over a
+  Noetherian ring is injective (Matsumura, Commutative Ring Theory,
+  Thm 2.4), so they are isomorphic iff v adds nothing to the span.  This
+  costs two Smith normal forms, neither with transforms;
 * the defining relations of a submodule are the x-projection of
   ker [G | L] (`Submodule.presentation`, the only kernel computed here);
 * a submodule is zero when that presentation is the zero module;
@@ -31,7 +36,6 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     smith_normal_form,
-    solve_with,
 )
 from .rings import RINGS_BY_TAG, canonical_associate
 
@@ -153,11 +157,13 @@ class Submodule:
         return hstack(self.generators, self.ambient.relations)
 
     @cached_property
-    def _span_snf(self) -> SmithDecomposition:
-        return smith_normal_form(self.ring, self._span_matrix, with_u=True, with_v=True)
+    def _span_quotient(self) -> PresentedModule:
+        """The ambient modulo this span: R^n / [G | L]."""
+        return PresentedModule(self.ambient.ring_tag, self.ambient.ngens, self._span_matrix)
 
     def contains_columns(self, cols: Mat) -> bool:
-        return solve_with(self.ring, self._span_snf, self._span_matrix, cols) is not None
+        quotient = self._span_quotient
+        return modules_isomorphic(quotient, quotient.quotient_by(cols))
 
     def contains(self, other: "Submodule") -> bool:
         if other.ambient != self.ambient:
@@ -239,5 +245,5 @@ class ModuleMap:
             )
         ring = self.source.ring
         image_of_relations = mat_mul(ring, self.matrix, self.source.relations)
-        if not self.target.zero_submodule().contains_columns(image_of_relations):
+        if not modules_isomorphic(self.target, self.target.quotient_by(image_of_relations)):
             raise ValueError("matrix does not send source relations into target relations")

@@ -72,7 +72,12 @@ def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
             assert ring.is_zero(dk), f"divisor beyond rank nonzero at k={k} {note}"
     if with_transforms:
         umv = mat_mul(ring, mat_mul(ring, dec.u, m), dec.v)
-        assert umv.rows == dec.d.rows, f"U*M*V != D {note}"
+        diag = dec.diagonal
+        assert all(
+            x == (diag[i] if i == j else ring.zero)
+            for i, row in enumerate(umv.rows)
+            for j, x in enumerate(row)
+        ), f"U*M*V != D {note}"
 
 
 def suite_snf_integers(seed: int, cases: int) -> int:

@@ -6,11 +6,13 @@ elements do their own arithmetic through Python operators (`+`, `-`, `*`,
 `==`, builtin `divmod`, `str`); a ring descriptor (`INTEGERS`, `LAURENT`,
 `EISENSTEIN`) holds only the Euclidean structure that the generic matrix
 algorithms need: zero and one, the zero test, the Euclidean size, the units
-and the canonical associates.  No floating point is used anywhere (a float
-coefficient is a `TypeError`).  Integers are Python `int`s of arbitrary
-precision and stay `int`s: a `Q[t^±1]` coefficient is an `int` when it is
-integral and a `fractions.Fraction` only when it is not, and Eisenstein
-division rounds with integer floor division.
+and the canonical associates.  No floating point is used anywhere: a float
+coefficient is a `TypeError`, and so is any non-`int` given to
+`EisensteinInt` or `INTEGERS.from_int`, rather than a silent truncation.
+Integers are Python `int`s of arbitrary precision and stay `int`s: a
+`Q[t^±1]` coefficient is an `int` when it is integral and a
+`fractions.Fraction` only when it is not, and Eisenstein division rounds
+with integer floor division.
 
 Units are quotiented away through canonical associates:
 
@@ -308,8 +310,10 @@ class EisensteinInt:
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int = 0):
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
+        if type(a) is not int or type(b) is not int:
+            raise TypeError(f"Eisenstein coordinates must be int, got {a!r} and {b!r}")
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinInt is immutable")
@@ -409,7 +413,9 @@ class IntegerRing:
     one = 1
 
     def from_int(self, n: int) -> int:
-        return int(n)
+        if type(n) is not int:
+            raise TypeError(f"integer expected, got {n!r}")
+        return n
 
     def is_zero(self, a) -> bool:
         return a == 0

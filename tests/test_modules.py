@@ -22,7 +22,7 @@ from stabkit.modules import (
     submodule_intersection,
 )
 from stabkit.oracles import FiniteModuleTable, brute_submodule_ops
-from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ
+from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
 def z_module(*factors):
@@ -137,6 +137,57 @@ def test_relative_quotients_against_oracle():
         assert q2.order() == len(want["span2"]) // common
         assert q1.iso_invariants() == quotient_of_submodules(s1, s2).iso_invariants()
         assert q2.iso_invariants() == quotient_of_submodules(s2, s1).iso_invariants()
+
+
+def test_membership_against_oracle():
+    rng = random.Random(13)
+    for _ in range(40):
+        factors = tuple(sorted(rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(1, 2))))
+        table = FiniteModuleTable(factors)
+        module = z_module(*factors)
+        g1 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        g2 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        s1 = module.submodule_from_int_columns(g1)
+        s2 = module.submodule_from_int_columns(g2)
+        span1 = table.span(g1 or [table.zero()])
+        span2 = table.span(g2 or [table.zero()])
+        assert s1.contains_columns(s2.generators) == (span2 <= span1)
+        assert s1.contains(s2) == (span2 <= span1)
+        assert s2.contains(s1) == (span1 <= span2)
+        assert s1.spans_equal(s2) == (span1 == span2)
+        for v in g2:
+            single = module.submodule_from_int_columns([v]).generators
+            assert s1.contains_columns(single) == (table.reduce(v) in span1)
+
+    # over Q[t^±1] and Z[w]: members up to a unit factor, and non-members
+    p, q = LaurentPolyQ.parse("t - 2"), LaurentPolyQ.parse("2*t - 1")
+    unit = LaurentPolyQ.parse("-3/2*t^-2")
+    module = PresentedModule(LAURENT.tag, 1, Mat([[p * q]], 1))
+    span_q = Submodule(module, Mat([[q]], 1))
+    assert span_q.contains_columns(Mat([[unit * q]], 1))
+    assert span_q.contains_columns(Mat([[unit * q + p * q * p]], 1))
+    assert span_q.spans_equal(Submodule(module, Mat([[unit * q]], 1)))
+    assert not span_q.contains_columns(Mat([[p]], 1))
+    assert not span_q.contains_columns(Mat([[LAURENT.one]], 1))
+    free = PresentedModule(LAURENT.tag, 2, Mat([(), ()], 0))
+    column = Submodule(free, Mat([[p], [q]], 1))
+    assert column.contains_columns(Mat([[unit * p], [unit * q]], 1))
+    assert not column.contains_columns(Mat([[unit * p], [q]], 1))
+    assert not column.contains_columns(Mat([[p * q], [q]], 1))
+
+    pi = EisensteinInt(2, -1)  # norm 7; 7 = pi * conj(pi) with conj(pi) not an associate
+    w = EisensteinInt(0, 1)
+    module = PresentedModule(EISENSTEIN.tag, 1, Mat([[EISENSTEIN.from_int(7)]], 1))
+    span_pi = Submodule(module, Mat([[pi]], 1))
+    assert span_pi.contains_columns(Mat([[w * pi]], 1))
+    assert span_pi.contains_columns(Mat([[(w + EISENSTEIN.one) * pi + EISENSTEIN.from_int(7)]], 1))
+    assert span_pi.spans_equal(Submodule(module, Mat([[-(w * pi)]], 1)))
+    assert not span_pi.contains_columns(Mat([[pi.conj()]], 1))
+    assert not span_pi.contains_columns(Mat([[EISENSTEIN.one]], 1))
+    free = PresentedModule(EISENSTEIN.tag, 2, Mat([(), ()], 0))
+    column = Submodule(free, Mat([[pi], [EISENSTEIN.one]], 1))
+    assert column.contains_columns(Mat([[w * pi], [w]], 1))
+    assert not column.contains_columns(Mat([[w * pi], [EISENSTEIN.one]], 1))
 
 
 def test_relative_quotients_require_matching_ambient():

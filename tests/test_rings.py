@@ -136,6 +136,23 @@ def test_laurent_rejects_float_coefficients():
             LaurentPolyQ({1: coeff})
 
 
+def test_eisenstein_and_integers_reject_non_int():
+    # int() would truncate each of these silently: 0.5 -> 0, 2.9 -> 2, 3/2 -> 1
+    for bad in (0.5, 2.9, 2.0, Fraction(3, 2), Fraction(4, 2), "2"):
+        with pytest.raises(TypeError):
+            EisensteinInt(bad, 2)
+        with pytest.raises(TypeError):
+            EisensteinInt(2, bad)
+        with pytest.raises(TypeError):
+            EisensteinInt.from_int(bad)
+        with pytest.raises(TypeError):
+            EISENSTEIN.from_int(bad)
+        with pytest.raises(TypeError):
+            INTEGERS.from_int(bad)
+    assert EisensteinInt(3) == EisensteinInt(3, 0) == EISENSTEIN.from_int(3)
+    assert INTEGERS.from_int(-7) == -7
+
+
 @given(laurents(), laurents())
 def test_laurent_results_keep_integer_coefficients_int(a, b):
     results = [a + b, a - b, -a, a * b]
