@@ -2,13 +2,16 @@
 
 Catalog ids resolve knots in the CLI; each entry carries a Seifert matrix,
 named surgery discs, and (when used as a satellite pattern) the class of the
-infection curve eta in the Alexander module.
+infection curve eta in the Alexander module.  The built-in entries depend on
+no input, so a process builds and validates them once; every call of
+`builtin_catalog` still returns a new dict, which `load_catalog` extends.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .errors import SchemaError, UnknownReferenceError
@@ -38,7 +41,13 @@ def _entry(id_, rows, disc_specs, notes, eta_class=None) -> CatalogEntry:
 
 
 def builtin_catalog() -> dict:
-    entries = [
+    """A fresh dict of the built-in entries, which are built and validated once."""
+    return {e.id: e for e in _builtin_entries()}
+
+
+@lru_cache(maxsize=None)
+def _builtin_entries() -> tuple:
+    return (
         _entry(
             "9_46",
             [[0, 2], [1, 0]],
@@ -60,8 +69,7 @@ def builtin_catalog() -> dict:
             [("trivial", ())],
             "trivial disc for the unknot",
         ),
-    ]
-    return {e.id: e for e in entries}
+    )
 
 
 def _require(cond: bool, invariant: str, detail: str):

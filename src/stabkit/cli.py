@@ -30,6 +30,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
@@ -392,7 +393,9 @@ malformed input, 3 failed theorem hypothesis
 """
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; it depends on no argv, so a process builds it once."""
     parser = argparse.ArgumentParser(
         prog="stabkit",
         description="Exact Alexander-module bounds on stabilization distances "

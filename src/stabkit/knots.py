@@ -12,10 +12,10 @@ generate.  The branched double cover story is the same presentation at
 t = -1, i.e. coker(V + V^T) up to sign.
 
 Connected sums are block-diagonal and mostly zero, so no check here does
-dense arithmetic: det(V - V^T) is the product of its Smith diagonal, which
-reduces each distinct summand block once; curve classes and the 0-framing
-check loop over the nonzero coordinates of each curve; zero entries of a
-presentation are the ring's own zero, which the SNF block split skips.
+dense arithmetic: every matrix is built from the nonzero entries of V and of
+the curves, det(V - V^T) is the product of its Smith diagonal, which reduces
+each distinct summand block once, and the 0-framing check pairs a curve only
+with the curves that share a coordinate with (V + V^T) times it.
 
 2-knots appear as doubles of discs: the module of the double is the cokernel
 of x -> (q(x), -q(x)) into two copies of the disc module, where q kills the
@@ -26,9 +26,10 @@ no kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .errors import SchemaError
-from .linalg import Mat, smith_normal_form
+from .linalg import Mat, _mat, smith_normal_form
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import (
     EISENSTEIN,
@@ -53,7 +54,8 @@ class SeifertKnot:
             raise SchemaError("seifert matrix not even-sized", f"{self.name!r} has size {n}")
         # V - V^T is skew-symmetric, so det = Pf^2 >= 0: exactly the product of
         # its invariant factors, not only up to sign.
-        skew = Mat([[a - b for a, b in zip(row, col)] for row, col in zip(v, zip(*v))], n)
+        entries = _entries(v)
+        skew = _int_mat(n, n, entries + [(j, i, -x) for i, j, x in entries])
         d = 1
         for x in smith_normal_form(INTEGERS, skew, with_u=False, with_v=False).diagonal:
             d *= x
@@ -90,18 +92,15 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
 def alexander_presentation(knot: SeifertKnot) -> Mat:
     """t*V - V^T as a matrix of Laurent polynomials with integer coefficients."""
     v = knot.seifert
-    n = len(v)
-    zero = LAURENT.zero
-    return Mat(
-        [
-            [
-                LaurentPolyQ({1: v[i][j], 0: -v[j][i]}) if v[i][j] or v[j][i] else zero
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        n,
+    support: list = [set() for _ in v]  # (i, j) is nonzero iff V or V^T is there
+    for i, j, _ in _entries(v):
+        support[i].add(j)
+        support[j].add(i)
+    lines = tuple(
+        tuple([(j, LaurentPolyQ({1: v[i][j], 0: -v[j][i]})) for j in sorted(cols)])
+        for i, cols in enumerate(support)
     )
+    return _mat(LAURENT.zero, lines, len(v))
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
@@ -115,21 +114,33 @@ def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
 
 def _nonzeros(vector) -> list:
     """The (index, value) pairs of the nonzero coordinates of an integer vector."""
-    return [(i, x) for i, x in enumerate(vector) if x]
+    return [(i, vector[i]) for i in compress(range(len(vector)), vector)]
+
+
+def _entries(rows) -> list:
+    """The (i, j, value) nonzero entries of an integer matrix, row by row."""
+    return [(i, j, x) for i, row in enumerate(rows) for j, x in _nonzeros(row)]
+
+
+def _int_mat(nrows: int, ncols: int, entries) -> Mat:
+    """The integer matrix summing the given (i, j, value) entries; cancelled ones drop out."""
+    acc: list = [{} for _ in range(nrows)]
+    for i, j, x in entries:
+        acc[i][j] = acc[i].get(j, 0) + x
+    return _mat(0, tuple(tuple([(j, r[j]) for j in sorted(r) if r[j]]) for r in acc), ncols)
 
 
 def curve_class(knot: SeifertKnot, curve) -> tuple:
     """Module coordinates of a pushed-off surface curve: V^T times the curve."""
     v = knot.seifert
     n = len(v)
-    c = tuple(int(x) for x in curve)
+    c = tuple(map(int, curve))
     if len(c) != n:
         raise SchemaError("curve has wrong length", f"expected {n} coordinates, got {len(c)}")
     out = [0] * n
     for i, ci in _nonzeros(c):
-        for j, x in enumerate(v[i]):
-            if x:
-                out[j] += x * ci
+        for j, x in _nonzeros(v[i]):
+            out[j] += x * ci
     return tuple(out)
 
 
@@ -160,18 +171,33 @@ class SurgeryDisc:
                 "curve has wrong length",
                 f"disc {self.name!r} needs vectors of length {n}",
             )
-        v = self.knot.seifert
+        entries = _entries(self.knot.seifert)
+        sym = _int_mat(n, n, entries + [(j, i, x) for i, j, x in entries]).lines
         support = [_nonzeros(c) for c in self.curves]
+        holders: list = [[] for _ in range(n)]  # coordinate -> (curve, value) pairs
+        for j, cj in enumerate(support):
+            for l, b in cj:
+                holders[l].append((j, b))
+        # c_i^T(V+V^T)c_j is w . c_j for w = (V+V^T) c_i, so only curves that
+        # share a coordinate with w can pair nontrivially with c_i
         for i, ci in enumerate(support):
-            for j, cj in enumerate(support):
-                val = sum(a * b * (v[k][l] + v[l][k]) for k, a in ci for l, b in cj)
-                if val != 0:
-                    raise SchemaError(
-                        "curves not 0-framed",
-                        f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})",
-                    )
+            w: dict = {}
+            for k, a in ci:
+                for l, x in sym[k]:
+                    w[l] = w.get(l, 0) + a * x
+            vals: dict = {}
+            for l, x in w.items():
+                for j, b in holders[l]:
+                    vals[j] = vals.get(j, 0) + x * b
+            bad = [j for j, val in vals.items() if val]
+            if bad:
+                j = min(bad)
+                raise SchemaError(
+                    "curves not 0-framed",
+                    f"c^T(V+V^T)c = {vals[j]} at ({i + 1},{j + 1})",
+                )
         if g > 0:
-            cmat = Mat([[c[i] for c in self.curves] for i in range(n)], g)
+            cmat = _int_mat(n, g, [(i, k, x) for k, ck in enumerate(support) for i, x in ck])
             dec = smith_normal_form(INTEGERS, cmat, with_u=False, with_v=False)
             if dec.unit_count != g:
                 raise SchemaError(
@@ -285,11 +311,9 @@ class TwoKnotModel:
 
 def antidiagonal_columns(ring, n: int) -> Mat:
     """The 2n x n matrix with columns (e_i, -e_i): it spans { (x, -x) } in a double."""
-    rows = [[ring.zero] * n for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][i] = ring.one
-        rows[n + i][i] = -ring.one
-    return Mat(rows, n)
+    minus_one = -ring.one
+    lines = tuple([((i, ring.one),) for i in range(n)] + [((i, minus_one),) for i in range(n)])
+    return _mat(ring.zero, lines, n)
 
 
 def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:

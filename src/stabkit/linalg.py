@@ -1,8 +1,14 @@
 """Matrices and Smith normal form over the Euclidean domains in `rings`.
 
-Matrices are immutable tuples of row tuples; every algorithm takes the ring
-descriptor explicitly so the same code serves Z, Q[t^±1] and Z[w].  Entries
-do their own arithmetic; the descriptor supplies zero, one, sizes and units.
+A matrix stores only its nonzeros: each row is a tuple of (column, value)
+pairs in column order.  Connected sums make most matrices here
+block-diagonal with a few percent nonzeros, so every operation below costs
+what the nonzeros cost, not rows x columns: stacking and block sums shift
+column indices, products multiply nonzero by nonzero, and the dense `rows`
+view is built only for the callers that print or compare entries.  Every
+algorithm takes the ring descriptor explicitly so the same code serves Z,
+Q[t^±1] and Z[w].  Entries do their own arithmetic and are false exactly
+when zero; the descriptor supplies zero, one, sizes and units.
 
 The Smith pass is the classic elimination: pick the smallest-size nonzero
 entry as pivot (ties broken by row-then-column position, so output is
@@ -13,16 +19,18 @@ accumulated from elementary operations only, so their determinants are units.
 
 Direct sums make most large inputs block-diagonal up to a permutation of rows
 and columns, so `smith_normal_form` first splits the matrix into the connected
-components of its nonzero pattern (union-find on rows and columns) and runs
-the elimination on each block; equal blocks are reduced once per call.  The
-block results are assembled as permuted block-diagonal U and V.  The
-concatenated diagonal is not yet a divisibility chain (diag(2, 3) has
-invariant factors (1, 6)), so after the units, which go first, the nonunit
-entries are merged pairwise by diag(a, b) ~ diag(gcd, lcm) with the unimodular
-2x2 moves of `_gcd_lcm_move` (Cohen, A Course in Computational Algebraic
-Number Theory, GTM 138, section 2.4).  Zero rows and columns add identity rows
-to U and kernel columns to V; the merge never touches those columns, so the
-kernel of M is the per-block kernels embedded at their columns.
+components of its nonzero pattern (union-find over the stored nonzeros) and
+runs the elimination, densely, on each block; equal blocks are reduced once
+per call.  The block results are embedded as sparse lines of permuted
+block-diagonal U and V.  The concatenated diagonal is not yet a divisibility
+chain (diag(2, 3) has invariant factors (1, 6)), so after the units, which go
+first, the nonunit entries are merged pairwise by diag(a, b) ~ diag(gcd, lcm)
+with the unimodular 2x2 moves of `_gcd_lcm_move` (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, section 2.4); each move
+combines two sparse lines over the union of their supports.  Zero rows and
+columns add identity rows to U and kernel columns to V; the merge never
+touches those columns, so the kernel of M is the per-block kernels embedded
+at their columns.
 
 A decomposition carries the diagonal, not D: D is that diagonal on a zero
 matrix of M's shape, and no caller reads the rest of it.  There is no solver
@@ -46,9 +54,14 @@ class SmithCancelled(Exception):
 
 
 class Mat:
-    """An immutable nrows x ncols matrix; ncols survives even with no rows."""
+    """An immutable nrows x ncols matrix, stored as the nonzeros of each row.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    `lines[i]` holds row i's nonzero entries as (column, value) pairs in
+    increasing column order.  `rows` is the dense view, built on first use
+    with `zero` in the gaps; ncols survives even with no rows.
+    """
+
+    __slots__ = ("lines", "nrows", "ncols", "zero", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[object]], ncols: Optional[int] = None):
         rs = tuple(tuple(r) for r in rows)
@@ -61,34 +74,72 @@ class Mat:
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "nrows", len(rs))
-        object.__setattr__(self, "ncols", ncols)
+        lines = tuple(tuple([(j, x) for j, x in enumerate(r) if x]) for r in rs)
+        _fill(self, lines, ncols, rs[0][0] - rs[0][0] if rs and ncols else None, rs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, as a tuple of tuples."""
+        if self._rows is None:
+            dense = []
+            for line in self.lines:
+                row = [self.zero] * self.ncols
+                for j, x in line:
+                    row[j] = x
+                dense.append(tuple(row))
+            _set_rows(self, tuple(dense))
+        return self._rows
+
     @classmethod
     def identity(cls, ring, n: int) -> "Mat":
-        return cls(
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)], n
-        )
+        return _mat(ring.zero, tuple([((i, ring.one),) for i in range(n)]), n)
 
     def map_entries(self, fn: Callable[[object], object]) -> "Mat":
-        return Mat([[fn(x) for x in row] for row in self.rows], self.ncols)
+        """fn applied to every nonzero entry; entries it sends to zero drop out.
+
+        fn is additive (a ring map or a multiplication), so fn(zero) is the
+        zero of the new entries.
+        """
+        lines = tuple(
+            tuple([(j, y) for j, y in [(j, fn(x)) for j, x in line] if y]) for line in self.lines
+        )
+        return _mat(None if self.zero is None else fn(self.zero), lines, self.ncols)
 
     def split_rows(self, k: int) -> tuple["Mat", "Mat"]:
         """The first k rows and the remaining rows, as two matrices."""
-        return Mat(self.rows[:k], self.ncols), Mat(self.rows[k:], self.ncols)
+        zero, lines, ncols = self.zero, self.lines, self.ncols
+        return _mat(zero, lines[:k], ncols), _mat(zero, lines[k:], ncols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self.rows == other.rows and self.ncols == other.ncols
+        return isinstance(other, Mat) and self.lines == other.lines and self.ncols == other.ncols
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
+        return hash((self.lines, self.ncols))
 
     def __repr__(self) -> str:
         return f"Mat({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
+
+
+_SETTERS = tuple(getattr(Mat, name).__set__ for name in Mat.__slots__)
+_set_rows = _SETTERS[-1]
+
+
+def _fill(m: Mat, lines: tuple, ncols: int, zero, rows: Optional[tuple]) -> None:
+    for setter, value in zip(_SETTERS, (lines, len(lines), ncols, zero, rows)):
+        setter(m, value)
+
+
+def _mat(zero, lines: tuple, ncols: int) -> Mat:
+    """Trusted constructor: `lines` is a tuple of lines as `Mat.lines` holds them.
+
+    `zero` is the ring's zero, for the dense view.
+    """
+    m = object.__new__(Mat)
+    _fill(m, lines, ncols, zero, None)
+    return m
 
 
 def hstack(*mats: Mat) -> Mat:
@@ -97,42 +148,39 @@ def hstack(*mats: Mat) -> Mat:
     n = mats[0].nrows
     if any(m.nrows != n for m in mats):
         raise ValueError("hstack: row counts differ")
-    ncols = sum(m.ncols for m in mats)
-    return Mat([sum((list(m.rows[i]) for m in mats), []) for i in range(n)], ncols)
+    offsets, ncols = [], 0
+    for m in mats:
+        offsets.append(ncols)
+        ncols += m.ncols
+    lines = tuple(
+        tuple([(j + off, x) for m, off in zip(mats, offsets) for j, x in m.lines[i]])
+        for i in range(n)
+    )
+    return _mat(next((m.zero for m in mats if m.zero is not None), None), lines, ncols)
 
 
 def block_diag(ring, *mats: Mat) -> Mat:
-    nrows = sum(m.nrows for m in mats)
-    ncols = sum(m.ncols for m in mats)
-    out = [[ring.zero] * ncols for _ in range(nrows)]
-    r0 = c0 = 0
+    lines: list = []
+    c0 = 0
     for m in mats:
-        for i in range(m.nrows):
-            row = out[r0 + i]
-            for j in range(m.ncols):
-                row[c0 + j] = m.rows[i][j]
-        r0 += m.nrows
+        lines += m.lines if c0 == 0 else [tuple([(j + c0, x) for j, x in ln]) for ln in m.lines]
         c0 += m.ncols
-    return Mat(out, ncols)
+    return _mat(ring.zero, tuple(lines), c0)
 
 
 def mat_mul(ring, a: Mat, b: Mat) -> Mat:
+    """a @ b from nonzero products; each entry adds its terms in the order of the inner index."""
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
+    blines = b.lines
     out = []
-    for i in range(a.nrows):
-        arow = a.rows[i]
-        orow = []
-        for j in range(b.ncols):
-            acc = ring.zero
-            for k in range(a.ncols):
-                x = arow[k]
-                if ring.is_zero(x):
-                    continue
-                acc = acc + x * b.rows[k][j]
-            orow.append(acc)
-        out.append(orow)
-    return Mat(out, b.ncols)
+    for line in a.lines:
+        acc: dict = {}
+        for k, x in line:
+            for j, y in blines[k]:
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple([(j, acc[j]) for j in sorted(acc) if acc[j]]))
+    return _mat(ring.zero, tuple(out), b.ncols)
 
 
 @dataclass(frozen=True)
@@ -164,11 +212,15 @@ def _smith_block(
     """The elimination on one connected block; only `smith_normal_form` calls it.
 
     Returns (pivots, U rows, V columns): the nonzero diagonal entries in
-    order, and the transforms as lists of lines (None when not accumulated).
-    V is kept by columns, so a column operation is a line operation on it.
+    order, and the transforms as lists of dense lines (None when not
+    accumulated).  V is kept by columns, so a column operation is a line
+    operation on it.
     """
     R, C = m.nrows, m.ncols
-    d = [list(row) for row in m.rows]
+    d = [[ring.zero] * C for _ in range(R)]
+    for row, line in zip(d, m.lines):
+        for j, x in line:
+            row[j] = x
     u = [[ring.one if i == j else ring.zero for j in range(R)] for i in range(R)] if with_u else None
     vt = [[ring.one if i == j else ring.zero for j in range(C)] for i in range(C)] if with_v else None
 
@@ -294,7 +346,7 @@ def _smith_block(
     return tuple(d[i][i] for i in range(s)), u, vt
 
 
-def _split_blocks(ring, m: Mat):
+def _split_blocks(m: Mat):
     """Connected components of the nonzero pattern, rows joined to columns by union-find.
 
     Each block is (rows, cols) in increasing index order; a zero row is a 1x0
@@ -302,7 +354,7 @@ def _split_blocks(ring, m: Mat):
     their first row, then the zero columns.
     """
     R = m.nrows
-    parent = list(range(R + m.ncols))
+    parent = list(range(R + m.ncols))  # a root is the least index of its component
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -310,16 +362,19 @@ def _split_blocks(ring, m: Mat):
             x = parent[x]
         return x
 
-    zero, is_zero = ring.zero, ring.is_zero
-    for i, row in enumerate(m.rows):
-        for j, x in enumerate(row):
-            if x is not zero and not is_zero(x):  # most zeros are the ring's own
-                a, b = find(i), find(R + j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+    for i, line in enumerate(m.lines):
+        a = find(i)
+        for j, _ in line:
+            b = find(R + j)
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = a = b
     comps: dict = {}
     for k in range(len(parent)):
-        rows, cols = comps.setdefault(find(k), ([], []))
+        # parent[k] <= k, and every smaller index already points at its root
+        root = parent[k] = parent[parent[k]]
+        rows, cols = comps.setdefault(root, ([], []))
         if k < R:
             rows.append(k)
         else:
@@ -344,14 +399,29 @@ def _gcd_lcm_move(ring, a, b):
     return g, lcm, ((s, t), (-(inv * bg), inv * ag)), ((ring.one, ring.one), (-(t * bg), s * ag))
 
 
-def _combine(ring, lines: list, i: int, j: int, coeffs) -> None:
-    """Replace lines i, j by the given combinations; positions zero in both stay alone."""
-    zero = ring.is_zero
-    xs, ys = lines[i], lines[j]
-    lines[i], lines[j] = [
-        [x if zero(x) and zero(y) else a * x + b * y for x, y in zip(xs, ys)]
-        for a, b in coeffs
-    ]
+def _combine(zero, lines: list, i: int, j: int, coeffs) -> None:
+    """Replace sparse lines i, j by the given combinations, over the union of their supports."""
+    xs, ys = dict(lines[i]), dict(lines[j])
+    support = sorted(xs.keys() | ys.keys())
+    out = []
+    for a, b in coeffs:
+        line = []
+        for k in support:
+            z = a * xs.get(k, zero) + b * ys.get(k, zero)
+            if z:
+                line.append((k, z))
+        out.append(tuple(line))
+    lines[i], lines[j] = out
+
+
+def _sparse(lines: list) -> list:
+    """Dense lines as (index, value) pairs of their nonzeros."""
+    return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
+
+
+def _embed(at: list, line: tuple) -> tuple:
+    """A block-local sparse line with its indices moved to the positions `at`."""
+    return tuple([(at[k], x) for k, x in line])
 
 
 def smith_normal_form(
@@ -362,32 +432,32 @@ def smith_normal_form(
     cancel: Optional[Callable[[], bool]] = None,
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
-    blocks = _split_blocks(ring, m)
-    reduced: dict = {}  # block rows -> (pivots, U rows, V columns)
+    zero = ring.zero
+    local = [0] * C  # a column's index inside its block
+    reduced: dict = {}  # block lines -> (pivots, U rows, V columns), sparse and block-local
     units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
     u_rest, v_rest = [], []
 
-    def embed(n: int, at: list, values) -> list:
-        out = [ring.zero] * n
-        for k, x in zip(at, values):
-            out[k] = x
-        return out
-
-    for rows, cols in blocks:
-        key = tuple(tuple(m.rows[i][j] for j in cols) for i in rows)
+    for rows, cols in _split_blocks(m):
+        for p, j in enumerate(cols):
+            local[j] = p
+        key = tuple(tuple([(local[j], x) for j, x in m.lines[i]]) for i in rows)
         if key not in reduced:  # rows fix the width: a block without rows is one zero column
-            reduced[key] = _smith_block(ring, Mat(key, len(cols)), with_u, with_v, cancel)
+            pivots, bu, bvt = _smith_block(ring, _mat(zero, key, len(cols)), with_u, with_v, cancel)
+            reduced[key] = (
+                pivots, _sparse(bu) if with_u else None, _sparse(bvt) if with_v else None
+            )
         pivots, bu, bvt = reduced[key]
         for p, x in enumerate(pivots):
             (units if ring.is_unit(x) else nonunits).append((
                 x,
-                embed(R, rows, bu[p]) if with_u else None,
-                embed(C, cols, bvt[p]) if with_v else None,
+                _embed(rows, bu[p]) if with_u else None,
+                _embed(cols, bvt[p]) if with_v else None,
             ))
         if with_u:
-            u_rest += [embed(R, rows, line) for line in bu[len(pivots):]]
+            u_rest += [_embed(rows, line) for line in bu[len(pivots):]]
         if with_v:
-            v_rest += [embed(C, cols, line) for line in bvt[len(pivots):]]
+            v_rest += [_embed(cols, line) for line in bvt[len(pivots):]]
 
     slots = units + nonunits
     diag = [x for x, _, _ in slots]
@@ -398,7 +468,7 @@ def smith_normal_form(
     for i in range(len(units), len(diag)):
         for j in range(i + 1, len(diag)):
             pair = diag[i], diag[j]
-            if pair[0] == pair[1]:
+            if pair[0] is pair[1] or pair[0] == pair[1]:  # equal blocks share their pivots
                 continue
             if pair not in moves:
                 moves[pair] = _gcd_lcm_move(ring, *pair)
@@ -406,14 +476,21 @@ def smith_normal_form(
                 continue
             diag[i], diag[j], u_move, v_move = moves[pair]
             if with_u:
-                _combine(ring, u, i, j, u_move)
+                _combine(zero, u, i, j, u_move)
             if with_v:
-                _combine(ring, vt, i, j, v_move)
+                _combine(zero, vt, i, j, v_move)
 
-    diagonal = tuple(diag) + (ring.zero,) * (min(R, C) - len(diag))
+    v = None
+    if with_v:
+        v_rows: list = [[] for _ in range(C)]
+        for j, col in enumerate(vt):
+            for i, x in col:
+                v_rows[i].append((j, x))
+        v = _mat(zero, tuple(map(tuple, v_rows)), C)
+    diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
-        u=Mat(u, R) if with_u else None,
-        v=Mat(zip(*vt), C) if with_v else None,
+        u=_mat(zero, tuple(u), R) if with_u else None,
+        v=v,
         diagonal=diagonal,
         rank=len(diag),
         unit_count=sum(1 for x in diagonal if ring.is_unit(x)),
@@ -424,4 +501,6 @@ def smith_normal_form(
 def kernel_basis(ring, m: Mat) -> Mat:
     """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID."""
     dec = smith_normal_form(ring, m, with_u=False, with_v=True)
-    return Mat([row[dec.rank:] for row in dec.v.rows], m.ncols - dec.rank)
+    r = dec.rank
+    lines = tuple(tuple([(j - r, x) for j, x in line if j >= r]) for line in dec.v.lines)
+    return _mat(ring.zero, lines, m.ncols - r)

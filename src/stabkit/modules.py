@@ -27,10 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .linalg import (
     Mat,
     SmithDecomposition,
+    _mat,
     block_diag,
     hstack,
     kernel_basis,
@@ -96,24 +98,17 @@ class PresentedModule:
         """(free rank, torsion invariant factors): a complete isomorphism invariant."""
         return (self.free_rank, self.torsion_invariants)
 
-    def zero_submodule(self) -> "Submodule":
-        return Submodule(self, Mat([() for _ in range(self.ngens)], 0))
-
     def quotient_by(self, cols: Mat) -> "PresentedModule":
         """This module modulo the span of the given ambient coordinate columns."""
         return PresentedModule(self.ring_tag, self.ngens, hstack(self.relations, cols))
 
     def submodule_from_int_columns(self, columns) -> "Submodule":
         ring = self.ring
-        zero = ring.zero
-        gens = Mat(
-            [
-                [ring.from_int(col[i]) if col[i] else zero for col in columns]
-                for i in range(self.ngens)
-            ],
-            len(columns),
-        )
-        return Submodule(self, gens)
+        lines: list = [[] for _ in range(self.ngens)]
+        for k, col in enumerate(columns):
+            for i in compress(range(self.ngens), col):
+                lines[i].append((k, ring.from_int(col[i])))
+        return Submodule(self, _mat(ring.zero, tuple(map(tuple, lines)), len(columns)))
 
 
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule) -> bool:

@@ -3,7 +3,8 @@
 Every ring here is a Euclidean domain with an explicit division step, so
 Smith normal form and gcd computations terminate with exact results.  Ring
 elements do their own arithmetic through Python operators (`+`, `-`, `*`,
-`==`, builtin `divmod`, `str`); a ring descriptor (`INTEGERS`, `LAURENT`,
+`==`, builtin `divmod`, `str`) and, like `int`, are false exactly when zero,
+so sparse code tests an entry with `if x`; a ring descriptor (`INTEGERS`, `LAURENT`,
 `EISENSTEIN`) holds only the Euclidean structure that the generic matrix
 algorithms need: zero and one, the zero test, the Euclidean size, the units
 and the canonical associates.  No floating point is used anywhere: a float
@@ -172,6 +173,9 @@ class LaurentPolyQ:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     def min_exp(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no exponents")
@@ -335,6 +339,9 @@ class EisensteinInt:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
 
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stabkit
 from stabkit import cli
-from stabkit.catalog import entry_from_json_dict, load_catalog
+from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError
 
@@ -479,6 +483,33 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    """One process running several commands prints what fresh processes print."""
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(CUSTOM_ENTRY))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(stabkit.__file__).resolve().parents[1]))
+    codes = []
+    for argv in (
+        ["--catalog", str(path), "kernels", "custom"],
+        ["kernels", "9_46"],
+        ["bound", "d3", "--knot", "9_46"],
+        ["--json", "alexander", "9_46"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "stabkit.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(fresh.returncode)
+    assert codes == [0, 0, 2, 0]
+    first = builtin_catalog()
+    assert "custom" not in first
+    first["custom"] = first.pop("9_46")
+    assert builtin_catalog() is not first
+    assert sorted(builtin_catalog()) == ["6_1", "9_46", "unknot"]
 
 
 def test_readme_outputs_match_recorded_digests(capsys):

@@ -36,6 +36,7 @@ from stabkit.modules import (
     Submodule,
     direct_sum,
     modules_isomorphic,
+    relative_quotients,
     submodule_intersection,
 )
 from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ, associates
@@ -413,16 +414,25 @@ def _dense_curve_class(v, c) -> tuple:
     return tuple(sum(v[i][j] * c[i] for i in range(n)) for j in range(n))
 
 
-def _dense_framing_error(v, curves):
-    """The first nonzero c_i^T(V+V^T)c_j in (i, j) scan order, as the disc reports it."""
+def _dense_framing_failure(v, curves):
+    """The first (i, j, c_i^T(V+V^T)c_j) that is nonzero, in (i, j) scan order, or None."""
     n = len(v)
     sym = [[v[i][j] + v[j][i] for j in range(n)] for i in range(n)]
     for i, ci in enumerate(curves):
         for j, cj in enumerate(curves):
             val = sum(ci[k] * sym[k][l] * cj[l] for k in range(n) for l in range(n))
             if val != 0:
-                return f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})"
+                return i, j, val
     return None
+
+
+def _dense_framing_error(v, curves):
+    """The first framing failure as the disc reports it, or None."""
+    failure = _dense_framing_failure(v, curves)
+    if failure is None:
+        return None
+    i, j, val = failure
+    return f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})"
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -448,6 +458,63 @@ def test_sparse_curve_checks_match_dense_formulas(catalog, seed):
     with pytest.raises(SchemaError, match="0-framed") as exc:
         SurgeryDisc.from_rows(disc.knot, "d", curves)
     assert error in str(exc.value)
+
+
+def _random_curve_set(rng, disc) -> list:
+    """The disc's curves, perturbed in a few coordinates, replaced at random, or kept."""
+    n = 2 * disc.knot.genus
+    curves = [list(c) for c in disc.curves]
+    mode = rng.choice(["perturb", "perturb", "random", "keep"])
+    if mode == "random":
+        return [[rng.choice((0, 0, 0, rng.randint(-2, 2))) for _ in range(n)] for _ in curves]
+    if mode == "perturb":
+        for r in rng.sample(range(len(curves)), rng.randint(1, 2)):
+            for k in rng.sample(range(n), rng.randint(1, 2)):
+                curves[r][k] += rng.choice([-1, 1])
+    return curves
+
+
+def test_indexed_framing_check_matches_dense_double_loop(catalog):
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(80):
+        entries = [catalog[rng.choice(["9_46", "6_1"])] for _ in range(rng.randint(2, 6))]
+        disc = boundary_connect_sum(*(e.disc(rng.choice(sorted(e.discs))) for e in entries))
+        curves = _random_curve_set(rng, disc)
+        failure = _dense_framing_failure(disc.knot.seifert, curves)
+        try:
+            SurgeryDisc.from_rows(disc.knot, "d", curves)
+            raised = None
+        except SchemaError as exc:
+            raised = exc
+        if failure is None:
+            kinds.add("none")
+            assert raised is None or raised.invariant == "curves not a direct summand"
+            continue
+        i, j, val = failure
+        kinds.add("diagonal" if i == j else "off-diagonal")
+        assert raised is not None and raised.invariant == "curves not 0-framed"
+        assert raised.detail == f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})"
+    assert kinds == {"none", "diagonal", "off-diagonal"}
+
+
+def test_sum_pipeline_builds_no_dense_rows(monkeypatch, k946):
+    def dense_rows(self):
+        raise AssertionError("a dense view of a sparse matrix was built")
+
+    monkeypatch.setattr(Mat, "rows", property(dense_rows))
+    knot = connected_sum(*[k946.knot] * 64)  # validates V - V^T by SNF
+    left = boundary_connect_sum(*[k946.disc("left")] * 64)  # validates the curves
+    right = boundary_connect_sum(*[k946.disc("right")] * 64)
+    ambient = alexander_module_Q(knot)
+    dec = linalg.smith_normal_form(LAURENT, ambient.relations)
+    assert (dec.u.nrows, dec.v.ncols, dec.rank) == (128, 128, 128)
+    k1, k2 = disc_kernel_Q(left, ambient), disc_kernel_Q(right, ambient)
+    kern = linalg.kernel_basis(LAURENT, linalg.hstack(k1.generators, ambient.relations))
+    assert (kern.nrows, kern.ncols) == (64 + 128, 64)
+    q12, q21 = relative_quotients(k1, k2)
+    assert (q12.generating_rank, q21.generating_rank) == (64, 64)
+    assert submodule_intersection(k1, k2).is_zero()
 
 
 def test_presentation_of_sum_is_block_diagonal_with_shared_zeros(k946, k61):

@@ -17,7 +17,14 @@ from stabkit.linalg import (
     smith_normal_form,
 )
 from stabkit.modules import PresentedModule, Submodule
-from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
+from stabkit.rings import (
+    EISENSTEIN,
+    INTEGERS,
+    LAURENT,
+    EisensteinInt,
+    LaurentPolyQ,
+    specialize_t,
+)
 
 
 def test_mat_shapes_and_zero_width():
@@ -26,6 +33,55 @@ def test_mat_shapes_and_zero_width():
     empty = Mat([(), ()], 0)
     assert (empty.nrows, empty.ncols) == (2, 0)
     assert hstack(m, empty).ncols == 2
+
+
+# three nonzero entries per ring, so a shape can be filled all-nonzero
+_NONZERO = {
+    INTEGERS.tag: (2, -1, 7),
+    LAURENT.tag: (LaurentPolyQ.parse("1 + t"), LaurentPolyQ.parse("t^-1"), LAURENT.one),
+    EISENSTEIN.tag: (EisensteinInt(1, 1), EisensteinInt(0, -2), EisensteinInt(3, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "ring", [INTEGERS, LAURENT, EISENSTEIN], ids=["integers", "laurent", "eisenstein"]
+)
+@pytest.mark.parametrize("shape", ["0x3", "3x0", "zero", "full", "mixed"])
+def test_dense_sparse_round_trip(ring, shape):
+    a, b, c = _NONZERO[ring.tag]
+    z = ring.zero
+    rows = {
+        "0x3": [],
+        "3x0": [(), (), ()],
+        "zero": [(z, z, z), (z, z, z)],
+        "full": [(a, b, c), (c, a, b)],
+        "mixed": [(z, a, z), (b, z, z), (z, z, z), (z, c, a)],
+    }[shape]
+    ncols = 3 if shape == "0x3" else len(rows[0])
+    dense = Mat(rows, ncols)
+    assert dense.lines == tuple(
+        tuple((j, x) for j, x in enumerate(row) if not ring.is_zero(x)) for row in rows
+    )
+    sparse = linalg._mat(ring.zero, dense.lines, ncols)
+    assert sparse.rows == tuple(tuple(row) for row in rows)
+    assert all(x is ring.zero for row in sparse.rows for x in row if ring.is_zero(x))
+    for other in (sparse, Mat(sparse.rows, ncols), block_diag(ring, dense), hstack(dense)):
+        assert other == dense and hash(other) == hash(dense)
+        assert (other.nrows, other.ncols) == (len(rows), ncols)
+    if shape in ("full", "mixed"):
+        changed = Mat([row[:-1] + (a,) for row in rows], ncols)
+        assert changed != dense
+    assert Mat(rows, ncols) != Mat([(z,) * (ncols + 1)] * len(rows), ncols + 1)
+
+
+def test_map_entries_drops_entries_sent_to_zero():
+    one_plus_t = LaurentPolyQ.parse("1 + t")
+    m = Mat([[one_plus_t, LaurentPolyQ.parse("2 + t")], [LAURENT.zero, one_plus_t]], 2)
+    at_minus_one = m.map_entries(lambda p: specialize_t(p, "minus_one"))
+    assert at_minus_one.lines == (((1, 1),), ())
+    assert at_minus_one.rows == ((0, 1), (0, 0))
+    assert at_minus_one == Mat([[0, 1], [0, 0]])
+    assert m.map_entries(lambda p: p * LAURENT.zero) == Mat([[LAURENT.zero] * 2] * 2)
 
 
 def test_mat_is_immutable():
