@@ -118,8 +118,11 @@ def knot_of_leaves(leaves: list):
     return connected_sum(*(e.knot for e in leaves))
 
 
-def resolve_disc_spec(leaves: list, spec: str) -> SurgeryDisc:
-    """left | left^3 | left+right: one disc name per summand, then sum."""
+def resolve_disc_spec(leaves: list, spec: str, knot) -> SurgeryDisc:
+    """left | left^3 | left+right: one disc name per summand, then sum.
+
+    `knot` is `knot_of_leaves(leaves)`, built once by the caller.
+    """
     spec = spec.strip()
     if "+" in spec:
         names = [p.strip() for p in spec.split("+")]
@@ -133,7 +136,7 @@ def resolve_disc_spec(leaves: list, spec: str) -> SurgeryDisc:
         raise UnknownReferenceError(
             f"disc spec {spec!r} names {len(names)} discs for {len(leaves)} summands"
         )
-    return boundary_connect_sum(*(e.disc(n) for e, n in zip(leaves, names)))
+    return boundary_connect_sum(*(e.disc(n) for e, n in zip(leaves, names)), knot=knot)
 
 
 def resolve_two_knot_ref(catalog: dict, ref: str) -> TwoKnotModel:
@@ -265,7 +268,7 @@ def cmd_kernels(args) -> int:
     if not specs:
         raise UnknownReferenceError("no discs given; use --discs")
     ambient = alexander_module_Q(knot)
-    discs = [resolve_disc_spec(leaves, s) for s in specs]
+    discs = [resolve_disc_spec(leaves, s, knot) for s in specs]
     kernels = [disc_kernel_Q(d, ambient) for d in discs]
     payload = {
         "knot": knot.name,
@@ -331,9 +334,8 @@ def cmd_bound(args) -> int:
         specs = _split_top(args.discs)
         if len(specs) != 2:
             raise UnknownReferenceError(f"--discs needs exactly two specs, got {len(specs)}")
-        scenario = DiscPairScenario(
-            knot, resolve_disc_spec(leaves, specs[0]), resolve_disc_spec(leaves, specs[1])
-        )
+        discs = [resolve_disc_spec(leaves, s, knot) for s in specs]
+        scenario = DiscPairScenario(knot, *discs)
     elif args.kind == "metabelian":
         if args.scenario_json:
             scenario = scenario_from_json(catalog, args.scenario_json)

@@ -230,12 +230,18 @@ def add_local_2knot(disc: SurgeryDisc) -> SurgeryDisc:
     return replace(disc, local_2knots=disc.local_2knots + 1)
 
 
-def boundary_connect_sum(*discs: SurgeryDisc) -> SurgeryDisc:
+def boundary_connect_sum(*discs: SurgeryDisc, knot: SeifertKnot = None) -> SurgeryDisc:
+    """The disc sum, a disc for the connected sum of the discs' knots in order.
+
+    A caller that already holds that connected sum passes it as `knot`, so it
+    is not built and validated again.
+    """
     if not discs:
         raise ValueError("boundary connect sum of nothing")
     if len(discs) == 1:
         return discs[0]
-    knot = connected_sum(*(d.knot for d in discs))
+    if knot is None:
+        knot = connected_sum(*(d.knot for d in discs))
     n = 2 * knot.genus
     curves: list[tuple] = []
     off = 0

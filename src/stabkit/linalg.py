@@ -18,19 +18,27 @@ each finished pivot to its canonical associate.  Transforms U and V are
 accumulated from elementary operations only, so their determinants are units.
 
 Direct sums make most large inputs block-diagonal up to a permutation of rows
-and columns, so `smith_normal_form` first splits the matrix into the connected
-components of its nonzero pattern (union-find over the stored nonzeros) and
-runs the elimination, densely, on each block; equal blocks are reduced once
-per call.  The block results are embedded as sparse lines of permuted
-block-diagonal U and V.  The concatenated diagonal is not yet a divisibility
-chain (diag(2, 3) has invariant factors (1, 6)), so after the units, which go
-first, the nonunit entries are merged pairwise by diag(a, b) ~ diag(gcd, lcm)
-with the unimodular 2x2 moves of `_gcd_lcm_move` (Cohen, A Course in
-Computational Algebraic Number Theory, GTM 138, section 2.4); each move
-combines two sparse lines over the union of their supports.  Zero rows and
-columns add identity rows to U and kernel columns to V; the merge never
-touches those columns, so the kernel of M is the per-block kernels embedded
-at their columns.
+and columns, so the elimination runs, densely, on each connected component
+of the nonzero pattern (union-find over the stored nonzeros), and equal
+blocks are reduced once per call (`_reduced_blocks`).  Both public entry
+points read the blocks and do only the work their callers use:
+
+* `kernel_basis` embeds each block's non-pivot V columns at the block's
+  columns, in block order.  Those columns span the kernel, and nothing is
+  merged.
+* The concatenated diagonal is not yet a divisibility chain (diag(2, 3) has
+  invariant factors (1, 6)).  Without transforms, which is how `modules` and
+  `knots` ask, units go first and each distinct nonunit value is inserted,
+  with its multiplicity, into the chain of invariant factors by a sorted
+  merge that holds prime by prime (`_chain_of_values`).  Its cost grows with
+  the distinct values, not with the number of entries.
+* Only a caller that asks for U or V gets the line moves: the nonunit entries
+  are merged pairwise by diag(a, b) ~ diag(gcd, lcm) with the unimodular 2x2
+  moves of `_gcd_lcm_move` (Cohen, A Course in Computational Algebraic Number
+  Theory, GTM 138, section 2.4).  Each move combines two sparse lines over
+  the union of their supports.  Zero rows and columns add identity rows to U
+  and kernel columns to V, and no move touches those, so the columns of V
+  from the rank on are exactly `kernel_basis`.
 
 A decomposition carries the diagonal, not D: D is that diagonal on a zero
 matrix of M's shape, and no caller reads the rest of it.  There is no solver
@@ -43,10 +51,11 @@ det(V - V^T) of a Seifert matrix this way.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .rings import euclid_xgcd
+from .rings import euclid_gcd, euclid_xgcd
 
 
 class SmithCancelled(Exception):
@@ -209,7 +218,7 @@ def _smith_block(
     with_v: bool,
     cancel: Optional[Callable[[], bool]],
 ) -> tuple:
-    """The elimination on one connected block; only `smith_normal_form` calls it.
+    """The elimination on one connected block; only `_reduced_blocks` calls it.
 
     Returns (pivots, U rows, V columns): the nonzero diagonal entries in
     order, and the transforms as lists of dense lines (None when not
@@ -424,20 +433,16 @@ def _embed(at: list, line: tuple) -> tuple:
     return tuple([(at[k], x) for k, x in line])
 
 
-def smith_normal_form(
-    ring,
-    m: Mat,
-    with_u: bool = True,
-    with_v: bool = True,
-    cancel: Optional[Callable[[], bool]] = None,
-) -> SmithDecomposition:
-    R, C = m.nrows, m.ncols
-    zero = ring.zero
-    local = [0] * C  # a column's index inside its block
-    reduced: dict = {}  # block lines -> (pivots, U rows, V columns), sparse and block-local
-    units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
-    u_rest, v_rest = [], []
+def _reduced_blocks(ring, m: Mat, with_u: bool, with_v: bool, cancel):
+    """Each connected block of m with its elimination, in `_split_blocks` order.
 
+    Yields (rows, cols, pivots, U rows, V columns), the transforms as sparse
+    block-local lines (None when not accumulated).  Equal blocks are reduced
+    once and share their result, pivot objects included.
+    """
+    zero = ring.zero
+    local = [0] * m.ncols  # a column's index inside its block
+    reduced: dict = {}  # block lines -> (pivots, U rows, V columns)
     for rows, cols in _split_blocks(m):
         for p, j in enumerate(cols):
             local[j] = p
@@ -447,7 +452,70 @@ def smith_normal_form(
             reduced[key] = (
                 pivots, _sparse(bu) if with_u else None, _sparse(bvt) if with_v else None
             )
-        pivots, bu, bvt = reduced[key]
+        yield (rows, cols) + reduced[key]
+
+
+def _chain_of_values(ring, blocks) -> list:
+    """The diagonal of the blocks' pivots, units first, then the invariant factors.
+
+    Each distinct nonunit x, with multiplicity k, is inserted into the chain
+    d_1 | ... | d_n built so far by e_i = lcm(d_{i-k}, gcd(d_i, x)), where
+    d_j = 1 for j <= 0 and gcd(d_j, x) = x for j > n.  Prime by prime this
+    merges k copies of x's valuation into a sorted list.  The chain is kept as
+    runs of equal values, and e_i is constant between the run ends of d and
+    those ends shifted by k, so an insertion costs the runs, not n.
+    """
+    units, counts = 0, {}
+    for _, _, pivots, _, _ in blocks:
+        for x in pivots:
+            if ring.is_unit(x):
+                units += 1
+            else:
+                counts[x] = counts.get(x, 0) + 1
+    gcds: dict = {}
+    lcms: dict = {}
+
+    def gcd(a, b):
+        if (a, b) not in gcds:
+            gcds[a, b] = euclid_gcd(ring, a, b)
+        return gcds[a, b]
+
+    def lcm(a, b):
+        if (a, b) not in lcms:
+            lcms[a, b] = ring.canonical(a * divmod(b, gcd(a, b))[0])[0]
+        return lcms[a, b]
+
+    runs: list = []  # [value, count] in chain order
+    for x, k in counts.items():
+        ends = [0]
+        for _, c in runs:
+            ends.append(ends[-1] + c)
+        n = ends[-1]
+        cuts = sorted(set(ends).union(e + k for e in ends))
+        out: list = []
+        for s, e in zip(cuts, cuts[1:]):
+            # positions s+1..e; read d at e and at e - k, which share their runs
+            hi = x if e > n else gcd(runs[bisect_left(ends, e) - 1][0], x)
+            y = hi if e - k <= 0 else lcm(runs[bisect_left(ends, e - k) - 1][0], hi)
+            if out and (out[-1][0] is y or out[-1][0] == y):
+                out[-1][1] += e - s
+            else:
+                out.append([y, e - s])
+        runs = out
+    return [ring.one] * units + [y for y, c in runs for _ in range(c)]
+
+
+def _chain_of_lines(ring, blocks, with_u: bool, with_v: bool) -> tuple:
+    """The diagonal with U and V: per-block lines, merged by unimodular moves.
+
+    Returns (diagonal, U lines, V columns).  After the units, which go first,
+    the nonunit entries are merged pairwise, diag(a, b) ~ diag(gcd, lcm),
+    until d_i | d_j for i < j; only the pivot lines move.
+    """
+    zero = ring.zero
+    units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
+    u_rest, v_rest = [], []
+    for rows, cols, pivots, bu, bvt in blocks:
         for p, x in enumerate(pivots):
             (units if ring.is_unit(x) else nonunits).append((
                 x,
@@ -463,7 +531,6 @@ def smith_normal_form(
     diag = [x for x, _, _ in slots]
     u = [row for _, row, _ in slots] + u_rest if with_u else None
     vt = [col for _, _, col in slots] + v_rest if with_v else None  # V by columns
-    # merge the per-block chains: (a, b) -> (gcd, lcm) until d_i | d_j for i < j
     moves: dict = {}
     for i in range(len(units), len(diag)):
         for j in range(i + 1, len(diag)):
@@ -479,18 +546,36 @@ def smith_normal_form(
                 _combine(zero, u, i, j, u_move)
             if with_v:
                 _combine(zero, vt, i, j, v_move)
+    return diag, u, vt
 
-    v = None
-    if with_v:
-        v_rows: list = [[] for _ in range(C)]
-        for j, col in enumerate(vt):
-            for i, x in col:
-                v_rows[i].append((j, x))
-        v = _mat(zero, tuple(map(tuple, v_rows)), C)
+
+def _by_rows(zero, columns: list, nrows: int) -> Mat:
+    """The matrix whose columns are the given sparse lines."""
+    rows: list = [[] for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col:
+            rows[i].append((j, x))
+    return _mat(zero, tuple(map(tuple, rows)), len(columns))
+
+
+def smith_normal_form(
+    ring,
+    m: Mat,
+    with_u: bool = True,
+    with_v: bool = True,
+    cancel: Optional[Callable[[], bool]] = None,
+) -> SmithDecomposition:
+    R, C = m.nrows, m.ncols
+    zero = ring.zero
+    blocks = _reduced_blocks(ring, m, with_u, with_v, cancel)
+    if with_u or with_v:
+        diag, u, vt = _chain_of_lines(ring, blocks, with_u, with_v)
+    else:
+        diag, u, vt = _chain_of_values(ring, blocks), None, None
     diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
         u=_mat(zero, tuple(u), R) if with_u else None,
-        v=v,
+        v=_by_rows(zero, vt, C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
         unit_count=sum(1 for x in diagonal if ring.is_unit(x)),
@@ -499,8 +584,13 @@ def smith_normal_form(
 
 
 def kernel_basis(ring, m: Mat) -> Mat:
-    """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID."""
-    dec = smith_normal_form(ring, m, with_u=False, with_v=True)
-    r = dec.rank
-    lines = tuple(tuple([(j - r, x) for j, x in line if j >= r]) for line in dec.v.lines)
-    return _mat(ring.zero, lines, m.ncols - r)
+    """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID.
+
+    They are each block's non-pivot V columns, embedded at the block's
+    columns, in block order: the V columns of rank and beyond in
+    `smith_normal_form`, which the diagonal merge never touches.
+    """
+    kernel = []
+    for _, cols, pivots, _, bvt in _reduced_blocks(ring, m, False, True, None):
+        kernel += [_embed(cols, line) for line in bvt[len(pivots):]]
+    return _by_rows(ring.zero, kernel, m.ncols)

@@ -102,6 +102,31 @@ def test_kernels_per_summand_discs(capsys):
     assert payload["kernels"][0]["generating_rank"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["bound", "d2", "--knot", "sum^24(9_46)", "--discs", "left^24,right^24"], 48),
+        (["kernels", "sum^4(9_46)", "--discs", "left^4,right^4,left+right+left+right"], 8),
+    ],
+    ids=["bound-d2", "kernels"],
+)
+def test_summed_knot_is_validated_once_per_request(capsys, monkeypatch, argv, size):
+    from stabkit.knots import SeifertKnot
+
+    builtin_catalog()  # the summands' own validations happen once per process
+    sizes = []
+    real = SeifertKnot.__post_init__
+
+    def counted(self):
+        sizes.append(len(self.seifert))
+        return real(self)
+
+    monkeypatch.setattr(SeifertKnot, "__post_init__", counted)
+    code, _, err = run(capsys, "--json", *argv)
+    assert code == 0 and err == ""
+    assert sizes == [size]
+
+
 @pytest.mark.parametrize("discs", ["left^4,right^4", "left^4,right^4,left+right+left+right"])
 def test_kernels_computes_one_kernel_per_disc_and_two_per_pair(capsys, monkeypatch, discs):
     # one kernel for both relative quotients and the intersection's generators,
@@ -125,8 +150,10 @@ def test_kernels_computes_one_kernel_per_disc_and_two_per_pair(capsys, monkeypat
 
     monkeypatch.setattr(modules, "kernel_basis", real)
     leaves = cli.resolve_knot_ref(cli.builtin_catalog(), "sum^4(9_46)")
-    ambient = alexander_module_Q(cli.knot_of_leaves(leaves))
-    kernels = [disc_kernel_Q(cli.resolve_disc_spec(leaves, s), ambient) for s in discs.split(",")]
+    knot = cli.knot_of_leaves(leaves)
+    ambient = alexander_module_Q(knot)
+    specs = discs.split(",")
+    kernels = [disc_kernel_Q(cli.resolve_disc_spec(leaves, s, knot), ambient) for s in specs]
     pairs = json.loads(out)["pairs"]
     want = [(i, j) for i in range(d) for j in range(i + 1, d)]
     for pair, (i, j) in zip(pairs, want):

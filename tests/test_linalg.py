@@ -303,11 +303,12 @@ def _random_eisenstein(rng):
 def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
     rng = random.Random(20261018)
     for _ in range(12):
-        blocks = []
-        for _ in range(rng.randint(1, 3)):
-            r, c = rng.randint(1, 3), rng.randint(1, 3)
-            blocks.append(Mat([[entry(rng) for _ in range(c)] for _ in range(r)], c))
-        blocks.append(blocks[0])  # equal blocks are reduced once
+        pool = []
+        for _ in range(3):
+            r, c = rng.randint(1, 2), rng.randint(1, 2)
+            pool.append(Mat([[entry(rng) for _ in range(c)] for _ in range(r)], c))
+        # up to 30 blocks from a pool of 3, so that blocks and diagonal values repeat
+        blocks = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
         whole = block_diag(ring, *blocks, Mat([[ring.zero]] * rng.randint(0, 1), 1))
         whole = _vstack(whole, Mat([[ring.zero] * whole.ncols] * rng.randint(0, 1), whole.ncols))
         row_order = rng.sample(range(whole.nrows), whole.nrows)
@@ -315,24 +316,68 @@ def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
         m = Mat([[whole.rows[i][j] for j in col_order] for i in row_order], whole.ncols)
 
         dec = smith_normal_form(ring, m)
-        assert dec.diagonal[: dec.rank] == _smith_block(ring, m, True, True, None)[0]
+        assert dec.diagonal[: dec.rank] == _smith_block(ring, m, False, False, None)[0]
         _check_decomposition(ring, m, dec)
+        # the diagonal-only merge by values agrees with the line moves
+        bare = smith_normal_form(ring, m, with_u=False, with_v=False)
+        assert (bare.diagonal, bare.rank, bare.unit_count, bare.invariant_factors) == (
+            dec.diagonal, dec.rank, dec.unit_count, dec.invariant_factors
+        )
+        # the block-wise kernel is the V tail of the full decomposition
         k = kernel_basis(ring, m)
-        assert k.ncols == m.ncols - dec.rank
+        r = dec.rank
+        assert k.lines == tuple(tuple([(j - r, x) for j, x in ln if j >= r]) for ln in dec.v.lines)
+        assert k.ncols == m.ncols - r
         assert all(ring.is_zero(x) for row in mat_mul(ring, m, k).rows for x in row)
 
 
-def test_kernel_basis_of_block_diagonal_is_one_snf_call(monkeypatch):
+def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch):
     calls = []
-    inner = linalg.smith_normal_form
+    inner = linalg._smith_block
 
-    def counted(*args, **kwargs):
-        calls.append(args[1].ncols)
-        return inner(*args, **kwargs)
+    def counted(*args):
+        calls.append((args[1].nrows, args[1].ncols))
+        return inner(*args)
 
-    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    monkeypatch.setattr(linalg, "_smith_block", counted)
     block = Mat([[2, 4, 1], [0, 6, 3]])
     m = block_diag(INTEGERS, block, Mat([[3, 0, 0]]), block)
     k = kernel_basis(INTEGERS, m)
-    assert calls == [m.ncols]
+    # one pass over the blocks: the repeated block and the two zero columns
+    # are reduced once each
+    assert calls == [(2, 3), (1, 1), (0, 1)]
     assert k.ncols == m.ncols - smith_normal_form(INTEGERS, m).rank
+
+
+def test_kernel_basis_makes_no_diagonal_moves(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel_basis merged the diagonal")
+
+    monkeypatch.setattr(linalg, "_gcd_lcm_move", refuse)
+    m = block_diag(INTEGERS, Mat([[2, 4]]), Mat([[3, 0]]), Mat([[5, 5, 5]]))
+    k = kernel_basis(INTEGERS, m)
+    assert k.rows == (
+        (-2, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1),
+        (0, -1, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+    )
+
+
+def test_diagonal_only_snf_costs_the_distinct_values(monkeypatch):
+    a, b = LaurentPolyQ.parse("2*t - 1"), LaurentPolyQ.parse("t - 2")
+    k = 256
+    m = block_diag(LAURENT, *[Mat([[x]]) for x in (a, b) * k])
+    calls = []
+    inner = LaurentPolyQ.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(LaurentPolyQ, "__eq__", counted)
+    dec = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
+    monkeypatch.setattr(LaurentPolyQ, "__eq__", inner)
+    lcm = LaurentPolyQ.parse("1 - 5/2*t + t^2")
+    assert dec.diagonal == (LAURENT.one,) * k + (lcm,) * k
+    assert (dec.unit_count, dec.invariant_factors) == (k, (lcm,) * k)
+    # linear in the entries; the pairwise merge compares about k^2 / 2 pairs
+    assert len(calls) <= 16 * 2 * k
