@@ -142,12 +142,14 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
 
 
 def read_json(path: str, what: str):
-    """Parse a UTF-8 JSON file; bad bytes or bad JSON raise SchemaError."""
+    """Parse a UTF-8 JSON file; bad bytes, bad JSON or too deep nesting raise SchemaError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
             raise SchemaError(f"{what} file is not valid JSON", str(e)) from e
+        except RecursionError as e:
+            raise SchemaError(f"{what} file nests too deeply", str(e)) from e
 
 
 def load_catalog(path: str) -> dict:

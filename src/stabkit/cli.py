@@ -31,6 +31,7 @@ import json
 import re
 import sys
 from functools import lru_cache
+from itertools import accumulate
 
 from . import __version__
 from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
@@ -65,6 +66,11 @@ _THMC = re.compile(r"^thmC\(g=(\d+)\)$")
 # reference exits 2 instead of building its summands.
 MAX_SUMMANDS = 256
 
+# The deepest parenthesis nesting a knot reference may have.  The resolver
+# recurses once per level; a deeper reference exits 2 instead of exhausting
+# the interpreter's default 1000-frame stack, which the caller shares.
+MAX_NESTING = 500
+
 
 def _within_limit(count: int, what: str, ref: str) -> int:
     if count > MAX_SUMMANDS:
@@ -97,18 +103,25 @@ def _split_top(text: str) -> list:
 
 def resolve_knot_ref(catalog: dict, ref: str) -> list:
     """A knot reference resolves to its list of catalog-entry summands."""
+    deepest = max(accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in ref), default=0)
+    if deepest > MAX_NESTING:
+        raise SchemaError("knot reference nests too deeply", f"{deepest} levels, over {MAX_NESTING}")
+    return _resolve_leaves(catalog, ref)
+
+
+def _resolve_leaves(catalog: dict, ref: str) -> list:
     ref = ref.strip()
     m = _SUM_POW.match(ref)
     if m:
         count = _repeat_count(m.group(1), "knot summands", ref)
         if count < 1:
             raise UnknownReferenceError(f"sum power must be >= 1 in {ref!r}")
-        return resolve_knot_ref(catalog, m.group(2)) * count
+        return _resolve_leaves(catalog, m.group(2)) * count
     m = _SUM.match(ref)
     if m:
         leaves = []
         for part in _split_top(m.group(1)):
-            leaves.extend(resolve_knot_ref(catalog, part))
+            leaves.extend(_resolve_leaves(catalog, part))
             _within_limit(len(leaves), "knot summands", ref)
         return leaves
     return [resolve_knot(catalog, ref)]

@@ -18,10 +18,10 @@ each finished pivot to its canonical associate.  Transforms U and V are
 accumulated from elementary operations only, so their determinants are units.
 
 Direct sums make most large inputs block-diagonal up to a permutation of rows
-and columns, so the elimination runs, densely, on each connected component
-of the nonzero pattern (union-find over the stored nonzeros), and equal
-blocks are reduced once per call (`_reduced_blocks`).  Both public entry
-points read the blocks and do only the work their callers use:
+and columns, so without transforms the elimination runs, densely, on each
+connected component of the nonzero pattern (union-find over the stored
+nonzeros), and equal blocks are reduced once per call (`_reduced_blocks`).
+Both block readers do only the work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
   columns, in block order.  Those columns span the kernel, and nothing is
@@ -32,13 +32,9 @@ points read the blocks and do only the work their callers use:
   with its multiplicity, into the chain of invariant factors by a sorted
   merge that holds prime by prime (`_chain_of_values`).  Its cost grows with
   the distinct values, not with the number of entries.
-* Only a caller that asks for U or V gets the line moves: the nonunit entries
-  are merged pairwise by diag(a, b) ~ diag(gcd, lcm) with the unimodular 2x2
-  moves of `_gcd_lcm_move` (Cohen, A Course in Computational Algebraic Number
-  Theory, GTM 138, section 2.4).  Each move combines two sparse lines over
-  the union of their supports.  Zero rows and columns add identity rows to U
-  and kernel columns to V, and no move touches those, so the columns of V
-  from the rank on are exactly `kernel_basis`.
+
+A caller that asks for U or V gets one elimination of the whole matrix,
+whose pivots already form the chain.
 
 A decomposition carries the diagonal, not D: D is that diagonal on a zero
 matrix of M's shape, and no caller reads the rest of it.  There is no solver
@@ -55,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .rings import euclid_gcd, euclid_xgcd
+from .rings import euclid_gcd
 
 
 class SmithCancelled(Exception):
@@ -218,12 +214,13 @@ def _smith_block(
     with_v: bool,
     cancel: Optional[Callable[[], bool]],
 ) -> tuple:
-    """The elimination on one connected block; only `_reduced_blocks` calls it.
+    """The dense elimination of m: one connected block, or the whole matrix for transforms.
 
     Returns (pivots, U rows, V columns): the nonzero diagonal entries in
     order, and the transforms as lists of dense lines (None when not
     accumulated).  V is kept by columns, so a column operation is a line
-    operation on it.
+    operation on it.  The divisibility patch makes the pivots a chain
+    d_1 | d_2 | ..., so units come first.
     """
     R, C = m.nrows, m.ncols
     d = [[ring.zero] * C for _ in range(R)]
@@ -391,68 +388,29 @@ def _split_blocks(m: Mat):
     return list(comps.values())
 
 
-def _gcd_lcm_move(ring, a, b):
-    """The unimodular move taking diag(a, b) to diag(gcd, lcm), or None if a | b.
-
-    With s*a + t*b = g, U' = [[s, t], [-b/g, a/g]] and V' = [[1, -t*b/g],
-    [1, s*a/g]] give U' diag(a, b) V' = diag(g, ab/g); the second row of U'
-    also carries the unit that makes the lcm canonical.  Each transform is
-    returned as the coefficients of (line i, line j) in the new lines i and j.
-    """
-    if ring.is_zero(divmod(b, a)[1]):
-        return None
-    g, s, t = euclid_xgcd(ring, a, b)
-    ag, bg = divmod(a, g)[0], divmod(b, g)[0]
-    lcm, unit = ring.canonical(a * bg)
-    inv = ring.inv_unit(unit)
-    return g, lcm, ((s, t), (-(inv * bg), inv * ag)), ((ring.one, ring.one), (-(t * bg), s * ag))
-
-
-def _combine(zero, lines: list, i: int, j: int, coeffs) -> None:
-    """Replace sparse lines i, j by the given combinations, over the union of their supports."""
-    xs, ys = dict(lines[i]), dict(lines[j])
-    support = sorted(xs.keys() | ys.keys())
-    out = []
-    for a, b in coeffs:
-        line = []
-        for k in support:
-            z = a * xs.get(k, zero) + b * ys.get(k, zero)
-            if z:
-                line.append((k, z))
-        out.append(tuple(line))
-    lines[i], lines[j] = out
-
-
 def _sparse(lines: list) -> list:
     """Dense lines as (index, value) pairs of their nonzeros."""
     return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
 
 
-def _embed(at: list, line: tuple) -> tuple:
-    """A block-local sparse line with its indices moved to the positions `at`."""
-    return tuple([(at[k], x) for k, x in line])
-
-
-def _reduced_blocks(ring, m: Mat, with_u: bool, with_v: bool, cancel):
+def _reduced_blocks(ring, m: Mat, with_v: bool, cancel):
     """Each connected block of m with its elimination, in `_split_blocks` order.
 
-    Yields (rows, cols, pivots, U rows, V columns), the transforms as sparse
-    block-local lines (None when not accumulated).  Equal blocks are reduced
-    once and share their result, pivot objects included.
+    Yields (cols, pivots, V columns), V as sparse block-local lines (None when
+    not accumulated).  Equal blocks are reduced once and share their result,
+    pivot objects included.
     """
     zero = ring.zero
     local = [0] * m.ncols  # a column's index inside its block
-    reduced: dict = {}  # block lines -> (pivots, U rows, V columns)
+    reduced: dict = {}  # block lines -> (pivots, V columns)
     for rows, cols in _split_blocks(m):
         for p, j in enumerate(cols):
             local[j] = p
         key = tuple(tuple([(local[j], x) for j, x in m.lines[i]]) for i in rows)
         if key not in reduced:  # rows fix the width: a block without rows is one zero column
-            pivots, bu, bvt = _smith_block(ring, _mat(zero, key, len(cols)), with_u, with_v, cancel)
-            reduced[key] = (
-                pivots, _sparse(bu) if with_u else None, _sparse(bvt) if with_v else None
-            )
-        yield (rows, cols) + reduced[key]
+            pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, with_v, cancel)
+            reduced[key] = pivots, _sparse(bvt) if with_v else None
+        yield (cols,) + reduced[key]
 
 
 def _chain_of_values(ring, blocks) -> list:
@@ -466,7 +424,7 @@ def _chain_of_values(ring, blocks) -> list:
     those ends shifted by k, so an insertion costs the runs, not n.
     """
     units, counts = 0, {}
-    for _, _, pivots, _, _ in blocks:
+    for _, pivots, _ in blocks:
         for x in pivots:
             if ring.is_unit(x):
                 units += 1
@@ -505,50 +463,6 @@ def _chain_of_values(ring, blocks) -> list:
     return [ring.one] * units + [y for y, c in runs for _ in range(c)]
 
 
-def _chain_of_lines(ring, blocks, with_u: bool, with_v: bool) -> tuple:
-    """The diagonal with U and V: per-block lines, merged by unimodular moves.
-
-    Returns (diagonal, U lines, V columns).  After the units, which go first,
-    the nonunit entries are merged pairwise, diag(a, b) ~ diag(gcd, lcm),
-    until d_i | d_j for i < j; only the pivot lines move.
-    """
-    zero = ring.zero
-    units, nonunits = [], []  # pivot slots: (value, U row, V column), embedded
-    u_rest, v_rest = [], []
-    for rows, cols, pivots, bu, bvt in blocks:
-        for p, x in enumerate(pivots):
-            (units if ring.is_unit(x) else nonunits).append((
-                x,
-                _embed(rows, bu[p]) if with_u else None,
-                _embed(cols, bvt[p]) if with_v else None,
-            ))
-        if with_u:
-            u_rest += [_embed(rows, line) for line in bu[len(pivots):]]
-        if with_v:
-            v_rest += [_embed(cols, line) for line in bvt[len(pivots):]]
-
-    slots = units + nonunits
-    diag = [x for x, _, _ in slots]
-    u = [row for _, row, _ in slots] + u_rest if with_u else None
-    vt = [col for _, _, col in slots] + v_rest if with_v else None  # V by columns
-    moves: dict = {}
-    for i in range(len(units), len(diag)):
-        for j in range(i + 1, len(diag)):
-            pair = diag[i], diag[j]
-            if pair[0] is pair[1] or pair[0] == pair[1]:  # equal blocks share their pivots
-                continue
-            if pair not in moves:
-                moves[pair] = _gcd_lcm_move(ring, *pair)
-            if moves[pair] is None:
-                continue
-            diag[i], diag[j], u_move, v_move = moves[pair]
-            if with_u:
-                _combine(zero, u, i, j, u_move)
-            if with_v:
-                _combine(zero, vt, i, j, v_move)
-    return diag, u, vt
-
-
 def _by_rows(zero, columns: list, nrows: int) -> Mat:
     """The matrix whose columns are the given sparse lines."""
     rows: list = [[] for _ in range(nrows)]
@@ -567,15 +481,14 @@ def smith_normal_form(
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
     zero = ring.zero
-    blocks = _reduced_blocks(ring, m, with_u, with_v, cancel)
     if with_u or with_v:
-        diag, u, vt = _chain_of_lines(ring, blocks, with_u, with_v)
+        diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
     else:
-        diag, u, vt = _chain_of_values(ring, blocks), None, None
+        diag, u, vt = _chain_of_values(ring, _reduced_blocks(ring, m, False, cancel)), None, None
     diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
-        u=_mat(zero, tuple(u), R) if with_u else None,
-        v=_by_rows(zero, vt, C) if with_v else None,
+        u=_mat(zero, tuple(_sparse(u)), R) if with_u else None,
+        v=_by_rows(zero, _sparse(vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
         unit_count=sum(1 for x in diagonal if ring.is_unit(x)),
@@ -587,10 +500,9 @@ def kernel_basis(ring, m: Mat) -> Mat:
     """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID.
 
     They are each block's non-pivot V columns, embedded at the block's
-    columns, in block order: the V columns of rank and beyond in
-    `smith_normal_form`, which the diagonal merge never touches.
+    columns, in block order.
     """
     kernel = []
-    for _, cols, pivots, _, bvt in _reduced_blocks(ring, m, False, True, None):
-        kernel += [_embed(cols, line) for line in bvt[len(pivots):]]
+    for cols, pivots, bvt in _reduced_blocks(ring, m, True, None):
+        kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(pivots):]]
     return _by_rows(ring.zero, kernel, m.ncols)

@@ -530,26 +530,11 @@ def associates(ring, x, y) -> bool:
     return canonical_associate(ring, x) == canonical_associate(ring, y)
 
 
-def euclid_xgcd(ring, a, b):
-    """Extended Euclid: returns (g, s, u) with g = s*a + u*b, g canonical.
-
-    gcd(0, 0) = 0 by convention.
-    """
-    r0, r1 = a, b
-    s0, s1 = ring.one, ring.zero
-    t0, t1 = ring.zero, ring.one
-    while not ring.is_zero(r1):
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    g, unit = ring.canonical(r0)
-    inv = ring.inv_unit(unit)
-    return g, inv * s0, inv * t0
-
-
 def euclid_gcd(ring, a, b):
-    return euclid_xgcd(ring, a, b)[0]
+    """Euclid's algorithm; the gcd is canonical, and gcd(0, 0) = 0 by convention."""
+    while not ring.is_zero(b):
+        a, b = b, divmod(a, b)[1]
+    return ring.canonical(a)[0]
 
 
 XI3 = "xi3"

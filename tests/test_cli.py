@@ -404,6 +404,32 @@ def test_unparseable_catalog_is_exit_2(capsys, tmp_path):
         assert "not valid JSON" in err and err.count("\n") == 1
 
 
+def test_deeply_nested_json_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for argv in (
+        ["--catalog", str(path), "alexander", "9_46"],
+        ["bound", "metabelian", "--scenario-json", str(path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nests too deeply" in err and err.count("\n") == 1, err
+
+
+def test_deeply_nested_knot_reference_is_exit_2(capsys):
+    def nested(depth):
+        return "sum(" * depth + "9_46" + ")" * depth
+
+    assert cli.MAX_NESTING == 500
+    for depth in (300, cli.MAX_NESTING):
+        code, out, _ = run(capsys, "--json", "alexander", nested(depth))
+        assert code == 0 and json.loads(out)["knot"] == "9_46"
+    for depth in (cli.MAX_NESTING + 1, 2000, 100000):
+        code, out, err = run(capsys, "alexander", nested(depth))
+        assert code == 2 and out == ""
+        assert "nests too deeply" in err and err.count("\n") == 1, err
+
+
 SCENARIO = {
     "base": "6_1",
     "base_disc": "gamma",
