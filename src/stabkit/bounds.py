@@ -204,7 +204,7 @@ def satellite_abelian_kernel_pair(s: SatelliteScenario):
     the base-disc surgery on every summand and the two kernels are equal.
     """
     base = alexander_module_Q(s.base_knot)
-    half = base.submodule_from_int_columns(s.base_disc.class_columns()).generators
+    half = disc_kernel_Q(s.base_disc, base).generators
     if s.copies == 0:
         ambient = PresentedModule(LAURENT.tag, 0, Mat([], 0))
         kernel = Submodule(ambient, Mat([], 0))

@@ -122,7 +122,7 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
             "curves must be integer column vectors",
             repr(curves),
         )
-        disc = SurgeryDisc(knot, dd["name"], tuple(tuple(c) for c in curves))
+        disc = SurgeryDisc(knot, dd["name"], curves)
         _require(dd["name"] not in discs, "duplicate disc name", dd["name"])
         discs[dd["name"]] = disc
     eta = data.get("eta_class")

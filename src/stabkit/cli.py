@@ -30,8 +30,8 @@ import argparse
 import json
 import re
 import sys
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
 
 from . import __version__
 from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
@@ -56,8 +56,7 @@ from . import propsuite
 
 # ---------------------------------------------------------------- references
 
-_SUM_POW = re.compile(r"^sum\^(\d+)\(([^()]+)\)$")
-_SUM = re.compile(r"^sum\((.*)\)$")
+_SUM_POW = re.compile(r"sum\^(\d+)\(([^()]+)\)")  # matched whole, against a stripped part
 _DOUBLE = re.compile(r"^double\((\w+)\.(\w+)\)(?:\^(\d+))?$")
 _THMC = re.compile(r"^thmC\(g=(\d+)\)$")
 
@@ -102,29 +101,61 @@ def _split_top(text: str) -> list:
 
 
 def resolve_knot_ref(catalog: dict, ref: str) -> list:
-    """A knot reference resolves to its list of catalog-entry summands."""
-    deepest = max(accumulate({"(": 1, ")": -1}.get(ch, 0) for ch in ref), default=0)
+    """A knot reference resolves to its list of catalog-entry summands.
+
+    One left-to-right pass finds the deepest nesting and files every comma
+    under the parenthesis depth it sits at.  A sum's parts are then cut at
+    the commas of one depth between its parentheses, found by bisection, so
+    no level rescans the text nested inside it.  Each part is read as the
+    whole reference is: stripped, then a power, a sum or a catalog id.
+    """
+    commas: dict = {}  # depth -> positions of the commas at that depth, in order
+    newlines = []
+    depth = deepest = 0
+    for i, ch in enumerate(ref):
+        if ch == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == ")":
+            depth -= 1
+        elif ch == ",":
+            commas.setdefault(depth, []).append(i)
+        elif ch == "\n":
+            newlines.append(i)
     if deepest > MAX_NESTING:
         raise SchemaError("knot reference nests too deeply", f"{deepest} levels, over {MAX_NESTING}")
-    return _resolve_leaves(catalog, ref)
+    leaves: list = []
 
+    def resolve(a: int, b: int, depth: int) -> None:
+        """Append the summands of ref[a:b], which starts at nesting `depth`."""
+        while a < b and ref[a].isspace():
+            a += 1
+        while b > a and ref[b - 1].isspace():
+            b -= 1
+        m = _SUM_POW.fullmatch(ref, a, b)
+        if m:
+            part = ref[a:b]
+            count = _repeat_count(m.group(1), "knot summands", part)
+            if count < 1:
+                raise UnknownReferenceError(f"sum power must be >= 1 in {part!r}")
+            leaves.extend([resolve_knot(catalog, m.group(2).strip())] * count)
+            return
+        is_sum = ref.startswith("sum(", a, b) and ref[b - 1] == ")"
+        inner = a + 4  # after "sum(", which raises the depth by one
+        if not is_sum or bisect_left(newlines, inner) < bisect_left(newlines, b - 1):
+            # not "sum(...)" without a newline inside the parentheses: a catalog id
+            leaves.append(resolve_knot(catalog, ref[a:b]))
+            return
+        cuts = commas.get(depth + 1, [])
+        cuts = cuts[bisect_left(cuts, inner) : bisect_left(cuts, b - 1)]
+        first = len(leaves)
+        for lo, hi in zip([inner] + [c + 1 for c in cuts], cuts + [b - 1]):
+            resolve(lo, hi, depth + 1)
+            if len(leaves) - first > MAX_SUMMANDS:
+                _within_limit(len(leaves) - first, "knot summands", ref[a:b])
 
-def _resolve_leaves(catalog: dict, ref: str) -> list:
-    ref = ref.strip()
-    m = _SUM_POW.match(ref)
-    if m:
-        count = _repeat_count(m.group(1), "knot summands", ref)
-        if count < 1:
-            raise UnknownReferenceError(f"sum power must be >= 1 in {ref!r}")
-        return _resolve_leaves(catalog, m.group(2)) * count
-    m = _SUM.match(ref)
-    if m:
-        leaves = []
-        for part in _split_top(m.group(1)):
-            leaves.extend(_resolve_leaves(catalog, part))
-            _within_limit(len(leaves), "knot summands", ref)
-        return leaves
-    return [resolve_knot(catalog, ref)]
+    resolve(0, len(ref), 0)
+    return leaves
 
 
 def knot_of_leaves(leaves: list):

@@ -11,11 +11,14 @@ kernel of inclusion into the disc exterior is the submodule those classes
 generate.  The branched double cover story is the same presentation at
 t = -1, i.e. coker(V + V^T) up to sign.
 
-Connected sums are block-diagonal and mostly zero, so no check here does
-dense arithmetic: every matrix is built from the nonzero entries of V and of
-the curves, det(V - V^T) is the product of its Smith diagonal, which reduces
-each distinct summand block once, and the 0-framing check pairs a curve only
-with the curves that share a coordinate with (V + V^T) times it.
+V and the curves are integer `linalg.Mat`s, which store only their nonzeros:
+V itself, and the 2g x g matrix C whose columns are the curves.  The
+constructors also take dense integer rows (catalog data, say) and convert
+them once; an entry whose type is not `int` raises TypeError.  Connected sums
+and boundary sums are then block sums, and every check costs what the
+nonzeros cost: det(V - V^T) is the product of its Smith diagonal, which
+reduces each distinct summand block once, the curve classes are the columns
+of V^T C, and the curves are 0-framed when C^T (V + V^T) C = 0.
 
 2-knots appear as doubles of discs: the module of the double is the cokernel
 of x -> (q(x), -q(x)) into two copies of the disc module, where q kills the
@@ -26,10 +29,9 @@ no kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
 
 from .errors import SchemaError
-from .linalg import Mat, _mat, smith_normal_form
+from .linalg import Mat, _mat, block_diag, hstack, mat_mul, smith_normal_form, transpose
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import (
     EISENSTEIN,
@@ -40,22 +42,30 @@ from .rings import (
 )
 
 
+def _int_mat(rows, ncols: int) -> Mat:
+    """Dense integer rows as a Mat; an entry whose type is not `int` raises TypeError."""
+    return Mat([[INTEGERS.from_int(x) for x in r] for r in rows], ncols)
+
+
 @dataclass(frozen=True)
 class SeifertKnot:
     name: str
-    seifert: tuple  # 2g x 2g integer rows
+    seifert: Mat  # 2g x 2g integer matrix; given as dense rows, it is converted
 
     def __post_init__(self):
         v = self.seifert
-        n = len(v)
-        if any(len(row) != n for row in v):
-            raise SchemaError("seifert matrix not square", f"rows of {self.name!r} have mixed lengths")
+        if not isinstance(v, Mat):
+            if any(len(row) != len(v) for row in v):
+                raise SchemaError("seifert matrix not square", f"rows of {self.name!r} have mixed lengths")
+            v = _int_mat(v, len(v))
+            object.__setattr__(self, "seifert", v)
+        n = v.nrows
         if n % 2 != 0:
             raise SchemaError("seifert matrix not even-sized", f"{self.name!r} has size {n}")
-        # V - V^T is skew-symmetric, so det = Pf^2 >= 0: exactly the product of
-        # its invariant factors, not only up to sign.
-        entries = _entries(v)
-        skew = _int_mat(n, n, entries + [(j, i, -x) for i, j, x in entries])
+        # V - V^T is [V | V^T] times the columns (e_i, -e_i).  It is skew-symmetric,
+        # so det = Pf^2 >= 0: exactly the product of its invariant factors, not
+        # only up to sign.
+        skew = mat_mul(INTEGERS, hstack(v, transpose(v)), antidiagonal_columns(INTEGERS, n))
         d = 1
         for x in smith_normal_form(INTEGERS, skew, with_u=False, with_v=False).diagonal:
             d *= x
@@ -66,11 +76,11 @@ class SeifertKnot:
 
     @classmethod
     def from_rows(cls, name: str, rows) -> "SeifertKnot":
-        return cls(name, tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(name, tuple(map(tuple, rows)))
 
     @property
     def genus(self) -> int:
-        return len(self.seifert) // 2
+        return self.seifert.nrows // 2
 
 
 def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
@@ -79,32 +89,23 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
     if len(knots) == 1:
         return knots[0]
     name = "#".join(k.name for k in knots)
-    size = sum(len(k.seifert) for k in knots)
-    rows = []
-    off = 0
-    for k in knots:
-        n = len(k.seifert)
-        rows += [(0,) * off + tuple(row) + (0,) * (size - off - n) for row in k.seifert]
-        off += n
-    return SeifertKnot(name, tuple(rows))
+    return SeifertKnot(name, block_diag(INTEGERS, *(k.seifert for k in knots)))
 
 
 def alexander_presentation(knot: SeifertKnot) -> Mat:
     """t*V - V^T as a matrix of Laurent polynomials with integer coefficients."""
     v = knot.seifert
-    support: list = [set() for _ in v]  # (i, j) is nonzero iff V or V^T is there
-    for i, j, _ in _entries(v):
-        support[i].add(j)
-        support[j].add(i)
-    lines = tuple(
-        tuple([(j, LaurentPolyQ({1: v[i][j], 0: -v[j][i]})) for j in sorted(cols)])
-        for i, cols in enumerate(support)
-    )
-    return _mat(LAURENT.zero, lines, len(v))
+    lines = []
+    for row, col in zip(v.lines, transpose(v).lines):  # row i of V and of V^T
+        coeffs: dict = {j: {1: x} for j, x in row}
+        for j, x in col:
+            coeffs.setdefault(j, {})[0] = -x
+        lines.append(tuple([(j, LaurentPolyQ(coeffs[j])) for j in sorted(coeffs)]))
+    return _mat(LAURENT.zero, tuple(lines), v.ncols)
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
-    return PresentedModule(LAURENT.tag, len(knot.seifert), alexander_presentation(knot))
+    return PresentedModule(LAURENT.tag, knot.seifert.nrows, alexander_presentation(knot))
 
 
 def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
@@ -112,93 +113,58 @@ def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
     return alexander_module_Q(knot).order()
 
 
-def _nonzeros(vector) -> list:
-    """The (index, value) pairs of the nonzero coordinates of an integer vector."""
-    return [(i, vector[i]) for i in compress(range(len(vector)), vector)]
-
-
-def _entries(rows) -> list:
-    """The (i, j, value) nonzero entries of an integer matrix, row by row."""
-    return [(i, j, x) for i, row in enumerate(rows) for j, x in _nonzeros(row)]
-
-
-def _int_mat(nrows: int, ncols: int, entries) -> Mat:
-    """The integer matrix summing the given (i, j, value) entries; cancelled ones drop out."""
-    acc: list = [{} for _ in range(nrows)]
-    for i, j, x in entries:
-        acc[i][j] = acc[i].get(j, 0) + x
-    return _mat(0, tuple(tuple([(j, r[j]) for j in sorted(r) if r[j]]) for r in acc), ncols)
-
-
 def curve_class(knot: SeifertKnot, curve) -> tuple:
-    """Module coordinates of a pushed-off surface curve: V^T times the curve."""
-    v = knot.seifert
-    n = len(v)
-    c = tuple(map(int, curve))
-    if len(c) != n:
-        raise SchemaError("curve has wrong length", f"expected {n} coordinates, got {len(c)}")
-    out = [0] * n
-    for i, ci in _nonzeros(c):
-        for j, x in _nonzeros(v[i]):
-            out[j] += x * ci
-    return tuple(out)
+    """Module coordinates of a pushed-off surface curve: V^T c, computed as the row c^T V."""
+    n = knot.seifert.nrows
+    if len(curve) != n:
+        raise SchemaError("curve has wrong length", f"expected {n} coordinates, got {len(curve)}")
+    return mat_mul(INTEGERS, _int_mat([curve], n), knot.seifert).rows[0]
 
 
 @dataclass(frozen=True)
 class SurgeryDisc:
     """A ribbon disc induced by surgery on half a basis of surface curves.
 
-    `curves` lists g integer vectors of length 2g.  `local_2knots` counts
-    decorative connected sums of locally knotted 2-spheres; they do not
-    change any module computed here.
+    `curves` is the 2g x g integer matrix whose columns are the g curves;
+    given as g dense integer vectors of length 2g, it is converted.
+    `local_2knots` counts decorative connected sums of locally knotted
+    2-spheres; they do not change any module computed here.
     """
 
     knot: SeifertKnot
     name: str
-    curves: tuple
+    curves: Mat
     local_2knots: int = 0
 
     def __post_init__(self):
         g = self.knot.genus
         n = 2 * g
-        if len(self.curves) != g:
-            raise SchemaError(
-                "curve count must equal genus",
-                f"disc {self.name!r} has {len(self.curves)} curves on a genus {g} surface",
-            )
-        if any(len(c) != n for c in self.curves):
-            raise SchemaError(
-                "curve has wrong length",
-                f"disc {self.name!r} needs vectors of length {n}",
-            )
-        entries = _entries(self.knot.seifert)
-        sym = _int_mat(n, n, entries + [(j, i, x) for i, j, x in entries]).lines
-        support = [_nonzeros(c) for c in self.curves]
-        holders: list = [[] for _ in range(n)]  # coordinate -> (curve, value) pairs
-        for j, cj in enumerate(support):
-            for l, b in cj:
-                holders[l].append((j, b))
-        # c_i^T(V+V^T)c_j is w . c_j for w = (V+V^T) c_i, so only curves that
-        # share a coordinate with w can pair nontrivially with c_i
-        for i, ci in enumerate(support):
-            w: dict = {}
-            for k, a in ci:
-                for l, x in sym[k]:
-                    w[l] = w.get(l, 0) + a * x
-            vals: dict = {}
-            for l, x in w.items():
-                for j, b in holders[l]:
-                    vals[j] = vals.get(j, 0) + x * b
-            bad = [j for j, val in vals.items() if val]
-            if bad:
-                j = min(bad)
+        c = self.curves
+        if not isinstance(c, Mat):
+            if len(c) != g:
+                raise SchemaError(
+                    "curve count must equal genus",
+                    f"disc {self.name!r} has {len(c)} curves on a genus {g} surface",
+                )
+            if any(len(x) != n for x in c):
+                raise SchemaError(
+                    "curve has wrong length",
+                    f"disc {self.name!r} needs vectors of length {n}",
+                )
+            c = transpose(_int_mat(c, n))
+            object.__setattr__(self, "curves", c)
+        # C^T (V + V^T) C, where (V + V^T) C is [V | V^T] times C stacked on itself
+        v = self.knot.seifert
+        sym_c = mat_mul(INTEGERS, hstack(v, transpose(v)), _mat(0, c.lines * 2, g))
+        for i, line in enumerate(mat_mul(INTEGERS, transpose(c), sym_c).lines):
+            if line:
+                j, val = line[0]
                 raise SchemaError(
                     "curves not 0-framed",
-                    f"c^T(V+V^T)c = {vals[j]} at ({i + 1},{j + 1})",
+                    f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})",
                 )
         if g > 0:
-            cmat = _int_mat(n, g, [(i, k, x) for k, ck in enumerate(support) for i, x in ck])
-            dec = smith_normal_form(INTEGERS, cmat, with_u=False, with_v=False)
+            dec = smith_normal_form(INTEGERS, c, with_u=False, with_v=False)
             if dec.unit_count != g:
                 raise SchemaError(
                     "curves not a direct summand",
@@ -207,14 +173,11 @@ class SurgeryDisc:
 
     @classmethod
     def from_rows(cls, knot: SeifertKnot, name: str, curves) -> "SurgeryDisc":
-        return cls(knot, name, tuple(tuple(int(x) for x in c) for c in curves))
+        return cls(knot, name, tuple(map(tuple, curves)))
 
     def signature(self) -> tuple:
-        """Identity of the disc up to local 2-knot decorations."""
-        return (self.knot.name, self.knot.seifert, self.curves)
-
-    def class_columns(self) -> list[tuple]:
-        return [curve_class(self.knot, c) for c in self.curves]
+        """Identity of the disc up to local 2-knot decorations; orderable."""
+        return (self.knot.name, self.knot.seifert.lines, self.curves.lines)
 
 
 def check_disc_for(disc: SurgeryDisc, knot: SeifertKnot) -> None:
@@ -242,27 +205,25 @@ def boundary_connect_sum(*discs: SurgeryDisc, knot: SeifertKnot = None) -> Surge
         return discs[0]
     if knot is None:
         knot = connected_sum(*(d.knot for d in discs))
-    n = 2 * knot.genus
-    curves: list[tuple] = []
-    off = 0
-    for d in discs:
-        dn = 2 * d.knot.genus
-        for c in d.curves:
-            curves.append((0,) * off + tuple(c) + (0,) * (n - off - dn))
-        off += dn
     return SurgeryDisc(
         knot,
         "&".join(d.name for d in discs),
-        tuple(curves),
+        block_diag(INTEGERS, *(d.curves for d in discs)),
         sum(d.local_2knots for d in discs),
     )
 
 
 def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodule:
-    """ker(A_Q(K) -> A_Q(D)): the submodule the surgery curve classes generate."""
+    """ker(A(K) -> A(D)): the submodule the surgery curve classes, the columns of V^T C, generate.
+
+    `ambient` is the Alexander module of the disc's knot over any of the
+    rings, such as its specialization at t = -1 or t = w; by default it is
+    A_Q(K) over Q[t^±1].
+    """
     if ambient is None:
         ambient = alexander_module_Q(disc.knot)
-    return ambient.submodule_from_int_columns(disc.class_columns())
+    classes = mat_mul(INTEGERS, transpose(disc.knot.seifert), disc.curves)
+    return ambient.submodule_from_int_columns(classes)
 
 
 def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
@@ -292,7 +253,7 @@ def branched_double_cover(knot: SeifertKnot) -> PresentedModule:
 def disc_branched_kernel(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodule:
     if ambient is None:
         ambient = branched_double_cover(disc.knot)
-    return ambient.submodule_from_int_columns(disc.class_columns())
+    return disc_kernel_Q(disc, ambient)
 
 
 @dataclass(frozen=True)

@@ -472,6 +472,10 @@ def _by_rows(zero, columns: list, nrows: int) -> Mat:
     return _mat(zero, tuple(map(tuple, rows)), len(columns))
 
 
+def transpose(m: Mat) -> Mat:
+    return _by_rows(m.zero, m.lines, m.ncols)
+
+
 def smith_normal_form(
     ring,
     m: Mat,

@@ -32,6 +32,7 @@ from .knots import (
     branched_double_cover,
     check_disc_for,
     disc_branched_kernel,
+    disc_kernel_Q,
     specialize_module,
 )
 from .linalg import Mat, block_diag
@@ -74,7 +75,7 @@ def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
     """
     check_disc_for(d0, j0)
     ambient = eisenstein_alexander(j0)
-    kern = ambient.submodule_from_int_columns(d0.class_columns())
+    kern = disc_kernel_Q(d0, ambient)
     quotient = ambient.quotient_by(kern.generators)
     return quotient, not quotient.is_zero_module()
 
@@ -269,8 +270,7 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
         )
     ring = EISENSTEIN
     base_xi = eisenstein_alexander(scenario.base_knot)
-    base_classes = scenario.base_disc.class_columns()
-    base_kernel = base_xi.submodule_from_int_columns(base_classes)
+    base_kernel = disc_kernel_Q(scenario.base_disc, base_xi)
 
     # base part carried by a twisted summand: same submodule either way
     carrier = one_oplus_bar(base_kernel.presentation)
@@ -283,8 +283,7 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
 
     # companion block: (A ⊕ A ⊕ conj A ⊕ conj A) for A = A_xi(J0)
     comp_xi = eisenstein_alexander(scenario.companion.base_knot)
-    comp_classes = scenario.companion.base_disc.class_columns()
-    comp_cols = comp_xi.submodule_from_int_columns(comp_classes).generators
+    comp_cols = disc_kernel_Q(scenario.companion.base_disc, comp_xi).generators
     comp_block = one_oplus_bar(direct_sum(comp_xi, comp_xi))
     comp_k1 = block_diag(ring, comp_cols, comp_cols, comp_cols, comp_cols)
     anti = antidiagonal_columns(ring, comp_xi.ngens)

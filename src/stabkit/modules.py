@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 from .linalg import (
     Mat,
@@ -38,6 +37,7 @@ from .linalg import (
     kernel_basis,
     mat_mul,
     smith_normal_form,
+    transpose,
 )
 from .rings import RINGS_BY_TAG, canonical_associate
 
@@ -103,12 +103,12 @@ class PresentedModule:
         return PresentedModule(self.ring_tag, self.ngens, hstack(self.relations, cols))
 
     def submodule_from_int_columns(self, columns) -> "Submodule":
+        """The span of integer columns: an integer Mat, or a list of integer vectors."""
         ring = self.ring
-        lines: list = [[] for _ in range(self.ngens)]
-        for k, col in enumerate(columns):
-            for i in compress(range(self.ngens), col):
-                lines[i].append((k, ring.from_int(col[i])))
-        return Submodule(self, _mat(ring.zero, tuple(map(tuple, lines)), len(columns)))
+        if not isinstance(columns, Mat):
+            columns = transpose(Mat(columns, self.ngens))
+        lines = tuple(tuple([(j, ring.from_int(x)) for j, x in line]) for line in columns.lines)
+        return Submodule(self, _mat(ring.zero, lines, columns.ncols))
 
 
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule) -> bool:

@@ -118,7 +118,7 @@ def test_summed_knot_is_validated_once_per_request(capsys, monkeypatch, argv, si
     real = SeifertKnot.__post_init__
 
     def counted(self):
-        sizes.append(len(self.seifert))
+        sizes.append(self.seifert.nrows)
         return real(self)
 
     monkeypatch.setattr(SeifertKnot, "__post_init__", counted)
@@ -428,6 +428,30 @@ def test_deeply_nested_knot_reference_is_exit_2(capsys):
         code, out, err = run(capsys, "alexander", nested(depth))
         assert code == 2 and out == ""
         assert "nests too deeply" in err and err.count("\n") == 1, err
+
+
+def test_padded_deep_knot_reference_resolves_to_one_leaf():
+    depth = cli.MAX_NESTING
+    ref = "sum( " * depth + " " * 20000 + "9_46" + " ) " * depth
+    catalog = builtin_catalog()
+    assert cli.resolve_knot_ref(catalog, ref) == [catalog["9_46"]]
+
+
+def test_cap_size_references_meet_their_closed_forms(capsys):
+    n = cli.MAX_SUMMANDS
+    code, out, err = run(
+        capsys, "--json", "bound", "d2", "--knot", f"sum^{n}(9_46)", "--discs", f"left^{n},right^{n}"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["lower"], report["upper"]) == (n, n)
+    code, out, err = run(
+        capsys, "--json", "kernels", "sum^64(9_46)", "--discs", "left^64,right^64"
+    )
+    assert code == 0 and err == ""
+    (pair,) = json.loads(out)["pairs"]
+    assert pair["intersection_is_zero"] is True
+    assert pair["quotient_gr"] == [64, 64]
 
 
 SCENARIO = {

@@ -106,6 +106,25 @@ def test_disc_rejects_imprimitive_curve(k946):
         SurgeryDisc(k946.knot, "bad", ((2, 0),))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: SeifertKnot.from_rows("k", [[0.5, 2], [1, 0.9]]),
+        lambda k: SeifertKnot("k", ((0.5, 2), (1, 0))),
+        lambda k: SeifertKnot("k", ((0.0, 2), (1, 0))),
+        lambda k: SeifertKnot("k", ((True, 2), (1, 0))),
+        lambda k: curve_class(k, (1.9, 0)),
+        lambda k: SurgeryDisc(k, "d", ((1.0, 0),)),
+        lambda k: SurgeryDisc.from_rows(k, "d", [[1, 0.0]]),
+    ],
+    ids=["from_rows", "direct", "float-zero", "bool", "curve_class", "disc", "disc-from_rows"],
+)
+def test_non_integer_knot_data_is_rejected(k946, build):
+    # 0.5 and 1.9 used to truncate silently, to 9_46 and to the curve (1, 0)
+    with pytest.raises(TypeError, match="integer expected"):
+        build(k946.knot)
+
+
 def test_curve_class_rejects_wrong_length(k946):
     with pytest.raises(SchemaError, match="wrong length"):
         curve_class(k946.knot, (1, 0, 0))
@@ -220,7 +239,7 @@ def test_kernel_and_quotient_orders_multiply(catalog):
 
 def test_connected_sum_is_block_diagonal(k946, k61):
     k = connected_sum(k946.knot, k61.knot)
-    assert k.seifert == (
+    assert k.seifert.rows == (
         (0, 2, 0, 0),
         (1, 0, 0, 0),
         (0, 0, 1, 1),
@@ -440,8 +459,8 @@ def test_sparse_curve_checks_match_dense_formulas(catalog, seed):
     rng = random.Random(seed)
     entries = [catalog[rng.choice(["9_46", "6_1"])] for _ in range(rng.randint(2, 5))]
     disc = boundary_connect_sum(*(e.disc(rng.choice(sorted(e.discs))) for e in entries))
-    v = disc.knot.seifert
-    curves = [list(c) for c in disc.curves]
+    v = disc.knot.seifert.rows
+    curves = [list(c) for c in linalg.transpose(disc.curves).rows]
     # perturb one curve in a few sparse coordinates, so most cases fail off the diagonal
     r = rng.randrange(len(curves))
     for k in rng.sample(range(len(v)), rng.randint(1, 2)):
@@ -463,7 +482,7 @@ def test_sparse_curve_checks_match_dense_formulas(catalog, seed):
 def _random_curve_set(rng, disc) -> list:
     """The disc's curves, perturbed in a few coordinates, replaced at random, or kept."""
     n = 2 * disc.knot.genus
-    curves = [list(c) for c in disc.curves]
+    curves = [list(c) for c in linalg.transpose(disc.curves).rows]
     mode = rng.choice(["perturb", "perturb", "random", "keep"])
     if mode == "random":
         return [[rng.choice((0, 0, 0, rng.randint(-2, 2))) for _ in range(n)] for _ in curves]
@@ -481,7 +500,7 @@ def test_indexed_framing_check_matches_dense_double_loop(catalog):
         entries = [catalog[rng.choice(["9_46", "6_1"])] for _ in range(rng.randint(2, 6))]
         disc = boundary_connect_sum(*(e.disc(rng.choice(sorted(e.discs))) for e in entries))
         curves = _random_curve_set(rng, disc)
-        failure = _dense_framing_failure(disc.knot.seifert, curves)
+        failure = _dense_framing_failure(disc.knot.seifert.rows, curves)
         try:
             SurgeryDisc.from_rows(disc.knot, "d", curves)
             raised = None
