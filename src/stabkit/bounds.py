@@ -28,7 +28,7 @@ from .knots import (
     check_disc_for,
     disc_kernel_Q,
 )
-from .linalg import Mat, block_diag
+from .linalg import block_diag
 from .metabelian import SatelliteScenario, theorem_C_lower_bound
 from .modules import PresentedModule, Submodule, direct_sum, relative_quotients
 from .rings import LAURENT
@@ -205,11 +205,7 @@ def satellite_abelian_kernel_pair(s: SatelliteScenario):
     """
     base = alexander_module_Q(s.base_knot)
     half = disc_kernel_Q(s.base_disc, base).generators
-    if s.copies == 0:
-        ambient = PresentedModule(LAURENT.tag, 0, Mat([], 0))
-        kernel = Submodule(ambient, Mat([], 0))
-        return kernel, kernel
-    ambient = direct_sum(*(base for _ in range(s.copies)))
+    ambient = direct_sum(LAURENT, *(base for _ in range(s.copies)))
     gens = block_diag(LAURENT, *(half for _ in range(s.copies)))
     kernel = Submodule(ambient, gens)
     return kernel, kernel

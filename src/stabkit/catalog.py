@@ -35,7 +35,7 @@ class CatalogEntry:
 
 
 def _entry(id_, rows, disc_specs, notes, eta_class=None) -> CatalogEntry:
-    knot = SeifertKnot.from_rows(id_, rows)
+    knot = SeifertKnot(id_, rows)
     discs = {name: SurgeryDisc(knot, name, curves) for name, curves in disc_specs}
     return CatalogEntry(id_, knot, discs, notes, eta_class)
 
@@ -99,7 +99,7 @@ def entry_from_json_dict(data: dict) -> CatalogEntry:
         "seifert must be a matrix of integers",
         repr(seifert),
     )
-    knot = SeifertKnot.from_rows(name, seifert)
+    knot = SeifertKnot(name, seifert)
     _require(
         _is_int(data["genus"]) and data["genus"] == knot.genus,
         "genus field disagrees with seifert size",
@@ -159,8 +159,11 @@ def load_catalog(path: str) -> dict:
     if isinstance(data, dict):
         data = [data]
     _require(isinstance(data, list), "catalog must be a list of knot entries", type(data).__name__)
+    names = set()
     for item in data:
         entry = entry_from_json_dict(item)
+        _require(entry.id not in names, "duplicate knot name", entry.id)
+        names.add(entry.id)
         catalog[entry.id] = entry
     return catalog
 

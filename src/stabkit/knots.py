@@ -2,14 +2,17 @@
 
 A knot enters as a Seifert matrix V (2g x 2g, det(V - V^T) = 1).  Its
 Alexander module is presented by t*V - V^T over Z[t^±1]; base-changing to
-Q[t^±1] makes it a module over a PID.
+Q[t^±1] makes it a module over a PID.  `alexander_presentation` is the one
+place where t is given a value: it builds t*V - V^T straight into the ring
+asked for, one entry x*t - y per nonzero pair (V_ij, V_ji): over Q[t^±1]
+itself, over Z at t = -1 (the double branched cover, coker(V + V^T) up to
+sign), or over Z[w] at t = w (the metabelian twist).
 
 A ribbon disc is recorded by the surface curves surgered to produce it: g
 pairwise 0-framed curves spanning a direct summand of H_1 of the surface.
 Pushing a curve c off the surface gives the module element V^T c, and the
 kernel of inclusion into the disc exterior is the submodule those classes
-generate.  The branched double cover story is the same presentation at
-t = -1, i.e. coker(V + V^T) up to sign.
+generate, over whichever of the three rings the module is.
 
 V and the curves are integer `linalg.Mat`s, which store only their nonzeros:
 V itself, and the 2g x g matrix C whose columns are the curves.  The
@@ -33,13 +36,7 @@ from dataclasses import dataclass, replace
 from .errors import SchemaError
 from .linalg import Mat, _mat, block_diag, hstack, mat_mul, smith_normal_form, transpose
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
-from .rings import (
-    EISENSTEIN,
-    INTEGERS,
-    LAURENT,
-    LaurentPolyQ,
-    specialize_t,
-)
+from .rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
 def _int_mat(rows, ncols: int) -> Mat:
@@ -74,10 +71,6 @@ class SeifertKnot:
                 "seifert pairing not unimodular", f"det(V - V^T) = {d} for {self.name!r}"
             )
 
-    @classmethod
-    def from_rows(cls, name: str, rows) -> "SeifertKnot":
-        return cls(name, tuple(map(tuple, rows)))
-
     @property
     def genus(self) -> int:
         return self.seifert.nrows // 2
@@ -92,20 +85,34 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
     return SeifertKnot(name, block_diag(INTEGERS, *(k.seifert for k in knots)))
 
 
-def alexander_presentation(knot: SeifertKnot) -> Mat:
-    """t*V - V^T as a matrix of Laurent polynomials with integer coefficients."""
+# The (i, j) entry x*t - y of t*V - V^T, for x = V_ij and y = V_ji, keyed by
+# the ring it lands in: t itself, t = -1, or t = w (EisensteinInt(a, b) = a + b*w).
+_T_TIMES_X_MINUS_Y = {
+    LAURENT: lambda x, y: LaurentPolyQ({1: x, 0: -y}),
+    INTEGERS: lambda x, y: -x - y,
+    EISENSTEIN: lambda x, y: EisensteinInt(-y, x),
+}
+
+
+def alexander_presentation(knot: SeifertKnot, ring=LAURENT) -> Mat:
+    """t*V - V^T over Q[t^±1], or evaluated at t = -1 (ring INTEGERS) or t = w (EISENSTEIN)."""
+    entry = _T_TIMES_X_MINUS_Y[ring]
     v = knot.seifert
     lines = []
     for row, col in zip(v.lines, transpose(v).lines):  # row i of V and of V^T
-        coeffs: dict = {j: {1: x} for j, x in row}
-        for j, x in col:
-            coeffs.setdefault(j, {})[0] = -x
-        lines.append(tuple([(j, LaurentPolyQ(coeffs[j])) for j in sorted(coeffs)]))
-    return _mat(LAURENT.zero, tuple(lines), v.ncols)
+        x, y = dict(row), dict(col)
+        line = [(j, entry(x.get(j, 0), y.get(j, 0))) for j in sorted(x.keys() | y.keys())]
+        lines.append(tuple([(j, z) for j, z in line if z]))
+    return _mat(ring.zero, tuple(lines), v.ncols)
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
-    return PresentedModule(LAURENT.tag, knot.seifert.nrows, alexander_presentation(knot))
+    return PresentedModule(LAURENT, alexander_presentation(knot))
+
+
+def branched_double_cover(knot: SeifertKnot) -> PresentedModule:
+    """H_1 of the double branched cover: t*V - V^T at t = -1, i.e. coker(V + V^T)."""
+    return PresentedModule(INTEGERS, alexander_presentation(knot, INTEGERS))
 
 
 def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
@@ -171,10 +178,6 @@ class SurgeryDisc:
                     f"invariant factors {list(dec.diagonal)} are not all units",
                 )
 
-    @classmethod
-    def from_rows(cls, knot: SeifertKnot, name: str, curves) -> "SurgeryDisc":
-        return cls(knot, name, tuple(map(tuple, curves)))
-
     def signature(self) -> tuple:
         """Identity of the disc up to local 2-knot decorations; orderable."""
         return (self.knot.name, self.knot.seifert.lines, self.curves.lines)
@@ -217,8 +220,8 @@ def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodu
     """ker(A(K) -> A(D)): the submodule the surgery curve classes, the columns of V^T C, generate.
 
     `ambient` is the Alexander module of the disc's knot over any of the
-    rings, such as its specialization at t = -1 or t = w; by default it is
-    A_Q(K) over Q[t^±1].
+    rings, such as `branched_double_cover` at t = -1; by default it is A_Q(K)
+    over Q[t^±1].
     """
     if ambient is None:
         ambient = alexander_module_Q(disc.knot)
@@ -230,30 +233,6 @@ def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
     """A_Q(D) itself: the Alexander module modulo the disc kernel."""
     ambient = alexander_module_Q(disc.knot)
     return ambient.quotient_by(disc_kernel_Q(disc, ambient).generators)
-
-
-def specialize_presentation(pres: Mat, target) -> Mat:
-    return pres.map_entries(lambda p: specialize_t(p, target))
-
-
-def specialize_module(pres: Mat, target) -> PresentedModule:
-    """Base-change an integral presentation along t -> -1 or t -> xi3."""
-    if target == "minus_one":
-        return PresentedModule(INTEGERS.tag, pres.nrows, specialize_presentation(pres, target))
-    if target == "xi3":
-        return PresentedModule(EISENSTEIN.tag, pres.nrows, specialize_presentation(pres, target))
-    raise ValueError(f"unsupported module specialization target {target!r}")
-
-
-def branched_double_cover(knot: SeifertKnot) -> PresentedModule:
-    """H_1 of the double branched cover: the t = -1 specialization, coker(V + V^T)."""
-    return specialize_module(alexander_presentation(knot), "minus_one")
-
-
-def disc_branched_kernel(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodule:
-    if ambient is None:
-        ambient = branched_double_cover(disc.knot)
-    return disc_kernel_Q(disc, ambient)
 
 
 @dataclass(frozen=True)
@@ -269,7 +248,7 @@ class TwoKnotModel:
 
     @classmethod
     def unknotted(cls) -> "TwoKnotModel":
-        return cls((), PresentedModule(LAURENT.tag, 0, Mat([], 0)))
+        return cls((), direct_sum(LAURENT))
 
     @property
     def generating_rank(self) -> int:
@@ -287,18 +266,16 @@ def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
     """The 2-knot doubling the disc: coker(A_Q(K) -> A_Q(D)^2, x -> (q(x), -q(x)))."""
     ambient = alexander_module_Q(disc.knot)
     quotient = disc_quotient_Q(disc)
-    target = direct_sum(quotient, quotient)
+    target = direct_sum(LAURENT, quotient, quotient)
     matrix = antidiagonal_columns(ambient.ring, ambient.ngens)
     ModuleMap(ambient, target, matrix)  # raises unless the map is well defined
     return TwoKnotModel((disc,), target.quotient_by(matrix))
 
 
 def two_knot_sum(*models: TwoKnotModel) -> TwoKnotModel:
-    if not models:
-        return TwoKnotModel.unknotted()
     if len(models) == 1:
         return models[0]
     return TwoKnotModel(
         sum((m.summands for m in models), ()),
-        direct_sum(*(m.module for m in models)),
+        direct_sum(LAURENT, *(m.module for m in models)),
     )

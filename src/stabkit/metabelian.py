@@ -1,8 +1,10 @@
 """Metabelian (Eisenstein) obstructions for satellite ribbon discs.
 
-The abelian story specializes t to a primitive cube root xi, turning Alexander
-modules into Z[w]-modules.  For a metabelian representation twisted by a
-character chi into Z/3, the closed-form structure theory used here is:
+The abelian story evaluates t at a primitive cube root w, turning Alexander
+modules into Z[w]-modules: `eisenstein_alexander` is the presentation that
+`knots.alexander_presentation` builds straight over Z[w].  For a metabelian
+representation twisted by a character chi into Z/3, the closed-form
+structure theory used here is:
 
 * for the trivial character the twisted homology is M ⊕ conj(M) of the
   abelian specialization (`one_oplus_bar`);
@@ -31,9 +33,7 @@ from .knots import (
     antidiagonal_columns,
     branched_double_cover,
     check_disc_for,
-    disc_branched_kernel,
     disc_kernel_Q,
-    specialize_module,
 )
 from .linalg import Mat, block_diag
 from .modules import (
@@ -46,26 +46,19 @@ from .rings import EISENSTEIN
 
 
 def eisenstein_alexander(knot: SeifertKnot) -> PresentedModule:
-    """The Alexander presentation specialized at t = w."""
-    return specialize_module(alexander_presentation(knot), "xi3")
+    """The Alexander presentation at t = w, over Z[w]."""
+    return PresentedModule(EISENSTEIN, alexander_presentation(knot, EISENSTEIN))
 
 
 def conjugate_module(module: PresentedModule) -> PresentedModule:
-    if module.ring_tag != EISENSTEIN.tag:
+    if module.ring is not EISENSTEIN:
         raise ValueError("conjugation is an Eisenstein-module operation")
-    return PresentedModule(
-        module.ring_tag, module.ngens, module.relations.map_entries(lambda x: x.conj())
-    )
+    return PresentedModule(EISENSTEIN, module.relations.map_entries(lambda x: x.conj()))
 
 
 def one_oplus_bar(module: PresentedModule) -> PresentedModule:
     """M ⊕ conj(M): twisted homology of the diagonal (abelian) representation."""
-    conj = conjugate_module(module)
-    return PresentedModule(
-        module.ring_tag,
-        module.ngens * 2,
-        block_diag(EISENSTEIN, module.relations, conj.relations),
-    )
+    return direct_sum(EISENSTEIN, module, conjugate_module(module))
 
 
 def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
@@ -284,7 +277,7 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
     # companion block: (A ⊕ A ⊕ conj A ⊕ conj A) for A = A_xi(J0)
     comp_xi = eisenstein_alexander(scenario.companion.base_knot)
     comp_cols = disc_kernel_Q(scenario.companion.base_disc, comp_xi).generators
-    comp_block = one_oplus_bar(direct_sum(comp_xi, comp_xi))
+    comp_block = one_oplus_bar(direct_sum(ring, comp_xi, comp_xi))
     comp_k1 = block_diag(ring, comp_cols, comp_cols, comp_cols, comp_cols)
     anti = antidiagonal_columns(ring, comp_xi.ngens)
     comp_k2 = block_diag(ring, anti, anti)
@@ -297,13 +290,9 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
         else:
             blocks.append((untwisted, untwisted_kernel_cols, untwisted_kernel_cols))
 
-    if blocks:
-        ambient = direct_sum(*(b[0] for b in blocks))
-        k1 = block_diag(ring, *(b[1] for b in blocks))
-        k2 = block_diag(ring, *(b[2] for b in blocks))
-    else:
-        ambient = PresentedModule(ring.tag, 0, Mat([], 0))
-        k1 = k2 = Mat([], 0)
+    ambient = direct_sum(ring, *(b[0] for b in blocks))
+    k1 = block_diag(ring, *(b[1] for b in blocks))
+    k2 = block_diag(ring, *(b[2] for b in blocks))
     return EisensteinKernelPair(ambient, Submodule(ambient, k1), Submodule(ambient, k2))
 
 
@@ -329,7 +318,7 @@ def theorem_C_lower_bound(scenario: SatelliteScenario) -> int:
             f"A_xi({scenario.companion.base_knot.name}) / disc kernel is zero",
         )
     cover = branched_double_cover(scenario.base_knot)
-    kern = disc_branched_kernel(scenario.base_disc, cover)
+    kern = disc_kernel_Q(scenario.base_disc, cover)
     ring = cover.ring
     three_h1 = Submodule(
         cover, Mat.identity(ring, cover.ngens).map_entries(lambda x: 3 * x)

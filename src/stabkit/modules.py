@@ -1,8 +1,11 @@
 """Finitely presented modules over a Euclidean domain, and their calculus.
 
-A module is R^ngens / (column span of `relations`); submodules are given by
-generator columns inside such a quotient.  Everything reduces to Smith normal
-form of block matrices, and to one kernel per submodule:
+A module is R^ngens / (column span of `relations`).  It carries its ring R,
+the descriptor `INTEGERS`, `LAURENT` or `EISENSTEIN`, and rings compare by
+identity; ngens is the number of relation rows, and the direct sum of no
+modules is the zero module over its ring.  Submodules are given by
+generator columns inside such a quotient.  Everything reduces to Smith
+normal form of block matrices, and to one kernel per submodule:
 
 * membership of v in span(G) mod span(L) is an isomorphism test,
   R^n / [G | L] ≅ R^n / [G | L | v] (`Submodule.contains_columns`; the zero
@@ -39,28 +42,19 @@ from .linalg import (
     smith_normal_form,
     transpose,
 )
-from .rings import RINGS_BY_TAG, canonical_associate
+from .rings import canonical_associate
 
 
 @dataclass(frozen=True)
 class PresentedModule:
-    """R^ngens modulo the column span of `relations` (ngens x nrels)."""
+    """ring^ngens modulo the column span of `relations` (ngens x nrels)."""
 
-    ring_tag: str
-    ngens: int
+    ring: object  # INTEGERS, LAURENT or EISENSTEIN
     relations: Mat
 
-    def __post_init__(self):
-        if self.ring_tag not in RINGS_BY_TAG:
-            raise ValueError(f"unknown ring tag {self.ring_tag!r}")
-        if self.relations.nrows != self.ngens:
-            raise ValueError(
-                f"relations have {self.relations.nrows} rows for {self.ngens} generators"
-            )
-
     @property
-    def ring(self):
-        return RINGS_BY_TAG[self.ring_tag]
+    def ngens(self) -> int:
+        return self.relations.nrows
 
     @cached_property
     def _diag_snf(self) -> SmithDecomposition:
@@ -100,7 +94,7 @@ class PresentedModule:
 
     def quotient_by(self, cols: Mat) -> "PresentedModule":
         """This module modulo the span of the given ambient coordinate columns."""
-        return PresentedModule(self.ring_tag, self.ngens, hstack(self.relations, cols))
+        return PresentedModule(self.ring, hstack(self.relations, cols))
 
     def submodule_from_int_columns(self, columns) -> "Submodule":
         """The span of integer columns: an integer Mat, or a list of integer vectors."""
@@ -112,21 +106,14 @@ class PresentedModule:
 
 
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule) -> bool:
-    return m1.ring_tag == m2.ring_tag and m1.iso_invariants() == m2.iso_invariants()
+    return m1.ring is m2.ring and m1.iso_invariants() == m2.iso_invariants()
 
 
-def direct_sum(*modules: PresentedModule) -> PresentedModule:
-    if not modules:
-        raise ValueError("direct sum of nothing")
-    tag = modules[0].ring_tag
-    if any(m.ring_tag != tag for m in modules):
+def direct_sum(ring, *modules: PresentedModule) -> PresentedModule:
+    """The block sum of modules over `ring`; of no modules, the zero module."""
+    if any(m.ring is not ring for m in modules):
         raise ValueError("direct sum over mixed rings")
-    ring = modules[0].ring
-    return PresentedModule(
-        tag,
-        sum(m.ngens for m in modules),
-        block_diag(ring, *(m.relations for m in modules)),
-    )
+    return PresentedModule(ring, block_diag(ring, *(m.relations for m in modules)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +141,7 @@ class Submodule:
     @cached_property
     def _span_quotient(self) -> PresentedModule:
         """The ambient modulo this span: R^n / [G | L]."""
-        return PresentedModule(self.ambient.ring_tag, self.ambient.ngens, self._span_matrix)
+        return PresentedModule(self.ring, self._span_matrix)
 
     def contains_columns(self, cols: Mat) -> bool:
         quotient = self._span_quotient
@@ -182,7 +169,7 @@ class Submodule:
         """Presents this span abstractly: R^m / {x : G x in span(relations)}."""
         m = self.generators.ncols
         rels, _ = kernel_basis(self.ring, self._span_matrix).split_rows(m)
-        return PresentedModule(self.ambient.ring_tag, m, rels)
+        return PresentedModule(self.ring, rels)
 
     @property
     def generating_rank(self) -> int:
@@ -203,8 +190,7 @@ def relative_quotients(s1: Submodule, s2: Submodule) -> tuple:
     """
     m1 = s1.generators.ncols
     top, bottom = s1.sum(s2).presentation.relations.split_rows(m1)
-    tag = s1.ambient.ring_tag
-    return PresentedModule(tag, m1, top), PresentedModule(tag, s2.generators.ncols, bottom)
+    return PresentedModule(s1.ring, top), PresentedModule(s1.ring, bottom)
 
 
 def quotient_of_submodules(top: Submodule, bottom: Submodule) -> PresentedModule:
@@ -231,7 +217,7 @@ class ModuleMap:
     matrix: Mat
 
     def __post_init__(self):
-        if self.source.ring_tag != self.target.ring_tag:
+        if self.source.ring is not self.target.ring:
             raise ValueError("map between modules over different rings")
         if self.matrix.nrows != self.target.ngens or self.matrix.ncols != self.source.ngens:
             raise ValueError(

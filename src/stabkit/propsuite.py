@@ -137,9 +137,7 @@ def _random_finite_module(rng: random.Random):
             break
     table = FiniteModuleTable(factors)
     module = PresentedModule(
-        INTEGERS.tag,
-        k,
-        Mat([[factors[i] if i == j else 0 for j in range(k)] for i in range(k)], k),
+        INTEGERS, Mat([[factors[i] if i == j else 0 for j in range(k)] for i in range(k)], k)
     )
     return table, module
 

@@ -7,7 +7,10 @@ elements do their own arithmetic through Python operators (`+`, `-`, `*`,
 so sparse code tests an entry with `if x`; a ring descriptor (`INTEGERS`, `LAURENT`,
 `EISENSTEIN`) holds only the Euclidean structure that the generic matrix
 algorithms need: zero and one, the zero test, the Euclidean size, the units
-and the canonical associates.  No floating point is used anywhere: a float
+and the canonical associates.  Each descriptor is a single instance: a
+presented module carries it as its ring, and rings compare by identity.
+Nothing here evaluates t: `knots.alexander_presentation` builds t*V - V^T
+straight into Z at t = -1 and into Z[w] at t = w.  No floating point is used anywhere: a float
 coefficient is a `TypeError`, and so is any non-`int` given to
 `EisensteinInt` or `INTEGERS.from_int`, rather than a silent truncation.
 Integers are Python `int`s of arbitrary precision and stay `int`s: a
@@ -513,12 +516,6 @@ INTEGERS = IntegerRing()
 LAURENT = LaurentRing()
 EISENSTEIN = EisensteinRing()
 
-RINGS_BY_TAG = {
-    INTEGERS.tag: INTEGERS,
-    LAURENT.tag: LAURENT,
-    EISENSTEIN.tag: EISENSTEIN,
-}
-
 
 def canonical_associate(ring, x):
     """The canonical representative of the associate class of x."""
@@ -536,28 +533,3 @@ def euclid_gcd(ring, a, b):
         a, b = b, divmod(a, b)[1]
     return ring.canonical(a)[0]
 
-
-XI3 = "xi3"
-MINUS_ONE = "minus_one"
-
-
-def specialize_t(p: LaurentPolyQ, target):
-    """Evaluate an integral Laurent polynomial at a ring homomorphism image of t.
-
-    target is "xi3" (t -> w, giving an Eisenstein integer) or "minus_one"
-    (t -> -1, giving an integer).  A non-integral coefficient raises
-    ValueError: neither image ring contains it.
-    """
-    if any(c.denominator != 1 for _, c in p.terms):
-        raise ValueError(f"non-integral coefficient in {p}")
-    terms = [(e, int(c)) for e, c in p.terms]
-    if target == XI3:
-        # w^e depends only on e mod 3: 1, w, w^2 = -1 - w
-        powers = (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))
-        acc = EisensteinInt(0, 0)
-        for e, c in terms:
-            acc = acc + powers[e % 3] * EisensteinInt(c, 0)
-        return acc
-    if target == MINUS_ONE:
-        return sum(c if e % 2 == 0 else -c for e, c in terms)
-    raise ValueError(f"unknown specialization target {target!r}")

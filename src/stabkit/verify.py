@@ -22,11 +22,9 @@ from .knots import (
     branched_double_cover,
     connected_sum,
     curve_class,
-    disc_branched_kernel,
     disc_kernel_Q,
     disc_quotient_Q,
     double_of_disc,
-    specialize_presentation,
     two_knot_sum,
 )
 from .linalg import Mat
@@ -42,6 +40,7 @@ from .metabelian import (
 from .modules import (
     PresentedModule,
     Submodule,
+    direct_sum,
     modules_isomorphic,
     submodule_intersection,
 )
@@ -136,7 +135,7 @@ def anchor_connected_sum_bounds():
 
 def anchor_double_module():
     model = double_of_disc(_RIGHT)
-    want = PresentedModule(LAURENT.tag, 1, Mat([[_TM2]], 1))
+    want = PresentedModule(LAURENT, Mat([[_TM2]], 1))
     _check(modules_isomorphic(model.module, want), "double is not Q[t^±1]/(t-2)")
 
 
@@ -151,14 +150,7 @@ def anchor_two_knot_bounds():
 
 def anchor_gr_of_direct_power():
     m = 3
-    module = PresentedModule(
-        LAURENT.tag,
-        m,
-        Mat(
-            [[_TM2 if i == j else LAURENT.zero for j in range(m)] for i in range(m)],
-            m,
-        ),
-    )
+    module = direct_sum(LAURENT, *[PresentedModule(LAURENT, Mat([[_TM2]], 1))] * m)
     _check(module.generating_rank == m, f"gr {module.generating_rank} != {m}")
 
 
@@ -181,15 +173,15 @@ def anchor_61_kernel_is_tm2_multiple():
 
 
 def anchor_61_branched_cover():
-    pres = specialize_presentation(alexander_presentation(_K61), "minus_one")
-    _check(pres.rows == ((-2, -1), (-1, 4)), f"t=-1 presentation {pres.rows}")
     cover = branched_double_cover(_K61)
+    pres = cover.relations
+    _check(pres.rows == ((-2, -1), (-1, 4)), f"t=-1 presentation {pres.rows}")
     _check(cover.torsion_invariants == (9,), f"got {cover.torsion_invariants}")
 
 
 def anchor_61_branched_kernel():
     cover = branched_double_cover(_K61)
-    kernel = disc_branched_kernel(_GAMMA, cover)
+    kernel = disc_kernel_Q(_GAMMA, cover)
     three = Submodule(
         cover, Mat.identity(INTEGERS, 2).map_entries(lambda x: 3 * x)
     )
@@ -258,9 +250,7 @@ def anchor_decorations_do_not_change_kernels():
     )
     cover = branched_double_cover(_K946)
     _check(
-        disc_branched_kernel(_LEFT, cover).spans_equal(
-            disc_branched_kernel(decorated, cover)
-        ),
+        disc_kernel_Q(_LEFT, cover).spans_equal(disc_kernel_Q(decorated, cover)),
         "branched kernel changed",
     )
 

@@ -22,7 +22,6 @@ from stabkit.knots import (
     alexander_module_Q,
     boundary_connect_sum,
     branched_double_cover,
-    disc_branched_kernel,
     disc_kernel_Q,
     double_of_disc,
     two_knot_sum,
@@ -104,7 +103,7 @@ def test_criterion_4_twist_knot_suite(k61):
         assert kernel.spans_equal(t_minus_2_everything)
         cover = branched_double_cover(k61.knot)
         assert cover.torsion_invariants == (9,)
-        bker = disc_branched_kernel(k61.disc("gamma"), cover)
+        bker = disc_kernel_Q(k61.disc("gamma"), cover)
         assert bker.order() == 3
         assert bker.spans_equal(cover.submodule_from_int_columns([(3, 0), (0, 3)]))
         obstruction, nonzero = metabelian_obstruction(k61.knot, k61.disc("gamma"))

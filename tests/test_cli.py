@@ -14,6 +14,7 @@ from stabkit import cli
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError
+from stabkit.modules import PresentedModule
 
 CUSTOM_ENTRY = {
     "name": "custom",
@@ -50,6 +51,23 @@ def test_alexander_json_matches_library(capsys):
     assert payload["order"] == "1 - 5/2*t + t^2"
     assert payload["invariant_factors"] == ["1 - 5/2*t + t^2"]
     assert payload["free_rank"] == 0
+
+
+@pytest.mark.parametrize("ref", ["9_46", "sum^3(9_46)", "unknot"])
+def test_alexander_takes_the_order_once(capsys, monkeypatch, ref):
+    # the order is the Alexander polynomial; both JSON keys read one value
+    calls = []
+    real = PresentedModule.order
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PresentedModule, "order", counted)
+    code, out, _ = run(capsys, "--json", "alexander", ref)
+    assert code == 0 and len(calls) == 1
+    payload = json.loads(out)
+    assert payload["alexander_polynomial"] == payload["order"] == str(real(calls[0]))
 
 
 def test_alexander_of_sum_power(capsys):
@@ -535,6 +553,20 @@ def test_entry_validation_details():
         entry_from_json_dict(dict(CUSTOM_ENTRY, eta_class="gamma"))
     with pytest.raises(SchemaError, match="matrix of integers"):
         entry_from_json_dict(dict(CUSTOM_ENTRY, seifert=[[0.5, 1], [0, 0]]))
+
+
+def test_load_catalog_rejects_duplicate_knot_names(capsys, tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([CUSTOM_ENTRY, dict(CUSTOM_ENTRY, notes="again")]))
+    with pytest.raises(SchemaError, match="duplicate knot name"):
+        load_catalog(str(path))
+    code, out, err = run(capsys, "--catalog", str(path), "alexander", "custom")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "duplicate knot name" in err, err
+    # a file entry may still override a built-in id, once
+    path.write_text(json.dumps([dict(CUSTOM_ENTRY, name="6_1"), CUSTOM_ENTRY]))
+    catalog = load_catalog(str(path))
+    assert catalog["6_1"].knot.seifert == catalog["custom"].knot.seifert
 
 
 def test_load_catalog_rejects_non_list(tmp_path):

@@ -3,7 +3,13 @@
 import pytest
 
 from stabkit.errors import HypothesisError, SchemaError
-from stabkit.knots import SeifertKnot, SurgeryDisc, boundary_connect_sum, connected_sum
+from stabkit.knots import (
+    SeifertKnot,
+    SurgeryDisc,
+    boundary_connect_sum,
+    branched_double_cover,
+    connected_sum,
+)
 from stabkit.linalg import Mat
 from stabkit.metabelian import (
     Character,
@@ -20,7 +26,7 @@ from stabkit.metabelian import (
     theorem_C_lower_bound,
 )
 from stabkit.modules import PresentedModule, modules_isomorphic
-from stabkit.rings import EISENSTEIN, EisensteinInt
+from stabkit.rings import EISENSTEIN, INTEGERS, EisensteinInt, associates
 
 UNKNOT = SeifertKnot("unknot", ())
 
@@ -39,12 +45,50 @@ def scenario(k61, copies: int) -> SatelliteScenario:
     )
 
 
-# ------------------------------------------------------------- specialization
+# ------------------------------------------------------- t at -1 and at w
+
+
+def _evaluated_relations(knot, entry) -> tuple:
+    """The nonzero entries entry(V_ij, V_ji) of each row i, from the dense rows of V."""
+    v = knot.seifert.rows
+    n = len(v)
+    return tuple(
+        tuple((j, entry(v[i][j], v[j][i])) for j in range(n) if entry(v[i][j], v[j][i]))
+        for i in range(n)
+    )
+
+
+def test_evaluated_presentations_match_entrywise_oracle(catalog):
+    knots = [e.knot for e in catalog.values()]
+    knots.append(connected_sum(catalog["9_46"].knot, catalog["6_1"].knot))
+    # V_13 = -V_31 = 1: the (1, 3) entry of V + V^T is 0 and must drop out
+    rows = ((0, 1, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 1), (0, 0, 0, 0))
+    knots.append(SeifertKnot("cancelling", rows))
+    for knot in knots:
+        # t*V_ij - V_ji at t = -1, and at t = w as the Eisenstein integer -V_ji + V_ij*w
+        cover = branched_double_cover(knot)
+        assert cover.ring is INTEGERS
+        assert cover.relations.lines == _evaluated_relations(knot, lambda x, y: -x - y)
+        twisted = eisenstein_alexander(knot)
+        assert twisted.ring is EISENSTEIN
+        assert twisted.relations.lines == _evaluated_relations(
+            knot, lambda x, y: EisensteinInt(-y, x)
+        )
+        n = 2 * knot.genus
+        assert cover.relations.ncols == twisted.relations.ncols == cover.ngens == n
+
+
+def test_eisenstein_alexander_of_61_order(k61):
+    # (2t-1)(t-2) = 2 - 5t + 2t^2 at t = w is -7w
+    order = eisenstein_alexander(k61.knot).order()
+    assert order.norm() == 49
+    assert associates(EISENSTEIN, order, EISENSTEIN.from_int(7))
+
 
 
 def test_eisenstein_alexander_6_1(k61):
     m = eisenstein_alexander(k61.knot)
-    assert m.ring_tag == EISENSTEIN.tag
+    assert m.ring is EISENSTEIN
     assert m.generating_rank == 1
     assert m.order().norm() == 49  # (2w-1)(w-2), both factors of norm 7
 
@@ -77,7 +121,7 @@ def test_conjugation_rejects_wrong_ring(k61):
 def test_one_oplus_bar_of_prime_quotient_is_cyclic():
     # Z[w]/(w-2) has norm-7 order; its conjugate is the non-associate prime,
     # so the direct sum is cyclic of norm-49 order
-    m = PresentedModule(EISENSTEIN.tag, 1, Mat([[EisensteinInt(-2, 1)]], 1))
+    m = PresentedModule(EISENSTEIN, Mat([[EisensteinInt(-2, 1)]], 1))
     d = one_oplus_bar(m)
     assert d.generating_rank == 1
     assert d.order().norm() == 49

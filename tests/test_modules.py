@@ -28,9 +28,7 @@ from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentP
 def z_module(*factors):
     n = len(factors)
     return PresentedModule(
-        INTEGERS.tag,
-        n,
-        Mat([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], n),
+        INTEGERS, Mat([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], n)
     )
 
 
@@ -54,13 +52,13 @@ def test_generating_rank_counts_nonunit_factors():
 
 def test_gr_of_crt_pair_is_one_after_snf():
     # relations diag(2,3) on crossed generators: cyclic of order 6
-    m = PresentedModule(INTEGERS.tag, 2, Mat([[2, 1], [0, 3]], 2))
+    m = PresentedModule(INTEGERS, Mat([[2, 1], [0, 3]], 2))
     assert m.generating_rank == 1
     assert m.order() == 6
 
 
 def test_free_rank_and_order_zero():
-    m = PresentedModule(INTEGERS.tag, 2, Mat([[2, 0], [0, 0]], 2))
+    m = PresentedModule(INTEGERS, Mat([[2, 0], [0, 0]], 2))
     assert m.free_rank == 1
     assert m.order() == 0
 
@@ -78,9 +76,29 @@ def test_iso_invariants_and_isomorphism():
 
 
 def test_direct_sum_block_structure():
-    s = direct_sum(z_module(2), z_module(3))
+    s = direct_sum(INTEGERS, z_module(2), z_module(3))
     assert s.ngens == 2
     assert s.order() == 6
+
+
+@pytest.mark.parametrize("ring", [INTEGERS, LAURENT, EISENSTEIN], ids=lambda r: r.name)
+def test_direct_sum_of_nothing_is_the_zero_module(ring):
+    zero = direct_sum(ring)
+    assert zero.ring is ring
+    assert (zero.ngens, zero.relations.ncols) == (0, 0)
+    assert zero.is_zero_module() and zero.iso_invariants() == (0, ())
+    assert zero.order() == ring.one
+    assert direct_sum(ring, zero, zero) == zero
+    unit = PresentedModule(ring, Mat.identity(ring, 1))
+    assert modules_isomorphic(direct_sum(ring, zero, unit), zero)
+
+
+def test_direct_sum_rejects_mixed_rings():
+    eisenstein = PresentedModule(EISENSTEIN, Mat([[EISENSTEIN.from_int(3)]], 1))
+    with pytest.raises(ValueError, match="mixed rings"):
+        direct_sum(INTEGERS, z_module(3), eisenstein)
+    with pytest.raises(ValueError, match="mixed rings"):
+        direct_sum(EISENSTEIN, z_module(3))
 
 
 def test_submodule_membership_and_span_equality():
@@ -167,14 +185,14 @@ def test_membership_against_oracle():
     # over Q[t^±1] and Z[w]: members up to a unit factor, and non-members
     p, q = LaurentPolyQ.parse("t - 2"), LaurentPolyQ.parse("2*t - 1")
     unit = LaurentPolyQ.parse("-3/2*t^-2")
-    module = PresentedModule(LAURENT.tag, 1, Mat([[p * q]], 1))
+    module = PresentedModule(LAURENT, Mat([[p * q]], 1))
     span_q = Submodule(module, Mat([[q]], 1))
     assert span_q.contains_columns(Mat([[unit * q]], 1))
     assert span_q.contains_columns(Mat([[unit * q + p * q * p]], 1))
     assert span_q.spans_equal(Submodule(module, Mat([[unit * q]], 1)))
     assert not span_q.contains_columns(Mat([[p]], 1))
     assert not span_q.contains_columns(Mat([[LAURENT.one]], 1))
-    free = PresentedModule(LAURENT.tag, 2, Mat([(), ()], 0))
+    free = PresentedModule(LAURENT, Mat([(), ()], 0))
     column = Submodule(free, Mat([[p], [q]], 1))
     assert column.contains_columns(Mat([[unit * p], [unit * q]], 1))
     assert not column.contains_columns(Mat([[unit * p], [q]], 1))
@@ -182,14 +200,14 @@ def test_membership_against_oracle():
 
     pi = EisensteinInt(2, -1)  # norm 7; 7 = pi * conj(pi) with conj(pi) not an associate
     w = EisensteinInt(0, 1)
-    module = PresentedModule(EISENSTEIN.tag, 1, Mat([[EISENSTEIN.from_int(7)]], 1))
+    module = PresentedModule(EISENSTEIN, Mat([[EISENSTEIN.from_int(7)]], 1))
     span_pi = Submodule(module, Mat([[pi]], 1))
     assert span_pi.contains_columns(Mat([[w * pi]], 1))
     assert span_pi.contains_columns(Mat([[(w + EISENSTEIN.one) * pi + EISENSTEIN.from_int(7)]], 1))
     assert span_pi.spans_equal(Submodule(module, Mat([[-(w * pi)]], 1)))
     assert not span_pi.contains_columns(Mat([[pi.conj()]], 1))
     assert not span_pi.contains_columns(Mat([[EISENSTEIN.one]], 1))
-    free = PresentedModule(EISENSTEIN.tag, 2, Mat([(), ()], 0))
+    free = PresentedModule(EISENSTEIN, Mat([(), ()], 0))
     column = Submodule(free, Mat([[pi], [EISENSTEIN.one]], 1))
     assert column.contains_columns(Mat([[w * pi], [w]], 1))
     assert not column.contains_columns(Mat([[w * pi], [EISENSTEIN.one]], 1))
@@ -282,11 +300,7 @@ def test_quotient_by():
 def test_laurent_module_example():
     tm2 = LaurentPolyQ.parse("-2 + t")
     two_tm1 = LaurentPolyQ.parse("-1 + 2*t")
-    m = PresentedModule(
-        LAURENT.tag,
-        2,
-        Mat([[tm2, LAURENT.zero], [LAURENT.zero, two_tm1]], 2),
-    )
+    m = PresentedModule(LAURENT, Mat([[tm2, LAURENT.zero], [LAURENT.zero, two_tm1]], 2))
     assert m.generating_rank == 1  # coprime orders merge into one cyclic factor
     assert str(m.order()) == "1 - 5/2*t + t^2"
 

@@ -12,14 +12,12 @@ from stabkit.rings import (
     EISENSTEIN_UNITS,
     INTEGERS,
     LAURENT,
-    RINGS_BY_TAG,
     EisensteinInt,
     LaurentPolyQ,
     RingFormatError,
     associates,
     canonical_associate,
     euclid_gcd,
-    specialize_t,
 )
 
 # ---------------------------------------------------------------- strategies
@@ -266,35 +264,7 @@ def test_eisenstein_parse_rejects_higher_powers():
         EisensteinInt.parse("w^2")
 
 
-# ------------------------------------------------------------ specialization
-
-def test_specialize_xi3_kills_t_cubed_minus_one():
-    p = LaurentPolyQ({3: 1, 0: -1})  # t^3 - 1
-    assert specialize_t(p, "xi3").is_zero()
-
-
-def test_specialize_xi3_of_61_order():
-    # (2t-1)(t-2) = 2 - 5t + 2t^2 at t = w
-    p = LaurentPolyQ({0: 2, 1: -5, 2: 2})
-    v = specialize_t(p, "xi3")
-    assert v.norm() == 49
-    assert associates(EISENSTEIN, v, EISENSTEIN.from_int(7))
-
-
-def test_specialize_minus_one():
-    p = LaurentPolyQ({1: 1, 0: 1, -1: 1})
-    assert specialize_t(p, "minus_one") == -1
-    for target in ("minus_one", "xi3"):
-        with pytest.raises(ValueError, match="non-integral"):
-            specialize_t(LaurentPolyQ.parse("1/2*t"), target)
-
-
 # ------------------------------------------------------------------- others
-
-def test_ring_registry():
-    assert set(RINGS_BY_TAG) == {"Integers", "Q_Laurent", "Eisenstein"}
-    assert RINGS_BY_TAG[LAURENT.tag] is LAURENT
-
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_integer_divmod_matches_python_magnitude(a, b):
