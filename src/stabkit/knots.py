@@ -115,11 +115,6 @@ def branched_double_cover(knot: SeifertKnot) -> PresentedModule:
     return PresentedModule(INTEGERS, alexander_presentation(knot, INTEGERS))
 
 
-def alexander_polynomial(knot: SeifertKnot) -> LaurentPolyQ:
-    """The order of the rational Alexander module, canonical."""
-    return alexander_module_Q(knot).order()
-
-
 def curve_class(knot: SeifertKnot, curve) -> tuple:
     """Module coordinates of a pushed-off surface curve: V^T c, computed as the row c^T V."""
     n = knot.seifert.nrows
@@ -245,10 +240,6 @@ class TwoKnotModel:
 
     summands: tuple
     module: PresentedModule
-
-    @classmethod
-    def unknotted(cls) -> "TwoKnotModel":
-        return cls((), direct_sum(LAURENT))
 
     @property
     def generating_rank(self) -> int:

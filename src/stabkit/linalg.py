@@ -8,14 +8,17 @@ column indices, products multiply nonzero by nonzero, and the dense `rows`
 view is built only for the callers that print or compare entries.  Every
 algorithm takes the ring descriptor explicitly so the same code serves Z,
 Q[t^±1] and Z[w].  Entries do their own arithmetic and are false exactly
-when zero; the descriptor supplies zero, one, sizes and units.
+when zero; the descriptor supplies zero, one, sizes and canonical associates.
 
 The Smith pass is the classic elimination: pick the smallest-size nonzero
 entry as pivot (ties broken by row-then-column position, so output is
 deterministic), clear its column and row by Euclidean division, patch any
 divisibility failure in the remaining block by a row addition, and normalize
-each finished pivot to its canonical associate.  Transforms U and V are
-accumulated from elementary operations only, so their determinants are units.
+each finished pivot by the unit u that `ring.canonical` returns with its
+associate (U's row is scaled by u too).  Every diagonal entry is therefore
+canonical, and a unit on the diagonal is exactly `ring.one`.  Transforms U
+and V are accumulated from elementary operations only, so their
+determinants are units.
 
 Direct sums make most large inputs block-diagonal up to a permutation of rows
 and columns, so without transforms the elimination runs, densely, on each
@@ -247,7 +250,7 @@ def _smith_block(
 
     def row_sub(i: int, j: int, q) -> None:
         # row_i -= q * row_j
-        if ring.is_zero(q):
+        if not q:
             return
         d[i] = [d[i][k] - q * d[j][k] for k in range(C)]
         if u is not None:
@@ -255,7 +258,7 @@ def _smith_block(
 
     def col_sub(i: int, j: int, q) -> None:
         # col_i -= q * col_j
-        if ring.is_zero(q):
+        if not q:
             return
         for row in d:
             row[i] = row[i] - q * row[j]
@@ -268,7 +271,7 @@ def _smith_block(
             di = d[i]
             for j in range(s, C):
                 x = di[j]
-                if not ring.is_zero(x):
+                if x:
                     sz = ring.size(x)
                     if best is None or sz < best[0]:
                         best = (sz, i, j)
@@ -281,12 +284,12 @@ def _smith_block(
             # column pass: reduce, promoting any smaller remainder to the pivot
             i = s + 1
             while i < R:
-                if ring.is_zero(d[i][s]):
+                if not d[i][s]:
                     i += 1
                     continue
                 q, _ = divmod(d[i][s], d[s][s])
                 row_sub(i, s, q)
-                if ring.is_zero(d[i][s]):
+                if not d[i][s]:
                     i += 1
                 else:
                     swap_rows(i, s)  # strictly smaller pivot; restart the pass
@@ -295,18 +298,18 @@ def _smith_block(
             dirtied = False
             j = s + 1
             while j < C:
-                if ring.is_zero(d[s][j]):
+                if not d[s][j]:
                     j += 1
                     continue
                 q, _ = divmod(d[s][j], d[s][s])
                 col_sub(j, s, q)
-                if ring.is_zero(d[s][j]):
+                if not d[s][j]:
                     j += 1
                 else:
                     swap_cols(j, s)
                     dirtied = True
                     j = s + 1
-            if not dirtied and all(ring.is_zero(d[i][s]) for i in range(s + 1, R)):
+            if not dirtied and not any(d[i][s] for i in range(s + 1, R)):
                 return
 
     steps = min(R, C)
@@ -330,23 +333,20 @@ def _smith_block(
             for i in range(s + 1, R):
                 row = d[i]
                 for j in range(s + 1, C):
-                    if ring.is_zero(row[j]):
+                    if not row[j]:
                         continue
                     _, r = divmod(row[j], piv)
-                    if not ring.is_zero(r):
+                    if r:
                         row_sub(s, i, -ring.one)  # row_s += row_i
                         clear_pivot(s)
                         patched = True
                         break
                 if patched:
                     break
-        # normalize the pivot to its canonical associate
-        assoc, unit = ring.canonical(d[s][s])
-        if unit != ring.one:
-            inv = ring.inv_unit(unit)
-            d[s] = [inv * x for x in d[s]]
-            if u is not None:
-                u[s] = [inv * x for x in u[s]]
+        # normalize the pivot to its canonical associate; the rest of row s is zero
+        d[s][s], unit = ring.canonical(d[s][s])
+        if u is not None and unit != ring.one:
+            u[s] = [unit * x for x in u[s]]
         s += 1
 
     return tuple(d[i][i] for i in range(s)), u, vt
@@ -423,10 +423,10 @@ def _chain_of_values(ring, blocks) -> list:
     runs of equal values, and e_i is constant between the run ends of d and
     those ends shifted by k, so an insertion costs the runs, not n.
     """
-    units, counts = 0, {}
+    one, units, counts = ring.one, 0, {}
     for _, pivots, _ in blocks:
         for x in pivots:
-            if ring.is_unit(x):
+            if x == one:
                 units += 1
             else:
                 counts[x] = counts.get(x, 0) + 1
@@ -460,7 +460,7 @@ def _chain_of_values(ring, blocks) -> list:
             else:
                 out.append([y, e - s])
         runs = out
-    return [ring.one] * units + [y for y, c in runs for _ in range(c)]
+    return [one] * units + [y for y, c in runs for _ in range(c)]
 
 
 def _by_rows(zero, columns: list, nrows: int) -> Mat:
@@ -484,7 +484,7 @@ def smith_normal_form(
     cancel: Optional[Callable[[], bool]] = None,
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
-    zero = ring.zero
+    zero, one = ring.zero, ring.one
     if with_u or with_v:
         diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
     else:
@@ -495,8 +495,8 @@ def smith_normal_form(
         v=_by_rows(zero, _sparse(vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
-        unit_count=sum(1 for x in diagonal if ring.is_unit(x)),
-        invariant_factors=tuple(x for x in diagonal if not ring.is_unit(x)),
+        unit_count=diagonal.count(one),
+        invariant_factors=tuple(x for x in diagonal if x != one),
     )
 
 

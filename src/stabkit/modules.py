@@ -72,8 +72,7 @@ class PresentedModule:
     @property
     def torsion_invariants(self) -> tuple:
         """Nonunit, nonzero invariant factors in divisibility order."""
-        ring = self.ring
-        return tuple(x for x in self._diag_snf.invariant_factors if not ring.is_zero(x))
+        return tuple(x for x in self._diag_snf.invariant_factors if x)
 
     def order(self):
         """Product of invariant factors, canonical; zero iff free rank > 0."""

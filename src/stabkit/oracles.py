@@ -36,7 +36,7 @@ def _minor_dets(ring, rows: Sequence[Sequence[object]], k: int) -> Iterable[obje
         sign = True
         for pos, c in enumerate(cidx):
             x = rows[ridx[0]][c]
-            if not ring.is_zero(x):
+            if x:
                 sub = det(ridx[1:], cidx[:pos] + cidx[pos + 1 :])
                 term = x * sub
                 acc = acc + term if sign else acc - term

@@ -58,7 +58,7 @@ def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
     pivots = dec.diagonal[: dec.rank]
     for a, b in zip(pivots, pivots[1:]):
         _, r = divmod(b, a)
-        assert ring.is_zero(r), f"divisibility chain broken {note}"
+        assert not r, f"divisibility chain broken {note}"
     divisors = minor_gcd_divisors(ring, m.rows)
     prod = ring.one
     for k, dk in enumerate(divisors, start=1):
@@ -69,7 +69,7 @@ def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
                 f"at k={k} {note}"
             )
         else:
-            assert ring.is_zero(dk), f"divisor beyond rank nonzero at k={k} {note}"
+            assert not dk, f"divisor beyond rank nonzero at k={k} {note}"
     if with_transforms:
         umv = mat_mul(ring, mat_mul(ring, dec.u, m), dec.v)
         diag = dec.diagonal
@@ -112,7 +112,7 @@ def suite_eisenstein_division(seed: int, cases: int) -> int:
     while done < cases:
         a = EisensteinInt(rng.randint(-50, 50), rng.randint(-50, 50))
         b = EisensteinInt(rng.randint(-12, 12), rng.randint(-12, 12))
-        if b.is_zero():
+        if not b:
             continue
         q, r = divmod(a, b)
         note = f"(seed={seed}, case={done}, a={a!r}, b={b!r})"

@@ -3,22 +3,32 @@
 Every ring here is a Euclidean domain with an explicit division step, so
 Smith normal form and gcd computations terminate with exact results.  Ring
 elements do their own arithmetic through Python operators (`+`, `-`, `*`,
-`==`, builtin `divmod`, `str`) and, like `int`, are false exactly when zero,
-so sparse code tests an entry with `if x`; a ring descriptor (`INTEGERS`, `LAURENT`,
-`EISENSTEIN`) holds only the Euclidean structure that the generic matrix
-algorithms need: zero and one, the zero test, the Euclidean size, the units
-and the canonical associates.  Each descriptor is a single instance: a
-presented module carries it as its ring, and rings compare by identity.
-Nothing here evaluates t: `knots.alexander_presentation` builds t*V - V^T
-straight into Z at t = -1 and into Z[w] at t = w.  No floating point is used anywhere: a float
+`==`, builtin `divmod`, `str`) and, like `int`, are false exactly when zero:
+the zero test is truthiness, `if x`, everywhere.  A ring descriptor
+(`INTEGERS`, `LAURENT`, `EISENSTEIN`) holds only what the generic matrix
+algorithms need besides that arithmetic, its whole protocol being:
+
+* `tag` and `name`: a fixed identifier and the printed name;
+* `zero` and `one`;
+* `from_int(n)`: the image of an `int` (anything else is a `TypeError`);
+* `size(a)`: the Euclidean size of a nonzero a;
+* `canonical(a)`: `(assoc, u)` with u a unit and `u * a == assoc`, the
+  canonical associate of a; `canonical(zero)` is `(zero, one)`, and a
+  canonical element comes back with `u == one`.
+
+Each descriptor is a single instance: a presented module carries it as its
+ring, and rings compare by identity.  Nothing here evaluates t:
+`knots.alexander_presentation` builds t*V - V^T straight into Z at t = -1
+and into Z[w] at t = w.  No floating point is used anywhere: a float
 coefficient is a `TypeError`, and so is any non-`int` given to
-`EisensteinInt` or `INTEGERS.from_int`, rather than a silent truncation.
-Integers are Python `int`s of arbitrary precision and stay `int`s: a
-`Q[t^±1]` coefficient is an `int` when it is integral and a
+`EisensteinInt` or to a descriptor's `from_int`, rather than a silent
+truncation.  Integers are Python `int`s of arbitrary precision and stay
+`int`s: a `Q[t^±1]` coefficient is an `int` when it is integral and a
 `fractions.Fraction` only when it is not, and Eisenstein division rounds
 with integer floor division.
 
-Units are quotiented away through canonical associates:
+Units are quotiented away through canonical associates, so the only unit
+that is canonical is `one`:
 
 * integers: the canonical associate is `abs(n)`;
 * `Q[t^±1]`: units are `q * t^k`; canonical means minimum exponent 0 and
@@ -162,10 +172,6 @@ class LaurentPolyQ:
         raise AttributeError("LaurentPolyQ is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> "LaurentPolyQ":
-        return cls({0: n})
-
-    @classmethod
     def parse(cls, text: str) -> "LaurentPolyQ":
         return cls(_parse_terms(text, "t"))
 
@@ -173,24 +179,8 @@ class LaurentPolyQ:
     def terms(self) -> tuple[tuple[int, object], ...]:
         return self._terms
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self._terms[0][0]
-
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self._terms[-1][0]
-
-    def deg_span(self) -> int:
-        return self.max_exp() - self.min_exp()
 
     def __add__(self, other: "LaurentPolyQ") -> "LaurentPolyQ":
         if not other._terms:
@@ -326,10 +316,6 @@ class EisensteinInt:
         raise AttributeError("EisensteinInt is immutable")
 
     @classmethod
-    def from_int(cls, n: int) -> "EisensteinInt":
-        return cls(n, 0)
-
-    @classmethod
     def parse(cls, text: str) -> "EisensteinInt":
         terms = _parse_terms(text, "w")
         if any(e not in (0, 1) for e in terms):
@@ -339,9 +325,6 @@ class EisensteinInt:
         if a.denominator != 1 or b.denominator != 1:
             raise RingFormatError(f"non-integer coordinates in {text!r}")
         return cls(int(a), int(b))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -427,22 +410,13 @@ class IntegerRing:
             raise TypeError(f"integer expected, got {n!r}")
         return n
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def size(self, a) -> int:
         return abs(a)
-
-    def is_unit(self, a) -> bool:
-        return a in (1, -1)
 
     def canonical(self, a):
         if a >= 0:
             return a, 1
         return -a, -1
-
-    def inv_unit(self, u):
-        return u
 
 
 class LaurentRing:
@@ -452,30 +426,21 @@ class LaurentRing:
     one = LaurentPolyQ({0: 1})
 
     def from_int(self, n: int) -> LaurentPolyQ:
-        return LaurentPolyQ.from_int(n)
-
-    def is_zero(self, a) -> bool:
-        return not a._terms
+        n = INTEGERS.from_int(n)
+        return _poly(((0, n),) if n else ())
 
     def size(self, a) -> int:
-        return a.deg_span()
-
-    def is_unit(self, a) -> bool:
-        return len(a.terms) == 1
+        return a._terms[-1][0] - a._terms[0][0]
 
     def canonical(self, a):
-        if a.is_zero():
+        terms = a._terms
+        if not terms:
             return a, self.one
-        terms = a.terms
         shift, lead = terms[0][0], terms[-1][1]
         if shift == 0 and lead == 1:
             return a, self.one
         assoc = _poly(tuple([(e - shift, _exact_div(c, lead)) for e, c in terms]))
-        return assoc, _poly(((shift, lead),))
-
-    def inv_unit(self, u):
-        (exp, coeff), = u.terms
-        return _poly(((-exp, _exact_div(1, coeff)),))
+        return assoc, _poly(((-shift, _exact_div(1, lead)),))
 
 
 class EisensteinRing:
@@ -485,31 +450,19 @@ class EisensteinRing:
     one = EisensteinInt(1, 0)
 
     def from_int(self, n: int) -> EisensteinInt:
-        return EisensteinInt.from_int(n)
-
-    def is_zero(self, a) -> bool:
-        return not (a.a or a.b)
+        return _eisenstein(INTEGERS.from_int(n), 0)
 
     def size(self, a) -> int:
         return a.norm()
 
-    def is_unit(self, a) -> bool:
-        return a.norm() == 1
-
     def canonical(self, a):
-        if a.is_zero():
+        if not a:
             return a, self.one
         for u in EISENSTEIN_UNITS:
             c = u * a
             if c.a > c.b >= 0:
-                return c, self.inv_unit(u)
+                return c, u
         raise AssertionError(f"no canonical associate found for {a!r}")
-
-    def inv_unit(self, u):
-        for v in EISENSTEIN_UNITS:
-            if (u * v) == EisensteinInt(1, 0):
-                return v
-        raise ValueError(f"{u!r} is not a unit")
 
 
 INTEGERS = IntegerRing()
@@ -529,7 +482,7 @@ def associates(ring, x, y) -> bool:
 
 def euclid_gcd(ring, a, b):
     """Euclid's algorithm; the gcd is canonical, and gcd(0, 0) = 0 by convention."""
-    while not ring.is_zero(b):
+    while b:
         a, b = b, divmod(a, b)[1]
     return ring.canonical(a)[0]
 

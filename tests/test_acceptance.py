@@ -18,7 +18,6 @@ from stabkit.bounds import (
 )
 from stabkit.cli import main
 from stabkit.knots import (
-    TwoKnotModel,
     alexander_module_Q,
     boundary_connect_sum,
     branched_double_cover,
@@ -88,8 +87,8 @@ def test_criterion_3_doubles_of_discs(k946):
         for m in range(1, 5):
             model = two_knot_sum(*([one] * m))
             assert model.generating_rank == m
-            assert d1_lower_bound(model, TwoKnotModel.unknotted()) == m
-            report = full_report(TwoKnotPairScenario(model, TwoKnotModel.unknotted()))
+            assert d1_lower_bound(model, two_knot_sum()) == m
+            report = full_report(TwoKnotPairScenario(model, two_knot_sum()))
             assert report.lower == m
 
 

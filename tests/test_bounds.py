@@ -15,7 +15,6 @@ from stabkit.bounds import (
 )
 from stabkit.errors import SchemaError
 from stabkit.knots import (
-    TwoKnotModel,
     add_local_2knot,
     alexander_module_Q,
     boundary_connect_sum,
@@ -82,7 +81,7 @@ def test_report_renders_missing_upper_as_infinity():
 
 def test_d1_counts_rank_gap(k946):
     one = double_of_disc(k946.disc("left"))
-    assert d1_lower_bound(one, TwoKnotModel.unknotted()) == 1
+    assert d1_lower_bound(one, two_knot_sum()) == 1
     assert d1_lower_bound(one, one) == 0
     three = two_knot_sum(one, one, one)
     assert d1_lower_bound(three, one) == 2
@@ -184,7 +183,7 @@ def test_disc_pair_report_identical_discs(k946):
 
 def test_two_knot_report(k946):
     one = double_of_disc(k946.disc("left"))
-    r = full_report(TwoKnotPairScenario(one, TwoKnotModel.unknotted()))
+    r = full_report(TwoKnotPairScenario(one, two_knot_sum()))
     assert r.quantity == "d1"
     assert (r.lower, r.upper) == (1, None)
 

@@ -59,11 +59,11 @@ def test_dense_sparse_round_trip(ring, shape):
     ncols = 3 if shape == "0x3" else len(rows[0])
     dense = Mat(rows, ncols)
     assert dense.lines == tuple(
-        tuple((j, x) for j, x in enumerate(row) if not ring.is_zero(x)) for row in rows
+        tuple((j, x) for j, x in enumerate(row) if x) for row in rows
     )
     sparse = linalg._mat(ring.zero, dense.lines, ncols)
     assert sparse.rows == tuple(tuple(row) for row in rows)
-    assert all(x is ring.zero for row in sparse.rows for x in row if ring.is_zero(x))
+    assert all(x is ring.zero for row in sparse.rows for x in row if not x)
     for other in (sparse, Mat(sparse.rows, ncols), block_diag(ring, dense), hstack(dense)):
         assert other == dense and hash(other) == hash(dense)
         assert (other.nrows, other.ncols) == (len(rows), ncols)
@@ -126,7 +126,7 @@ def test_snf_laurent_example():
         [LaurentPolyQ.parse("-2 + t"), LAURENT.zero],
     ]
     dec = smith_normal_form(LAURENT, Mat(rows, 2))
-    assert LAURENT.is_unit(dec.diagonal[0])
+    assert dec.diagonal[0] == LAURENT.one
     assert str(dec.diagonal[1]) == "1 - 5/2*t + t^2"
 
 
@@ -163,7 +163,7 @@ def test_kernel_basis_over_laurent():
     k = kernel_basis(LAURENT, m)
     assert k.ncols == 1
     prod = mat_mul(LAURENT, m, k)
-    assert all(LAURENT.is_zero(e) for row in prod.rows for e in row)
+    assert not any(e for row in prod.rows for e in row)
 
 
 def test_solve_columns():
@@ -213,8 +213,8 @@ def _det(ring, rows):
     n = len(a)
     sign, prev = ring.one, ring.one
     for k in range(n - 1):
-        if ring.is_zero(a[k][k]):
-            swap = next((i for i in range(k + 1, n) if not ring.is_zero(a[i][k])), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
                 return ring.zero
             a[k], a[swap] = a[swap], a[k]
@@ -222,7 +222,7 @@ def _det(ring, rows):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 q, r = divmod(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-                assert ring.is_zero(r)
+                assert not r
                 a[i][j] = q
         prev = a[k][k]
     return sign * a[-1][-1] if n else ring.one
@@ -250,11 +250,11 @@ def _vstack(*mats):
 
 def _check_decomposition(ring, m, dec):
     assert mat_mul(ring, mat_mul(ring, dec.u, m), dec.v) == _d(ring, m, dec)
-    assert ring.is_unit(_det(ring, dec.u.rows))
-    assert ring.is_unit(_det(ring, dec.v.rows))
+    assert ring.canonical(_det(ring, dec.u.rows))[0] == ring.one
+    assert ring.canonical(_det(ring, dec.v.rows))[0] == ring.one
     diag = dec.diagonal
     assert all(
-        ring.is_zero(d) or ring.is_zero(divmod(e, d)[1]) for d, e in zip(diag, diag[1:])
+        not d or not divmod(e, d)[1] for d, e in zip(diag, diag[1:])
     )
 
 
@@ -327,7 +327,7 @@ def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
         # the block-wise kernel spans ker m: m k = 0, C - rank columns, and
         # saturated (over a PID these three together give the whole kernel)
         k = kernel_basis(ring, m)
-        assert all(ring.is_zero(x) for row in mat_mul(ring, m, k).rows for x in row)
+        assert not any(x for row in mat_mul(ring, m, k).rows for x in row)
         assert k.ncols == m.ncols - dec.rank
         assert smith_normal_form(ring, k, with_u=False, with_v=False).unit_count == k.ncols
 

@@ -26,7 +26,7 @@ def test_minor_gcd_divisors_laurent():
         [LaurentPolyQ.parse("-2 + t"), LAURENT.zero],
     ]
     d1, d2 = minor_gcd_divisors(LAURENT, rows)
-    assert LAURENT.is_unit(d1)
+    assert LAURENT.canonical(d1)[0] == LAURENT.one
     assert str(d2) == "1 - 5/2*t + t^2"
 
 
