@@ -11,7 +11,13 @@ selected by a mod-3 character.
 Upper bounds are only emitted for constructions with a visible geometric
 move: discs obtained by surgery on a common genus-g surface (at most g
 tubes) and per-summand satellite disc swaps (one tube per differing
-summand).  Anything else reports infinity, rendered as upper = None.
+summand).  A d2 pair always has a finite upper bound, because its two discs
+bound one knot and so arise by surgery on one Seifert surface.  Only d1
+reports infinity, rendered as upper = None, when the two 2-knots differ in
+more than unknotted summands.
+
+Each report computes its lower and upper bound in place, next to the
+provenance line that states it.
 """
 
 from __future__ import annotations
@@ -20,17 +26,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SchemaError
-from .knots import (
-    SeifertKnot,
-    SurgeryDisc,
-    TwoKnotModel,
-    alexander_module_Q,
-    check_disc_for,
-    disc_kernel_Q,
-)
+from .knots import SurgeryDisc, TwoKnotModel, alexander_module_Q, disc_kernel_Q
 from .linalg import block_diag
 from .metabelian import SatelliteScenario, theorem_C_lower_bound
-from .modules import PresentedModule, Submodule, direct_sum, relative_quotients
+from .modules import Submodule, direct_sum, relative_quotients
 from .rings import LAURENT
 
 _QUANTITIES = ("d1", "d2", "d2_metabelian")
@@ -74,11 +73,6 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def d1_lower_bound(k1: TwoKnotModel, k2: TwoKnotModel) -> int:
-    """|gr - gr|: a 1-handle changes the generating rank by at most one."""
-    return abs(k1.generating_rank - k2.generating_rank)
-
-
 def kernel_quotient_ranks(p1: Submodule, p2: Submodule) -> tuple:
     """gr(p1 / p1∩p2) and gr(p2 / p2∩p1), the two relative kernel quotients."""
     if p1.ambient != p2.ambient:
@@ -89,59 +83,19 @@ def kernel_quotient_ranks(p1: Submodule, p2: Submodule) -> tuple:
     return q12.generating_rank, q21.generating_rank
 
 
-def d2_lower_bound_abelian(p1: Submodule, p2: Submodule) -> int:
-    """max gr of the two relative kernel quotients; 0 iff the kernels agree."""
-    return max(kernel_quotient_ranks(p1, p2))
-
-
-def d2_upper_bound(d1: SurgeryDisc, d2: SurgeryDisc) -> Optional[int]:
-    """Genus-many tubes connect surgery discs on one surface; None = no bound."""
-    if d1.signature() == d2.signature():
-        return 0
-    if d1.knot == d2.knot:
-        return d1.knot.genus
-    return None
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    gr_before: int
-    gr_after: int
-
-    @property
-    def drop(self) -> int:
-        return self.gr_before - self.gr_after
-
-    @property
-    def ok(self) -> bool:
-        return 0 <= self.drop <= 1
-
-
-def stabilization_monotonicity_check(
-    module: PresentedModule, cyclic: Submodule
-) -> MonotonicityReport:
-    """gr can drop by at most one when killing a cyclic submodule."""
-    if cyclic.ambient != module:
-        raise SchemaError("submodule ambient mismatch", "cyclic must live in module")
-    if cyclic.generators.ncols > 1:
-        raise SchemaError(
-            "submodule must be cyclic", f"{cyclic.generators.ncols} generators given"
-        )
-    quot = module.quotient_by(cyclic.generators)
-    return MonotonicityReport(module.generating_rank, quot.generating_rank)
-
-
 @dataclass(frozen=True)
 class DiscPairScenario:
     """Two slice discs for one knot, compared through their kernel submodules."""
 
-    knot: SeifertKnot
     disc_one: SurgeryDisc
     disc_two: SurgeryDisc
 
     def __post_init__(self):
-        for disc in (self.disc_one, self.disc_two):
-            check_disc_for(disc, self.knot)
+        if self.disc_one.knot != self.disc_two.knot:
+            raise SchemaError(
+                "disc/knot mismatch",
+                f"disc {self.disc_two.name!r} is not a disc for {self.disc_one.knot.name!r}",
+            )
 
 
 @dataclass(frozen=True)
@@ -153,38 +107,43 @@ class TwoKnotPairScenario:
 
 
 def _two_knots_equal(k1: TwoKnotModel, k2: TwoKnotModel) -> bool:
-    sig1 = sorted(d.signature() for d in k1.summands)
-    sig2 = sorted(d.signature() for d in k2.summands)
+    """Equal summand lists, once doubles of genus-0 discs are dropped.
+
+    The double of a genus-0 disc is the unknotted 2-sphere, the unit of
+    connected sum.
+    """
+    sig1 = sorted(d.signature() for d in k1.summands if d.knot.genus)
+    sig2 = sorted(d.signature() for d in k2.summands if d.knot.genus)
     return sig1 == sig2
 
 
 def _disc_pair_report(s: DiscPairScenario) -> BoundReport:
-    ambient = alexander_module_Q(s.knot)
+    knot = s.disc_one.knot
+    ambient = alexander_module_Q(knot)
     p1 = disc_kernel_Q(s.disc_one, ambient)
     p2 = disc_kernel_Q(s.disc_two, ambient)
     g12, g21 = kernel_quotient_ranks(p1, p2)
     lower = max(g12, g21)
-    upper = d2_upper_bound(s.disc_one, s.disc_two)
     prov = [
         "kernel quotient bound: h tube moves force gr(ker/ker∩ker) <= h "
         f"in both directions; computed ranks {g12} and {g21}",
     ]
-    if upper == 0:
+    if s.disc_one.signature() == s.disc_two.signature():
+        upper = 0
         prov.append("identical surgery data up to local 2-knots: upper bound 0")
-    elif upper is not None:
+    else:
+        upper = knot.genus
         prov.append(
-            f"both discs arise by surgery on one genus-{s.knot.genus} surface: "
+            f"both discs arise by surgery on one genus-{knot.genus} surface: "
             f"upper bound {upper}"
         )
-    else:
-        prov.append("no exhibited construction relating the discs: upper unbounded")
     return BoundReport("d2", lower, upper, tuple(prov))
 
 
 def _two_knot_report(s: TwoKnotPairScenario) -> BoundReport:
     g1 = s.left.generating_rank
     g2 = s.right.generating_rank
-    lower = d1_lower_bound(s.left, s.right)
+    lower = abs(g1 - g2)
     upper = 0 if _two_knots_equal(s.left, s.right) else None
     prov = [
         f"generating ranks {g1} and {g2}; each 1-handle changes gr by at most 1, "
@@ -203,7 +162,7 @@ def satellite_abelian_kernel_pair(s: SatelliteScenario):
     The companion block dies rationally, so either satellite disc restricts to
     the base-disc surgery on every summand and the two kernels are equal.
     """
-    base = alexander_module_Q(s.base_knot)
+    base = alexander_module_Q(s.base_disc.knot)
     half = disc_kernel_Q(s.base_disc, base).generators
     ambient = direct_sum(LAURENT, *(base for _ in range(s.copies)))
     gens = block_diag(LAURENT, *(half for _ in range(s.copies)))
@@ -213,7 +172,7 @@ def satellite_abelian_kernel_pair(s: SatelliteScenario):
 
 def _satellite_report(s: SatelliteScenario) -> BoundReport:
     p1, p2 = satellite_abelian_kernel_pair(s)
-    abelian = d2_lower_bound_abelian(p1, p2)
+    abelian = max(kernel_quotient_ranks(p1, p2))
     metabelian = theorem_C_lower_bound(s)
     lower = max(abelian, metabelian)
     upper = s.copies

@@ -48,7 +48,7 @@ from .knots import (
     two_knot_sum,
 )
 from .linalg import mat_mul
-from .metabelian import DiscPairModel, SatelliteScenario
+from .metabelian import SatelliteScenario
 from .modules import Submodule, relative_quotients
 from . import propsuite
 
@@ -222,11 +222,7 @@ def scenario_from_entries(
             f"{base.id!r} defines no eta_class for satellite scenarios",
         )
     return SatelliteScenario(
-        base.knot,
-        base.disc(base_disc),
-        base.eta_class,
-        DiscPairModel(companion.knot, companion.disc(companion_disc)),
-        copies,
+        base.disc(base_disc), base.eta_class, companion.disc(companion_disc), copies
     )
 
 
@@ -379,7 +375,7 @@ def cmd_bound(args) -> int:
         if len(specs) != 2:
             raise UnknownReferenceError(f"--discs needs exactly two specs, got {len(specs)}")
         discs = [resolve_disc_spec(leaves, s, knot) for s in specs]
-        scenario = DiscPairScenario(knot, *discs)
+        scenario = DiscPairScenario(*discs)
     elif args.kind == "metabelian":
         if args.scenario_json:
             scenario = scenario_from_json(catalog, args.scenario_json)
@@ -497,10 +493,7 @@ def main(argv=None) -> int:
     except HypothesisError as e:
         print(f"error: failed hypothesis: {e}", file=sys.stderr)
         return 3
-    except (UnknownReferenceError, SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UnknownReferenceError, SchemaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -178,14 +178,6 @@ class SurgeryDisc:
         return (self.knot.name, self.knot.seifert.lines, self.curves.lines)
 
 
-def check_disc_for(disc: SurgeryDisc, knot: SeifertKnot) -> None:
-    """Raise SchemaError unless `disc` is a slice disc for `knot`."""
-    if disc.knot != knot:
-        raise SchemaError(
-            "disc/knot mismatch", f"disc {disc.name!r} is not a disc for {knot.name!r}"
-        )
-
-
 def add_local_2knot(disc: SurgeryDisc) -> SurgeryDisc:
     """Connected-sum a locally knotted 2-sphere onto the disc: bookkeeping only."""
     return replace(disc, local_2knots=disc.local_2knots + 1)

@@ -18,6 +18,10 @@ structure theory used here is:
 
 Only these structural facts are used; no chain-level twisted homology of a
 group presentation is ever computed.
+
+A scenario holds discs, never knots: each `SurgeryDisc` carries the knot it
+bounds, so a disc cannot be paired with a foreign knot.  A kernel pair is the
+tuple (disc-one kernel, disc-two kernel) of submodules of one ambient module.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .knots import (
     alexander_presentation,
     antidiagonal_columns,
     branched_double_cover,
-    check_disc_for,
     disc_kernel_Q,
 )
 from .linalg import Mat, block_diag
@@ -61,33 +64,15 @@ def one_oplus_bar(module: PresentedModule) -> PresentedModule:
     return direct_sum(EISENSTEIN, module, conjugate_module(module))
 
 
-def metabelian_obstruction(j0: SeifertKnot, d0: SurgeryDisc):
-    """A_xi(J0) / (disc kernel), and whether it is nonzero.
+def metabelian_obstruction(d0: SurgeryDisc):
+    """A_xi(J0) / (disc kernel) for a disc d0 of J0, and whether it is nonzero.
 
     A nonzero quotient is the obstruction fueling the lower bound machine.
     """
-    check_disc_for(d0, j0)
-    ambient = eisenstein_alexander(j0)
+    ambient = eisenstein_alexander(d0.knot)
     kern = disc_kernel_Q(d0, ambient)
     quotient = ambient.quotient_by(kern.generators)
     return quotient, not quotient.is_zero_module()
-
-
-@dataclass(frozen=True)
-class DiscPairModel:
-    """J = J0 # -J0 with its two standard slice discs, handled structurally.
-
-    Disc one is the boundary connect sum of the given disc for J0 with its
-    mirror; disc two is the spun (deform) disc.  On Alexander modules, with
-    A(J) = A(J0) ⊕ A(J0): disc one induces i0 ⊕ i0 and disc two induces
-    (x, y) -> x + y.
-    """
-
-    base_knot: SeifertKnot
-    base_disc: SurgeryDisc
-
-    def __post_init__(self):
-        check_disc_for(self.base_disc, self.base_knot)
 
 
 @dataclass(frozen=True)
@@ -115,46 +100,46 @@ class Character:
 class SatelliteScenario:
     """N copies of the satellite R_eta(J), J = J0 # -J0, with two disc choices.
 
-    eta is carried as validated flags: its class must generate the base
-    Alexander module (checked over Q[t^±1] and Z[w]) and its winding number
-    must be zero.  The base knot needs a finite double branched cover with
-    3-torsion so that Z/3 characters exist.
+    The base knot R is `base_disc.knot`.  eta is carried as its class, which
+    must generate the base Alexander module (checked over Q[t^±1] and Z[w]);
+    its winding number is zero, which the structural kernel splitting needs.
+    The base knot needs a finite double branched cover with 3-torsion so that
+    Z/3 characters exist.
+
+    The companion J = J0 # -J0, with J0 = `companion_disc.knot`, has its two
+    standard slice discs, handled structurally.  Disc one is the boundary
+    connect sum of `companion_disc` with its mirror; disc two is the spun
+    (deform) disc.  On Alexander modules, with A(J) = A(J0) ⊕ A(J0): disc one
+    induces i0 ⊕ i0 and disc two induces (x, y) -> x + y.
     """
 
-    base_knot: SeifertKnot
     base_disc: SurgeryDisc
     eta_class: tuple
-    companion: DiscPairModel
+    companion_disc: SurgeryDisc
     copies: int
-    eta_winding_zero: bool = True
 
     def __post_init__(self):
-        check_disc_for(self.base_disc, self.base_knot)
         if self.copies < 0:
             raise SchemaError("copies must be nonnegative", f"got {self.copies}")
-        if not self.eta_winding_zero:
-            raise SchemaError(
-                "satellite winding number must be zero",
-                "the structural kernel splitting needs winding number 0",
-            )
-        aq = alexander_module_Q(self.base_knot)
+        base = self.base_disc.knot
+        aq = alexander_module_Q(base)
         if aq.generating_rank > 1:
             raise SchemaError(
                 "base Alexander module not cyclic",
-                f"generating rank {aq.generating_rank} for {self.base_knot.name!r}",
+                f"generating rank {aq.generating_rank} for {base.name!r}",
             )
-        for ambient in (aq, eisenstein_alexander(self.base_knot)):
+        for ambient in (aq, eisenstein_alexander(base)):
             eta = ambient.submodule_from_int_columns([self.eta_class])
             if not ambient.quotient_by(eta.generators).is_zero_module():
                 raise SchemaError(
                     "eta must generate the base Alexander module",
                     f"class {self.eta_class} does not generate over {ambient.ring.name}",
                 )
-        cover = branched_double_cover(self.base_knot)
+        cover = branched_double_cover(base)
         if cover.free_rank > 0:
             raise SchemaError(
                 "base double branched cover must be finite",
-                f"free rank {cover.free_rank} for {self.base_knot.name!r}",
+                f"free rank {cover.free_rank} for {base.name!r}",
             )
         if not any(d % 3 == 0 for d in cover.torsion_invariants):
             raise SchemaError(
@@ -163,18 +148,9 @@ class SatelliteScenario:
             )
 
 
-@dataclass(frozen=True)
-class EisensteinKernelPair:
-    """The two disc kernels inside a common twisted-homology module."""
-
-    ambient: PresentedModule
-    kernel_one: Submodule
-    kernel_two: Submodule
-
-
 def character_space_dimension(scenario: SatelliteScenario) -> int:
     """dim_F3 Hom(H_1 of the N-fold cover, Z/3) = N * (3-divisible invariant factors)."""
-    cover = branched_double_cover(scenario.base_knot)
+    cover = branched_double_cover(scenario.base_disc.knot)
     per_copy = sum(1 for d in cover.torsion_invariants if d % 3 == 0)
     return scenario.copies * per_copy
 
@@ -249,10 +225,10 @@ def character_selection(n: int, constraints) -> Character:
     return Character(tuple(chi))
 
 
-def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> EisensteinKernelPair:
-    """Both disc-choice kernels of the satellite, assembled block by block.
+def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> tuple:
+    """Both disc-choice kernels (k1, k2) of the satellite, assembled block by block.
 
-    Summands with a nonzero character component contribute the (disc
+    The two are submodules of one twisted-homology module.  Summands with a nonzero character component contribute the (disc
     independent) base part plus the companion block; zero components
     contribute the untwisted base kernel, identical for both choices.
     """
@@ -262,7 +238,7 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
             f"character {chi} for {scenario.copies} copies",
         )
     ring = EISENSTEIN
-    base_xi = eisenstein_alexander(scenario.base_knot)
+    base_xi = eisenstein_alexander(scenario.base_disc.knot)
     base_kernel = disc_kernel_Q(scenario.base_disc, base_xi)
 
     # base part carried by a twisted summand: same submodule either way
@@ -275,8 +251,8 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
     untwisted_kernel_cols = block_diag(ring, half_cols, half_cols)
 
     # companion block: (A ⊕ A ⊕ conj A ⊕ conj A) for A = A_xi(J0)
-    comp_xi = eisenstein_alexander(scenario.companion.base_knot)
-    comp_cols = disc_kernel_Q(scenario.companion.base_disc, comp_xi).generators
+    comp_xi = eisenstein_alexander(scenario.companion_disc.knot)
+    comp_cols = disc_kernel_Q(scenario.companion_disc, comp_xi).generators
     comp_block = one_oplus_bar(direct_sum(ring, comp_xi, comp_xi))
     comp_k1 = block_diag(ring, comp_cols, comp_cols, comp_cols, comp_cols)
     anti = antidiagonal_columns(ring, comp_xi.ngens)
@@ -293,12 +269,13 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> Eisens
     ambient = direct_sum(ring, *(b[0] for b in blocks))
     k1 = block_diag(ring, *(b[1] for b in blocks))
     k2 = block_diag(ring, *(b[2] for b in blocks))
-    return EisensteinKernelPair(ambient, Submodule(ambient, k1), Submodule(ambient, k2))
+    return Submodule(ambient, k1), Submodule(ambient, k2)
 
 
-def kernel_pair_quotient(pair: EisensteinKernelPair) -> PresentedModule:
+def kernel_pair_quotient(pair: tuple) -> PresentedModule:
     """ker(disc two) / (ker(disc one) ∩ ker(disc two)): the bound's witness module."""
-    return quotient_of_submodules(pair.kernel_two, pair.kernel_one)
+    k1, k2 = pair
+    return quotient_of_submodules(k2, k1)
 
 
 def theorem_C_lower_bound(scenario: SatelliteScenario) -> int:
@@ -309,15 +286,13 @@ def theorem_C_lower_bound(scenario: SatelliteScenario) -> int:
     nonzero obstruction block, and the handle count bounds the quotient's
     generating rank by 2h.  Hence 2h >= N - 2h, i.e. h >= ceil(N / 4).
     """
-    _, nonzero = metabelian_obstruction(
-        scenario.companion.base_knot, scenario.companion.base_disc
-    )
+    _, nonzero = metabelian_obstruction(scenario.companion_disc)
     if not nonzero:
         raise HypothesisError(
             "obstruction vanishes",
-            f"A_xi({scenario.companion.base_knot.name}) / disc kernel is zero",
+            f"A_xi({scenario.companion_disc.knot.name}) / disc kernel is zero",
         )
-    cover = branched_double_cover(scenario.base_knot)
+    cover = branched_double_cover(scenario.base_disc.knot)
     kern = disc_kernel_Q(scenario.base_disc, cover)
     ring = cover.ring
     three_h1 = Submodule(

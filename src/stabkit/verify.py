@@ -20,7 +20,6 @@ from .knots import (
     alexander_presentation,
     boundary_connect_sum,
     branched_double_cover,
-    connected_sum,
     curve_class,
     disc_kernel_Q,
     disc_quotient_Q,
@@ -30,7 +29,6 @@ from .knots import (
 from .linalg import Mat
 from .metabelian import (
     Character,
-    DiscPairModel,
     SatelliteScenario,
     character_space_dimension,
     metabelian_obstruction,
@@ -119,14 +117,13 @@ def anchor_946_branched_cover():
 
 def anchor_connected_sum_bounds():
     for n in range(1, 5):
-        knot = connected_sum(*[_K946] * n)
         d1 = boundary_connect_sum(*[_LEFT] * n)
         d2 = boundary_connect_sum(*[_RIGHT] * n)
         kernel = disc_kernel_Q(d1).presentation
         _check(kernel.generating_rank == n, f"n={n}: all-left kernel gr")
         for d in kernel.torsion_invariants:
             _eq_assoc(LAURENT, d, _TM2, f"n={n}: all-left kernel factor")
-        report = full_report(DiscPairScenario(knot, d1, d2))
+        report = full_report(DiscPairScenario(d1, d2))
         _check(
             report.lower == n and report.upper == n,
             f"n={n}: got lower {report.lower} upper {report.upper}",
@@ -190,7 +187,7 @@ def anchor_61_branched_kernel():
 
 
 def anchor_61_obstruction():
-    module, nonzero = metabelian_obstruction(_K61, _GAMMA)
+    module, nonzero = metabelian_obstruction(_GAMMA)
     _check(nonzero, "obstruction reported zero")
     order = module.order()
     _check(order.norm() == 7, f"norm {order.norm()} != 7")
@@ -205,9 +202,7 @@ def anchor_norm_seven_ring_facts():
 
 
 def _thmc_scenario(g: int) -> SatelliteScenario:
-    return SatelliteScenario(
-        _K61, _GAMMA, _CAT["6_1"].eta_class, DiscPairModel(_K61, _GAMMA), 4 * g
-    )
+    return SatelliteScenario(_GAMMA, _CAT["6_1"].eta_class, _GAMMA, 4 * g)
 
 
 def anchor_satellite_bounds():
@@ -224,15 +219,10 @@ def anchor_satellite_bounds():
 
 
 def anchor_zero_character_kernels_agree():
-    pair = satellite_kernel_pair(_thmc_scenario(1), Character((0, 0, 0, 0)))
+    k1, k2 = satellite_kernel_pair(_thmc_scenario(1), Character((0, 0, 0, 0)))
+    _check(k1.spans_equal(k2), "kernels differ for the zero character")
     _check(
-        pair.kernel_one.spans_equal(pair.kernel_two),
-        "kernels differ for the zero character",
-    )
-    _check(
-        modules_isomorphic(
-            pair.kernel_one.presentation, pair.kernel_two.presentation
-        ),
+        modules_isomorphic(k1.presentation, k2.presentation),
         "kernel presentations not isomorphic",
     )
 

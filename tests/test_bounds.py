@@ -6,12 +6,9 @@ from stabkit.bounds import (
     BoundReport,
     DiscPairScenario,
     TwoKnotPairScenario,
-    d1_lower_bound,
-    d2_lower_bound_abelian,
-    d2_upper_bound,
     full_report,
+    kernel_quotient_ranks,
     satellite_abelian_kernel_pair,
-    stabilization_monotonicity_check,
 )
 from stabkit.errors import SchemaError
 from stabkit.knots import (
@@ -23,16 +20,15 @@ from stabkit.knots import (
     two_knot_sum,
 )
 from stabkit.linalg import Mat
-from stabkit.metabelian import DiscPairModel, SatelliteScenario
+from stabkit.metabelian import SatelliteScenario
 from stabkit.modules import Submodule
 
 
 def thmc(k61, copies: int) -> SatelliteScenario:
     return SatelliteScenario(
-        base_knot=k61.knot,
         base_disc=k61.disc("gamma"),
         eta_class=k61.eta_class,
-        companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+        companion_disc=k61.disc("gamma"),
         copies=copies,
     )
 
@@ -79,12 +75,16 @@ def test_report_renders_missing_upper_as_infinity():
 # ------------------------------------------------------------------ d1 bound
 
 
+def d1_lower(k1, k2) -> int:
+    return full_report(TwoKnotPairScenario(k1, k2)).lower
+
+
 def test_d1_counts_rank_gap(k946):
     one = double_of_disc(k946.disc("left"))
-    assert d1_lower_bound(one, two_knot_sum()) == 1
-    assert d1_lower_bound(one, one) == 0
+    assert d1_lower(one, two_knot_sum()) == 1
+    assert d1_lower(one, one) == 0
     three = two_knot_sum(one, one, one)
-    assert d1_lower_bound(three, one) == 2
+    assert d1_lower(three, one) == 2
 
 
 # ------------------------------------------------------------------ d2 bound
@@ -94,9 +94,9 @@ def test_d2_abelian_9_46_discs(k946):
     ambient = alexander_module_Q(k946.knot)
     left = disc_kernel_Q(k946.disc("left"), ambient)
     right = disc_kernel_Q(k946.disc("right"), ambient)
-    assert d2_lower_bound_abelian(left, right) == 1
-    assert d2_lower_bound_abelian(right, left) == 1
-    assert d2_lower_bound_abelian(left, left) == 0
+    assert kernel_quotient_ranks(left, right) == (1, 1)
+    assert kernel_quotient_ranks(right, left) == (1, 1)
+    assert kernel_quotient_ranks(left, left) == (0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -106,22 +106,25 @@ def test_d2_abelian_additive_over_sums(k946, n):
     ambient = alexander_module_Q(disc1.knot)
     p1 = disc_kernel_Q(disc1, ambient)
     p2 = disc_kernel_Q(disc2, ambient)
-    assert d2_lower_bound_abelian(p1, p2) == n
+    assert max(kernel_quotient_ranks(p1, p2)) == n
 
 
 def test_d2_abelian_rejects_mixed_ambients(k946, k61):
     left = disc_kernel_Q(k946.disc("left"))
     gamma = disc_kernel_Q(k61.disc("gamma"))
     with pytest.raises(SchemaError, match="ambient mismatch"):
-        d2_lower_bound_abelian(left, gamma)
+        kernel_quotient_ranks(left, gamma)
 
 
-def test_d2_upper_rules(k946, k61):
+def test_d2_upper_rules(k946):
     left, right = k946.disc("left"), k946.disc("right")
-    assert d2_upper_bound(left, left) == 0
-    assert d2_upper_bound(left, add_local_2knot(left)) == 0  # decorations invisible
-    assert d2_upper_bound(left, right) == 1  # genus-1 surface
-    assert d2_upper_bound(left, k61.disc("gamma")) is None
+
+    def upper(d1, d2):
+        return full_report(DiscPairScenario(d1, d2)).upper
+
+    assert upper(left, left) == 0
+    assert upper(left, add_local_2knot(left)) == 0  # decorations invisible
+    assert upper(left, right) == 1  # genus-1 surface
 
 
 # ------------------------------------------------------------- monotonicity
@@ -131,32 +134,14 @@ def test_killing_one_generator_drops_rank_by_one(k946):
     disc = boundary_connect_sum(*([k946.disc("left")] * 3))
     kern = disc_kernel_Q(disc).presentation
     cyclic = kern.submodule_from_int_columns([(1, 0, 0)])
-    report = stabilization_monotonicity_check(kern, cyclic)
-    assert (report.gr_before, report.gr_after) == (3, 2)
-    assert report.drop == 1
-    assert report.ok
+    gr_after = kern.quotient_by(cyclic.generators).generating_rank
+    assert (kern.generating_rank, gr_after) == (3, 2)
 
 
 def test_killing_nothing_changes_nothing(k946):
     m = alexander_module_Q(k946.knot)
     zero = Submodule(m, Mat([() for _ in range(m.ngens)], 0))
-    report = stabilization_monotonicity_check(m, zero)
-    assert report.drop == 0
-    assert report.ok
-
-
-def test_monotonicity_requires_cyclic_input(k946):
-    m = alexander_module_Q(k946.knot)
-    two_gen = m.submodule_from_int_columns([(1, 0), (0, 1)])
-    with pytest.raises(SchemaError, match="cyclic"):
-        stabilization_monotonicity_check(m, two_gen)
-
-
-def test_monotonicity_requires_matching_ambient(k946, k61):
-    m = alexander_module_Q(k946.knot)
-    other = alexander_module_Q(k61.knot).submodule_from_int_columns([(1, 0)])
-    with pytest.raises(SchemaError, match="ambient"):
-        stabilization_monotonicity_check(m, other)
+    assert m.quotient_by(zero.generators).generating_rank == m.generating_rank
 
 
 # ----------------------------------------------------------------- dispatch
@@ -164,11 +149,11 @@ def test_monotonicity_requires_matching_ambient(k946, k61):
 
 def test_disc_pair_scenario_validates_discs(k946, k61):
     with pytest.raises(SchemaError, match="mismatch"):
-        DiscPairScenario(k946.knot, k946.disc("left"), k61.disc("gamma"))
+        DiscPairScenario(k946.disc("left"), k61.disc("gamma"))
 
 
 def test_disc_pair_report(k946):
-    r = full_report(DiscPairScenario(k946.knot, k946.disc("left"), k946.disc("right")))
+    r = full_report(DiscPairScenario(k946.disc("left"), k946.disc("right")))
     assert r.quantity == "d2"
     assert (r.lower, r.upper) == (1, 1)
     assert any("computed ranks 1 and 1" in p for p in r.provenance)
@@ -176,7 +161,7 @@ def test_disc_pair_report(k946):
 
 def test_disc_pair_report_identical_discs(k946):
     disc = k946.disc("left")
-    r = full_report(DiscPairScenario(k946.knot, disc, add_local_2knot(disc)))
+    r = full_report(DiscPairScenario(disc, add_local_2knot(disc)))
     assert (r.lower, r.upper) == (0, 0)
     assert any("local 2-knots" in p for p in r.provenance)
 
@@ -202,13 +187,13 @@ def test_satellite_kernels_coincide(k61):
     s = thmc(k61, 3)
     p1, p2 = satellite_abelian_kernel_pair(s)
     assert p1.spans_equal(p2)
-    assert d2_lower_bound_abelian(p1, p2) == 0
+    assert kernel_quotient_ranks(p1, p2) == (0, 0)
 
 
 def test_satellite_zero_copies(k61):
     p1, p2 = satellite_abelian_kernel_pair(thmc(k61, 0))
     assert p1.is_zero()
-    assert d2_lower_bound_abelian(p1, p2) == 0
+    assert kernel_quotient_ranks(p1, p2) == (0, 0)
 
 
 def test_unknown_scenario_rejected():

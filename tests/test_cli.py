@@ -291,6 +291,22 @@ def test_bound_d1_equal_sides(capsys):
     assert payload["upper"] == 0
 
 
+@pytest.mark.parametrize(
+    "two_knot, vs",
+    [
+        ("double(unknot.trivial)", "unknot"),
+        ("double(unknot.trivial)^2+double(9_46.left)", "double(9_46.left)"),
+    ],
+)
+def test_bound_d1_drops_unknotted_doubles(capsys, two_knot, vs):
+    # the double of a genus-0 disc is the unknotted 2-sphere, the unit of connected sum
+    code, out, _ = run(capsys, "--json", "bound", "d1", "--two-knot", two_knot, "--vs", vs)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lower"], payload["upper"]) == (0, 0)
+    assert "identical summand lists: upper bound 0" in payload["provenance"]
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -1,7 +1,10 @@
 """Eisenstein specializations, characters, and the satellite kernel machinery."""
 
+import itertools
+
 import pytest
 
+from stabkit.bounds import kernel_quotient_ranks
 from stabkit.errors import HypothesisError, SchemaError
 from stabkit.knots import (
     SeifertKnot,
@@ -13,7 +16,6 @@ from stabkit.knots import (
 from stabkit.linalg import Mat
 from stabkit.metabelian import (
     Character,
-    DiscPairModel,
     SatelliteScenario,
     character_selection,
     character_space_dimension,
@@ -37,10 +39,9 @@ TRIVIAL_DISC = SurgeryDisc(TRIVIAL_ALEX, "d", ((1, 0),))
 
 def scenario(k61, copies: int) -> SatelliteScenario:
     return SatelliteScenario(
-        base_knot=k61.knot,
         base_disc=k61.disc("gamma"),
         eta_class=k61.eta_class,
-        companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+        companion_disc=k61.disc("gamma"),
         copies=copies,
     )
 
@@ -142,7 +143,7 @@ def test_twisted_homology_abelian_rep_6_1(k61):
 
 
 def test_obstruction_6_1_is_nonzero(k61):
-    quotient, nonzero = metabelian_obstruction(k61.knot, k61.disc("gamma"))
+    quotient, nonzero = metabelian_obstruction(k61.disc("gamma"))
     assert nonzero
     assert quotient.generating_rank == 1
     order = quotient.order()
@@ -151,26 +152,16 @@ def test_obstruction_6_1_is_nonzero(k61):
 
 
 def test_obstruction_9_46_left(k946):
-    quotient, nonzero = metabelian_obstruction(k946.knot, k946.disc("left"))
+    quotient, nonzero = metabelian_obstruction(k946.disc("left"))
     assert nonzero
     order = quotient.order()
     assert (order.a, order.b) == (3, 1)  # canonical associate of 2w - 1
 
 
 def test_obstruction_vanishes_for_trivial_alexander():
-    quotient, nonzero = metabelian_obstruction(TRIVIAL_ALEX, TRIVIAL_DISC)
+    quotient, nonzero = metabelian_obstruction(TRIVIAL_DISC)
     assert not nonzero
     assert quotient.is_zero_module()
-
-
-def test_obstruction_rejects_foreign_disc(k61, k946):
-    with pytest.raises(SchemaError, match="mismatch"):
-        metabelian_obstruction(k61.knot, k946.disc("left"))
-
-
-def test_disc_pair_model_rejects_foreign_disc(k61, k946):
-    with pytest.raises(SchemaError, match="mismatch"):
-        DiscPairModel(k61.knot, k946.disc("left"))
 
 
 # ------------------------------------------------------- scenario validation
@@ -181,43 +172,18 @@ def test_scenario_accepts_catalog_data(k61):
     assert s.copies == 4
 
 
-def test_scenario_rejects_foreign_disc(k61, k946):
-    with pytest.raises(SchemaError, match="mismatch"):
-        SatelliteScenario(
-            base_knot=k61.knot,
-            base_disc=k946.disc("left"),
-            eta_class=(1, 0),
-            companion=DiscPairModel(k61.knot, k61.disc("gamma")),
-            copies=1,
-        )
-
-
 def test_scenario_rejects_negative_copies(k61):
     with pytest.raises(SchemaError, match="nonnegative"):
         scenario(k61, -1)
 
 
-def test_scenario_rejects_nonzero_winding(k61):
-    with pytest.raises(SchemaError, match="winding"):
-        SatelliteScenario(
-            base_knot=k61.knot,
-            base_disc=k61.disc("gamma"),
-            eta_class=(1, 0),
-            companion=DiscPairModel(k61.knot, k61.disc("gamma")),
-            copies=1,
-            eta_winding_zero=False,
-        )
-
-
 def test_scenario_rejects_non_cyclic_base(k61, k946):
-    double = connected_sum(k946.knot, k946.knot)
     disc = boundary_connect_sum(k946.disc("left"), k946.disc("left"))
     with pytest.raises(SchemaError, match="not cyclic"):
         SatelliteScenario(
-            base_knot=double,
             base_disc=disc,
             eta_class=(1, 0, 0, 0),
-            companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+            companion_disc=k61.disc("gamma"),
             copies=1,
         )
 
@@ -226,10 +192,9 @@ def test_scenario_rejects_non_generating_eta(k61):
     # (1,-1) spans (t-2) times the module, a proper submodule
     with pytest.raises(SchemaError, match="generate"):
         SatelliteScenario(
-            base_knot=k61.knot,
             base_disc=k61.disc("gamma"),
             eta_class=(1, -1),
-            companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+            companion_disc=k61.disc("gamma"),
             copies=1,
         )
 
@@ -237,10 +202,9 @@ def test_scenario_rejects_non_generating_eta(k61):
 def test_scenario_rejects_cover_without_3_torsion(k61):
     with pytest.raises(SchemaError, match="3-torsion"):
         SatelliteScenario(
-            base_knot=TRIVIAL_ALEX,
             base_disc=TRIVIAL_DISC,
             eta_class=(0, 0),
-            companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+            companion_disc=k61.disc("gamma"),
             copies=1,
         )
 
@@ -266,10 +230,9 @@ def test_character_space_dimension_6_1(k61):
 
 def test_character_space_dimension_9_46(k61, k946):
     s = SatelliteScenario(
-        base_knot=k946.knot,
         base_disc=k946.disc("left"),
         eta_class=(1, 1),
-        companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+        companion_disc=k61.disc("gamma"),
         copies=1,
     )
     assert character_space_dimension(s) == 2
@@ -310,7 +273,8 @@ def test_selection_rejects_wrong_length_constraint():
 def test_zero_character_gives_identical_kernels(k61):
     s = scenario(k61, 2)
     pair = satellite_kernel_pair(s, Character((0, 0)))
-    assert pair.kernel_one.spans_equal(pair.kernel_two)
+    k1, k2 = pair
+    assert k1.spans_equal(k2)
     assert kernel_pair_quotient(pair).is_zero_module()
 
 
@@ -328,6 +292,17 @@ def test_quotient_rank_counts_twisted_copies(k61):
     assert kernel_pair_quotient(satellite_kernel_pair(s, Character((1, 2)))).generating_rank == 2
 
 
+def test_witness_rank_is_m_nonzero_for_every_character(k61):
+    # thmC(g=1): all 81 characters on 4 copies
+    s = scenario(k61, 4)
+    for values in itertools.product((0, 1, 2), repeat=4):
+        chi = Character(values)
+        pair = satellite_kernel_pair(s, chi)
+        m = chi.m_nonzero
+        assert kernel_pair_quotient(pair).generating_rank == m, chi
+        assert kernel_quotient_ranks(*pair) == (m, m), chi
+
+
 def test_kernel_pair_rejects_wrong_character_length(k61):
     with pytest.raises(SchemaError, match="length mismatch"):
         satellite_kernel_pair(scenario(k61, 2), Character((1,)))
@@ -335,7 +310,7 @@ def test_kernel_pair_rejects_wrong_character_length(k61):
 
 def test_empty_scenario_has_empty_kernels(k61):
     pair = satellite_kernel_pair(scenario(k61, 0), Character(()))
-    assert pair.ambient.ngens == 0
+    assert pair[0].ambient.ngens == 0
     assert kernel_pair_quotient(pair).is_zero_module()
 
 
@@ -355,10 +330,9 @@ def test_lower_bound_small_counts(k61):
 
 def test_lower_bound_needs_nonzero_obstruction(k61):
     s = SatelliteScenario(
-        base_knot=k61.knot,
         base_disc=k61.disc("gamma"),
         eta_class=(1, 0),
-        companion=DiscPairModel(TRIVIAL_ALEX, TRIVIAL_DISC),
+        companion_disc=TRIVIAL_DISC,
         copies=4,
     )
     with pytest.raises(HypothesisError) as exc:
@@ -369,10 +343,9 @@ def test_lower_bound_needs_nonzero_obstruction(k61):
 def test_lower_bound_needs_extendable_characters(k61, k946):
     # on 9_46 the branched kernel is a Z_3 factor, not inside 3*H_1
     s = SatelliteScenario(
-        base_knot=k946.knot,
         base_disc=k946.disc("left"),
         eta_class=(1, 1),
-        companion=DiscPairModel(k61.knot, k61.disc("gamma")),
+        companion_disc=k61.disc("gamma"),
         copies=4,
     )
     with pytest.raises(HypothesisError) as exc:
