@@ -47,7 +47,7 @@ from .knots import (
     double_of_disc,
     two_knot_sum,
 )
-from .linalg import mat_mul
+from .linalg import _command_memo, mat_mul
 from .metabelian import SatelliteScenario
 from .modules import Submodule, relative_quotients
 from . import propsuite
@@ -435,10 +435,20 @@ malformed input, 3 failed theorem hypothesis
 """
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one stderr line, without the usage block.
+
+    `add_subparsers` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; it depends on no argv, so a process builds it once."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabkit",
         description="Exact Alexander-module bounds on stabilization distances "
         "between slice discs and 2-knots.",
@@ -489,7 +499,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        with _command_memo():
+            return args.func(args)
     except HypothesisError as e:
         print(f"error: failed hypothesis: {e}", file=sys.stderr)
         return 3

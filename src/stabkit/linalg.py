@@ -23,7 +23,11 @@ determinants are units.
 Direct sums make most large inputs block-diagonal up to a permutation of rows
 and columns, so without transforms the elimination runs, densely, on each
 connected component of the nonzero pattern (union-find over the stored
-nonzeros), and equal blocks are reduced once per call (`_reduced_blocks`).
+nonzeros), and equal blocks are reduced once per command (`_reduced_blocks`):
+while `cli.main` runs a command, one memo per ring holds every block already
+reduced and every gcd and lcm the chain merge took, so the many Smith calls
+of one request on the same summands share them.  A library call outside a
+command keeps a memo of its own, which ends with the call.
 Both block readers do only the work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
@@ -51,6 +55,7 @@ det(V - V^T) of a Seifert matrix this way.
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -393,24 +398,53 @@ def _sparse(lines: list) -> list:
     return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
 
 
+# ring tag -> (reduced blocks, gcds, lcms) while a command runs, else None
+_command_tables: Optional[dict] = None
+
+
+@contextmanager
+def _command_memo():
+    """Share the block and gcd/lcm memos among the Smith calls of one command.
+
+    `cli.main` opens it around a command.  A nested command (`verify` runs
+    `main`) gets a memo of its own, and the outer one is back when it ends.
+    """
+    global _command_tables
+    outer, _command_tables = _command_tables, {}
+    try:
+        yield
+    finally:
+        _command_tables = outer
+
+
+def _memo(ring) -> tuple:
+    """(reduced blocks, gcds, lcms) of the open command, or fresh ones for this call."""
+    if _command_tables is None:
+        return {}, {}, {}
+    return _command_tables.setdefault(ring.tag, ({}, {}, {}))
+
+
 def _reduced_blocks(ring, m: Mat, with_v: bool, cancel):
     """Each connected block of m with its elimination, in `_split_blocks` order.
 
     Yields (cols, pivots, V columns), V as sparse block-local lines (None when
-    not accumulated).  Equal blocks are reduced once and share their result,
-    pivot objects included.
+    not accumulated).  Equal blocks are reduced once per command, or once per
+    call outside one, and share their result, pivot objects included.  A block
+    first reduced without V is reduced again, once, when V is asked for.
     """
     zero = ring.zero
     local = [0] * m.ncols  # a column's index inside its block
-    reduced: dict = {}  # block lines -> (pivots, V columns)
+    reduced = _memo(ring)[0]  # block lines -> (pivots, V columns or None)
     for rows, cols in _split_blocks(m):
         for p, j in enumerate(cols):
             local[j] = p
         key = tuple(tuple([(local[j], x) for j, x in m.lines[i]]) for i in rows)
-        if key not in reduced:  # rows fix the width: a block without rows is one zero column
+        done = reduced.get(key)
+        if done is None or with_v and done[1] is None:
+            # rows fix the width: a block without rows is one zero column
             pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, with_v, cancel)
-            reduced[key] = pivots, _sparse(bvt) if with_v else None
-        yield (cols,) + reduced[key]
+            done = reduced[key] = pivots, _sparse(bvt) if with_v else None
+        yield (cols,) + done
 
 
 def _chain_of_values(ring, blocks) -> list:
@@ -421,7 +455,8 @@ def _chain_of_values(ring, blocks) -> list:
     d_j = 1 for j <= 0 and gcd(d_j, x) = x for j > n.  Prime by prime this
     merges k copies of x's valuation into a sorted list.  The chain is kept as
     runs of equal values, and e_i is constant between the run ends of d and
-    those ends shifted by k, so an insertion costs the runs, not n.
+    those ends shifted by k, so an insertion costs the runs, not n.  Each
+    gcd and lcm is taken once per command, or once per call outside one.
     """
     one, units, counts = ring.one, 0, {}
     for _, pivots, _ in blocks:
@@ -430,8 +465,7 @@ def _chain_of_values(ring, blocks) -> list:
                 units += 1
             else:
                 counts[x] = counts.get(x, 0) + 1
-    gcds: dict = {}
-    lcms: dict = {}
+    _, gcds, lcms = _memo(ring)
 
     def gcd(a, b):
         if (a, b) not in gcds:

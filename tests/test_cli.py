@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stabkit
-from stabkit import cli
+from stabkit import cli, linalg, verify
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError
@@ -394,6 +394,16 @@ def test_no_command_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,prog", [(["alexander", "-1x"], "stabkit alexander"), (["bound", "d3"], "stabkit bound")]
+)
+def test_malformed_command_line_is_exit_2_with_one_line(capsys, argv, prog):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"{prog}: error: "), err
+
+
 def test_version_is_exit_0(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -635,6 +645,64 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
     first["custom"] = first.pop("9_46")
     assert builtin_catalog() is not first
     assert sorted(builtin_catalog()) == ["6_1", "9_46", "unknot"]
+
+
+# ---------------------------------------------------------- command memo
+
+
+def test_main_leaves_no_memo_open(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(SCENARIO, companion="unknot", companion_disc="trivial")))
+    for argv, expected in (
+        (["kernels", "9_46"], 0),
+        (["bound", "d3"], 2),
+        (["alexander", "no_such_knot"], 2),
+        (["bound", "metabelian", "--scenario-json", str(path)], 3),
+    ):
+        assert run(capsys, *argv)[0] == expected, argv
+        assert linalg._command_tables is None, argv
+
+
+def test_nested_main_restores_the_outer_memo(capsys, monkeypatch):
+    """`verify` runs `main` inside its command; the nested call has its own memo."""
+    real_cli, real_memo = verify._cli, linalg._memo
+    outers, inners = [], []
+
+    def spied_cli(argv):
+        outer = linalg._command_tables
+        try:
+            return real_cli(argv)
+        finally:
+            assert linalg._command_tables is outer
+            outers.append(outer)
+
+    def spied_memo(ring):
+        inners.append(linalg._command_tables)
+        return real_memo(ring)
+
+    monkeypatch.setattr(verify, "_cli", spied_cli)
+    monkeypatch.setattr(linalg, "_memo", spied_memo)
+    assert run(capsys, "verify")[0] == 0
+    assert outers and all(t is not None for t in outers + inners)
+    outer_ids = {id(t) for t in outers}
+    assert len(outer_ids) == 1
+    # the nested commands opened memos of their own
+    assert {id(t) for t in inners} - outer_ids
+    assert linalg._command_tables is None
+
+
+def test_kernels_reduces_each_distinct_block_once(capsys, monkeypatch):
+    calls = []
+    real = linalg._smith_block
+
+    def counted(ring, m, with_u, with_v, cancel):
+        calls.append((ring.tag, m.lines, m.ncols, with_u, with_v))
+        return real(ring, m, with_u, with_v, cancel)
+
+    monkeypatch.setattr(linalg, "_smith_block", counted)
+    code, _, _ = run(capsys, "kernels", "sum(9_46,9_46)", "--discs", "left+right,right+left")
+    assert code == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_readme_outputs_match_recorded_digests(capsys):

@@ -350,6 +350,45 @@ def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch):
     assert k.ncols == m.ncols - smith_normal_form(INTEGERS, m).rank
 
 
+def test_library_calls_share_no_memo(monkeypatch):
+    calls = []
+    inner = linalg._smith_block
+
+    def counted(*args):
+        calls.append(args[1].nrows)
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, "_smith_block", counted)
+    m = block_diag(INTEGERS, Mat([[2, 4, 1], [0, 6, 3]]), Mat([[3, 0, 0]]))
+    first = kernel_basis(INTEGERS, m)
+    count = len(calls)
+    assert count and kernel_basis(INTEGERS, m) == first
+    assert len(calls) == 2 * count
+
+
+def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch):
+    m = block_diag(LAURENT, *[Mat([[LaurentPolyQ.parse(x)]]) for x in ("2*t - 1", "0", "t - 2")])
+    m = hstack(m, m)
+    fresh = kernel_basis(LAURENT, m)
+    calls = []
+    inner = linalg._smith_block
+
+    def counted(*args):
+        calls.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, "_smith_block", counted)
+    with linalg._command_memo():
+        bare = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
+        assert kernel_basis(LAURENT, m) == fresh
+        assert kernel_basis(LAURENT, m) == fresh
+        assert smith_normal_form(LAURENT, m, with_u=False, with_v=False) == bare
+    # the four distinct blocks (two 1x2, a zero row, a zero column) once
+    # without V, then once with V, and never again
+    assert calls == [False] * 4 + [True] * 4
+    assert linalg._command_tables is None
+
+
 def test_kernel_basis_makes_no_diagonal_moves():
     m = block_diag(INTEGERS, Mat([[2, 4]]), Mat([[3, 0]]), Mat([[5, 5, 5]]))
     k = kernel_basis(INTEGERS, m)

@@ -15,7 +15,6 @@ from stabkit.rings import (
     EisensteinInt,
     LaurentPolyQ,
     RingFormatError,
-    associates,
     canonical_associate,
     euclid_gcd,
 )
