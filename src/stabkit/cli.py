@@ -271,7 +271,17 @@ def cmd_alexander(args) -> int:
     leaves = resolve_knot_ref(catalog, args.knot)
     knot = knot_of_leaves(leaves)
     module = alexander_module_Q(knot)
-    rows = [[str(e) for e in row] for row in module.relations.rows]
+    # the printed rows, from the sparse lines: each distinct entry is formatted once
+    rels, texts = module.relations, {}
+    zero = str(module.ring.zero)
+    rows = []
+    for line in rels.lines:
+        row = [zero] * rels.ncols
+        for j, x in line:
+            if x not in texts:
+                texts[x] = str(x)
+            row[j] = texts[x]
+        rows.append(row)
     order = str(module.order())  # the Alexander polynomial is this order
     payload = {
         "knot": knot.name,

@@ -18,10 +18,14 @@ V and the curves are integer `linalg.Mat`s, which store only their nonzeros:
 V itself, and the 2g x g matrix C whose columns are the curves.  The
 constructors also take dense integer rows (catalog data, say) and convert
 them once; an entry whose type is not `int` raises TypeError.  Connected sums
-and boundary sums are then block sums, and every check costs what the
-nonzeros cost: det(V - V^T) is the product of its Smith diagonal, which
-reduces each distinct summand block once, the curve classes are the columns
-of V^T C, and the curves are 0-framed when C^T (V + V^T) C = 0.
+and boundary sums are then `block_diag`s, which record their summand blocks,
+and every matrix built from them here keeps that record: V^T and the curve
+classes V^T C, t*V - V^T over each ring, and the three checks a sum must pass
+-- det(V - V^T) = 1, the product of its Smith diagonal; the 0-framing
+C^T (V + V^T) C = 0; and C a direct summand, all of its Smith diagonal units.
+So every check still runs on every sum, but blockwise: each distinct summand
+block is built, multiplied and reduced once, and a sum of n copies of one
+knot costs what one copy costs plus a pass over the n block records.
 
 2-knots appear as doubles of discs: the module of the double is the cokernel
 of x -> (q(x), -q(x)) into two copies of the disc module, where q kills the
@@ -31,10 +35,20 @@ no kernel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from .errors import SchemaError
-from .linalg import Mat, _mat, block_diag, hstack, mat_mul, smith_normal_form, transpose
+from .linalg import (
+    Mat,
+    _mat,
+    block_diag,
+    first_nonzero,
+    mat_mul,
+    smith_normal_form,
+    transpose,
+    zip_entries,
+)
 from .modules import ModuleMap, PresentedModule, Submodule, direct_sum
 from .rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
@@ -59,10 +73,9 @@ class SeifertKnot:
         n = v.nrows
         if n % 2 != 0:
             raise SchemaError("seifert matrix not even-sized", f"{self.name!r} has size {n}")
-        # V - V^T is [V | V^T] times the columns (e_i, -e_i).  It is skew-symmetric,
-        # so det = Pf^2 >= 0: exactly the product of its invariant factors, not
-        # only up to sign.
-        skew = mat_mul(INTEGERS, hstack(v, transpose(v)), antidiagonal_columns(INTEGERS, n))
+        # V - V^T is skew-symmetric, so det = Pf^2 >= 0: exactly the product of
+        # its invariant factors, not only up to sign.
+        skew = zip_entries(INTEGERS, operator.sub, v, transpose(v))
         d = 1
         for x in smith_normal_form(INTEGERS, skew, with_u=False, with_v=False).diagonal:
             d *= x
@@ -96,14 +109,8 @@ _T_TIMES_X_MINUS_Y = {
 
 def alexander_presentation(knot: SeifertKnot, ring=LAURENT) -> Mat:
     """t*V - V^T over Q[t^±1], or evaluated at t = -1 (ring INTEGERS) or t = w (EISENSTEIN)."""
-    entry = _T_TIMES_X_MINUS_Y[ring]
     v = knot.seifert
-    lines = []
-    for row, col in zip(v.lines, transpose(v).lines):  # row i of V and of V^T
-        x, y = dict(row), dict(col)
-        line = [(j, entry(x.get(j, 0), y.get(j, 0))) for j in sorted(x.keys() | y.keys())]
-        lines.append(tuple([(j, z) for j, z in line if z]))
-    return _mat(ring.zero, tuple(lines), v.ncols)
+    return zip_entries(ring, _T_TIMES_X_MINUS_Y[ring], v, transpose(v))
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
@@ -155,16 +162,12 @@ class SurgeryDisc:
                 )
             c = transpose(_int_mat(c, n))
             object.__setattr__(self, "curves", c)
-        # C^T (V + V^T) C, where (V + V^T) C is [V | V^T] times C stacked on itself
         v = self.knot.seifert
-        sym_c = mat_mul(INTEGERS, hstack(v, transpose(v)), _mat(0, c.lines * 2, g))
-        for i, line in enumerate(mat_mul(INTEGERS, transpose(c), sym_c).lines):
-            if line:
-                j, val = line[0]
-                raise SchemaError(
-                    "curves not 0-framed",
-                    f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})",
-                )
+        sym_c = mat_mul(INTEGERS, zip_entries(INTEGERS, operator.add, v, transpose(v)), c)
+        framing = first_nonzero(mat_mul(INTEGERS, transpose(c), sym_c))
+        if framing is not None:
+            i, j, val = framing
+            raise SchemaError("curves not 0-framed", f"c^T(V+V^T)c = {val} at ({i + 1},{j + 1})")
         if g > 0:
             dec = smith_normal_form(INTEGERS, c, with_u=False, with_v=False)
             if dec.unit_count != g:

@@ -10,25 +10,46 @@ algorithm takes the ring descriptor explicitly so the same code serves Z,
 Q[t^±1] and Z[w].  Entries do their own arithmetic and are false exactly
 when zero; the descriptor supplies zero, one, sizes and canonical associates.
 
+Block sums keep their blocks.  `block_diag` records the pieces it places
+on the diagonal (a private `_Blocks` on the `Mat`), exact by construction
+and never inferred from the entries.  It keeps a record only when the pieces
+repeat enough to pay for it (`_FEW_PIECES`), as they do in a sum of many
+copies of a few summands.  The operations that map a block sum to a block
+sum carry the record, applying themselves once per distinct piece object:
+`transpose`, `hstack` of sums whose rows line up piece by piece, `mat_mul`
+of sums whose inner indices line up, the entry maps `Mat.map_entries` and
+`zip_entries`, `Mat.split_rows` at a boundary between stacked parts, and
+`kernel_basis` of a sum whose rows are one run of pieces.  Any other operand
+makes the result a plain matrix.  A recorded matrix builds its `lines` only
+when a caller reads them (`rows`, equality, hashing, printing, or an
+operation that cannot keep the record).  The pieces of a record are plain
+matrices: a block sum of block sums records the inner pieces.
+
 The Smith pass is the classic elimination: pick the smallest-size nonzero
 entry as pivot (ties broken by row-then-column position, so output is
 deterministic), clear its column and row by Euclidean division, patch any
-divisibility failure in the remaining block by a row addition, and normalize
-each finished pivot by the unit u that `ring.canonical` returns with its
-associate (U's row is scaled by u too).  Every diagonal entry is therefore
-canonical, and a unit on the diagonal is exactly `ring.one`.  Transforms U
-and V are accumulated from elementary operations only, so their
-determinants are units.
+divisibility failure in the remaining block by a row addition (a unit pivot
+divides everything and skips that sweep), and normalize each finished pivot
+by the unit u that `ring.canonical` returns with its associate (U's row is
+scaled by u too).  Every diagonal entry is therefore canonical, and a unit
+on the diagonal is exactly `ring.one`.  Transforms U and V are accumulated
+from elementary operations only, so their determinants are units.
 
-Direct sums make most large inputs block-diagonal up to a permutation of rows
-and columns, so without transforms the elimination runs, densely, on each
-connected component of the nonzero pattern (union-find over the stored
-nonzeros), and equal blocks are reduced once per command (`_reduced_blocks`):
-while `cli.main` runs a command, one memo per ring holds every block already
-reduced and every gcd and lcm the chain merge took, so the many Smith calls
-of one request on the same summands share them.  A library call outside a
-command keeps a memo of its own, which ends with the call.
-Both block readers do only the work their callers use:
+Without transforms the elimination runs, densely, on each connected block.
+Permuting rows and columns changes no invariant factor, and the Smith form
+of A ⊕ B is the Smith form of diag(SNF(A), SNF(B)) (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, §2.4), so the pivots of the
+blocks, merged into one divisibility chain, are the diagonal.  A recorded
+matrix takes its blocks from its pieces: each distinct piece is looked up
+once, and only a piece is split into connected blocks.  A matrix with no
+record (a small sum, a catalog knot, a piece, the kernel of a sum whose rows
+are stacked parts) is split by union-find over its stored nonzeros
+(`_split_blocks`).
+While `cli.main` runs a command, one memo per ring holds every block and
+every piece already reduced and every gcd and lcm the chain merge took, so
+the many Smith calls of one request on the same summands share them.  A
+library call outside a command keeps a memo of its own, which ends with the
+call.  Both block readers do only the work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
   columns, in block order.  Those columns span the kernel, and nothing is
@@ -55,9 +76,10 @@ det(V - V^T) of a Seifert matrix this way.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .rings import euclid_gcd
 
@@ -66,15 +88,36 @@ class SmithCancelled(Exception):
     """Raised when a cooperative cancellation callback asks to stop."""
 
 
+class _Blocks(NamedTuple):
+    """The record of a block sum: its pieces, on disjoint rows and columns.
+
+    Piece i is `kinds[which[i]]`: `kinds` holds each distinct piece object
+    once, so an operation applies itself once per kind.  `rows` and `cols`
+    are tuples of bands, and a band lists one size per piece.  A band's
+    indices are the pieces' segments in piece order, and the bands follow one
+    another.  A piece's own rows (columns) are its segments in band order.
+    `block_diag` makes one band a side; `hstack` puts its operands' column
+    bands side by side.  The per-piece sequences are lists: tuples of a
+    dozen ints would fill the interpreter's tuple free lists, which hold
+    their memory until a full garbage collection.
+    """
+
+    kinds: tuple
+    which: list
+    rows: tuple
+    cols: tuple
+
+
 class Mat:
     """An immutable nrows x ncols matrix, stored as the nonzeros of each row.
 
     `lines[i]` holds row i's nonzero entries as (column, value) pairs in
     increasing column order.  `rows` is the dense view, built on first use
-    with `zero` in the gaps; ncols survives even with no rows.
+    with `zero` in the gaps; ncols survives even with no rows.  A block sum
+    leaves the `lines` slot empty until it is first read (`__getattr__`).
     """
 
-    __slots__ = ("lines", "nrows", "ncols", "zero", "_rows")
+    __slots__ = ("lines", "nrows", "ncols", "zero", "_rows", "_blocks")
 
     def __init__(self, rows: Iterable[Iterable[object]], ncols: Optional[int] = None):
         rs = tuple(tuple(r) for r in rows)
@@ -88,7 +131,16 @@ class Mat:
         elif ncols is None:
             ncols = 0
         lines = tuple(tuple([(j, x) for j, x in enumerate(r) if x]) for r in rs)
-        _fill(self, lines, ncols, rs[0][0] - rs[0][0] if rs and ncols else None, rs)
+        _fill(self, lines, len(lines), ncols, rs[0][0] - rs[0][0] if rs and ncols else None, None)
+        _set_rows(self, rs)
+
+    def __getattr__(self, name):
+        # reached only for an empty slot: the lines of a block sum, not yet read
+        if name != "lines":
+            raise AttributeError(name)
+        lines = _assemble(self._blocks, self.nrows)
+        _set_lines(self, lines)
+        return lines
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -116,18 +168,38 @@ class Mat:
         fn is additive (a ring map or a multiplication), so fn(zero) is the
         zero of the new entries.
         """
+        zero = None if self.zero is None else fn(self.zero)
+        b = self._blocks
+        if b is not None:
+            pieces = _each(lambda p: p.map_entries(fn), b)
+            return _block_sum(zero, *pieces, b.rows, b.cols, (self.nrows, self.ncols))
         lines = tuple(
             tuple([(j, y) for j, y in [(j, fn(x)) for j, x in line] if y]) for line in self.lines
         )
-        return _mat(None if self.zero is None else fn(self.zero), lines, self.ncols)
+        return _mat(zero, lines, self.ncols)
 
     def split_rows(self, k: int) -> tuple["Mat", "Mat"]:
         """The first k rows and the remaining rows, as two matrices."""
-        zero, lines, ncols = self.zero, self.lines, self.ncols
+        zero, b = self.zero, self._blocks
+        if b is not None:
+            at = 0
+            for cut, band in enumerate(b.rows[:-1], 1):
+                at += sum(band)
+                if at == k:  # between two bands: each piece splits at its own row
+                    keys, which = _grouped(list(zip(b.which, map(sum, zip(*b.rows[:cut])))))
+                    top, bottom = zip(*(b.kinds[j].split_rows(h) for j, h in keys))
+                    rest = (self.nrows - k, self.ncols)
+                    return (
+                        _block_sum(zero, top, which, b.rows[:cut], b.cols, (k, self.ncols)),
+                        _block_sum(zero, bottom, which, b.rows[cut:], b.cols, rest),
+                    )
+        lines, ncols = self.lines, self.ncols
         return _mat(zero, lines[:k], ncols), _mat(zero, lines[k:], ncols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mat) and self.lines == other.lines and self.ncols == other.ncols
+        return other is self or (
+            isinstance(other, Mat) and self.lines == other.lines and self.ncols == other.ncols
+        )
 
     def __hash__(self) -> int:
         return hash((self.lines, self.ncols))
@@ -136,13 +208,19 @@ class Mat:
         return f"Mat({[list(r) for r in self.rows]!r}, ncols={self.ncols})"
 
 
-_SETTERS = tuple(getattr(Mat, name).__set__ for name in Mat.__slots__)
-_set_rows = _SETTERS[-1]
+_set_lines, _set_nrows, _set_ncols, _set_zero, _set_rows, _set_blocks = (
+    getattr(Mat, name).__set__ for name in Mat.__slots__
+)
 
 
-def _fill(m: Mat, lines: tuple, ncols: int, zero, rows: Optional[tuple]) -> None:
-    for setter, value in zip(_SETTERS, (lines, len(lines), ncols, zero, rows)):
-        setter(m, value)
+def _fill(m: Mat, lines, nrows: int, ncols: int, zero, blocks) -> None:
+    if lines is not None:
+        _set_lines(m, lines)
+    _set_nrows(m, nrows)
+    _set_ncols(m, ncols)
+    _set_zero(m, zero)
+    _set_rows(m, None)
+    _set_blocks(m, blocks)
 
 
 def _mat(zero, lines: tuple, ncols: int) -> Mat:
@@ -151,8 +229,70 @@ def _mat(zero, lines: tuple, ncols: int) -> Mat:
     `zero` is the ring's zero, for the dense view.
     """
     m = object.__new__(Mat)
-    _fill(m, lines, ncols, zero, None)
+    _fill(m, lines, len(lines), ncols, zero, None)
     return m
+
+
+def _block_sum(zero, kinds, which: list, rows: tuple, cols: tuple, shape: tuple) -> Mat:
+    """Trusted constructor of a recorded block sum; its lines wait for a reader."""
+    m = object.__new__(Mat)
+    _fill(m, None, shape[0], shape[1], zero, _Blocks(tuple(kinds), which, rows, cols))
+    return m
+
+
+def _grouped(keys: list) -> tuple:
+    """The distinct keys in order of first appearance, and each key's index among them."""
+    index = dict.fromkeys(keys)
+    for i, key in enumerate(index):
+        index[key] = i
+    return list(index), list(map(index.__getitem__, keys))
+
+
+def _each(fn: Callable, *recs: _Blocks) -> tuple:
+    """(kinds, which) of fn applied to the aligned pieces of records.
+
+    fn runs once per distinct tuple of piece kinds.
+    """
+    which = recs[0].which
+    if all(r.which == which for r in recs[1:]):
+        return [fn(*ps) for ps in zip(*(r.kinds for r in recs))], which
+    keys, which = _grouped(list(zip(*(r.which for r in recs))))
+    return [fn(*(r.kinds[j] for r, j in zip(recs, key))) for key in keys], which
+
+
+def _diagonal_lines(pieces: list) -> tuple:
+    """The lines and the width of the block sum of pieces, each piece's columns shifted."""
+    lines: list = []
+    at = 0
+    for p in pieces:
+        lines += [tuple([(j + at, x) for j, x in line]) for line in p.lines] if at else p.lines
+        at += p.ncols
+    return tuple(lines), at
+
+
+def _index_maps(bands: tuple, count: int) -> list:
+    """For each piece, the matrix index of each of its own indices, in order."""
+    maps: list = [[] for _ in range(count)]
+    at = 0
+    for band in bands:
+        for indices, size in zip(maps, band):
+            indices += range(at, at + size)
+            at += size
+    return maps
+
+
+def _assemble(b: _Blocks, nrows: int) -> tuple:
+    """The lines of a recorded block sum: each piece's lines at its rows and columns."""
+    pieces = list(map(b.kinds.__getitem__, b.which))
+    if len(b.rows) == len(b.cols) == 1:
+        return _diagonal_lines(pieces)[0]
+    lines: list = [()] * nrows
+    count = len(pieces)
+    for p, rmap, cmap in zip(pieces, _index_maps(b.rows, count), _index_maps(b.cols, count)):
+        for i, line in zip(rmap, p.lines):
+            if line:
+                lines[i] = tuple([(cmap[j], x) for j, x in line])
+    return tuple(lines)
 
 
 def hstack(*mats: Mat) -> Mat:
@@ -161,30 +301,58 @@ def hstack(*mats: Mat) -> Mat:
     n = mats[0].nrows
     if any(m.nrows != n for m in mats):
         raise ValueError("hstack: row counts differ")
+    zero = next((m.zero for m in mats if m.zero is not None), None)
     offsets, ncols = [], 0
     for m in mats:
         offsets.append(ncols)
         ncols += m.ncols
+    rec = mats[0]._blocks
+    if rec is not None:
+        recs = [m._blocks for m in mats]
+        if all(r is not None and r.rows == rec.rows for r in recs):  # rows line up piece by piece
+            cols = sum((r.cols for r in recs), ())
+            return _block_sum(zero, *_each(hstack, *recs), rec.rows, cols, (n, ncols))
     lines = tuple(
         tuple([(j + off, x) for m, off in zip(mats, offsets) for j, x in m.lines[i]])
         for i in range(n)
     )
-    return _mat(next((m.zero for m in mats if m.zero is not None), None), lines, ncols)
+    return _mat(zero, lines, ncols)
+
+
+# A carried operation costs about what a plain one costs on four pieces, plus
+# two pieces' worth per distinct piece, so a block sum records its pieces only
+# when it has at least this many more than twice its distinct pieces.
+_FEW_PIECES = 4
 
 
 def block_diag(ring, *mats: Mat) -> Mat:
-    lines: list = []
-    c0 = 0
+    """The block sum of mats, recording its pieces; a block sum among mats gives its own."""
+    pieces: list = []
     for m in mats:
-        lines += m.lines if c0 == 0 else [tuple([(j + c0, x) for j, x in ln]) for ln in m.lines]
-        c0 += m.ncols
-    return _mat(ring.zero, tuple(lines), c0)
+        b = m._blocks
+        if b is None:
+            pieces.append(m)
+        elif len(b.rows) == len(b.cols) == 1:
+            pieces += map(b.kinds.__getitem__, b.which)
+        else:  # stacked parts: a piece of its own, and pieces have no record
+            pieces.append(_mat(m.zero, m.lines, m.ncols))
+    ids, which = _grouped(list(map(id, pieces)))
+    if len(pieces) >= 2 * len(ids) + _FEW_PIECES:
+        kinds = list(map(dict(zip(map(id, pieces), pieces)).__getitem__, ids))
+        rows = list(map([p.nrows for p in kinds].__getitem__, which))
+        cols = list(map([p.ncols for p in kinds].__getitem__, which))
+        return _block_sum(ring.zero, kinds, which, (rows,), (cols,), (sum(rows), sum(cols)))
+    return _mat(ring.zero, *_diagonal_lines(pieces))
 
 
 def mat_mul(ring, a: Mat, b: Mat) -> Mat:
     """a @ b from nonzero products; each entry adds its terms in the order of the inner index."""
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
+    ra, rb = a._blocks, b._blocks
+    if ra is not None and rb is not None and ra.cols == rb.rows:  # inner indices line up
+        pieces = _each(lambda x, y: mat_mul(ring, x, y), ra, rb)
+        return _block_sum(ring.zero, *pieces, ra.rows, rb.cols, (a.nrows, b.ncols))
     blines = b.lines
     out = []
     for line in a.lines:
@@ -194,6 +362,36 @@ def mat_mul(ring, a: Mat, b: Mat) -> Mat:
                 acc[j] = acc[j] + x * y if j in acc else x * y
         out.append(tuple([(j, acc[j]) for j in sorted(acc) if acc[j]]))
     return _mat(ring.zero, tuple(out), b.ncols)
+
+
+def zip_entries(ring, fn: Callable[[object, object], object], a: Mat, b: Mat) -> Mat:
+    """fn(a_ij, b_ij) wherever a or b has a nonzero; results that are zero drop out.
+
+    The entry missing from one side is read as that matrix's zero, and the
+    result is a matrix over `ring`.
+    """
+    shape = (a.nrows, a.ncols)
+    if (b.nrows, b.ncols) != shape:
+        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols}")
+    ra, rb = a._blocks, b._blocks
+    if ra is not None and rb is not None and ra.rows == rb.rows and ra.cols == rb.cols:
+        pieces = _each(lambda x, y: zip_entries(ring, fn, x, y), ra, rb)
+        return _block_sum(ring.zero, *pieces, ra.rows, ra.cols, shape)
+    za, zb = a.zero, b.zero
+    lines = []
+    for la, lb in zip(a.lines, b.lines):
+        x, y = dict(la), dict(lb)
+        line = [(j, fn(x.get(j, za), y.get(j, zb))) for j in sorted(x.keys() | y.keys())]
+        lines.append(tuple([(j, z) for j, z in line if z]))
+    return _mat(ring.zero, tuple(lines), a.ncols)
+
+
+def first_nonzero(m: Mat) -> Optional[tuple]:
+    """(row, column, value) of the first nonzero entry in row order; None for a zero matrix."""
+    b = m._blocks
+    if b is not None and not any(any(p.lines) for p in b.kinds):
+        return None
+    return next(((i,) + line[0] for i, line in enumerate(m.lines) if line), None)
 
 
 @dataclass(frozen=True)
@@ -254,21 +452,22 @@ def _smith_block(
             vt[i], vt[j] = vt[j], vt[i]
 
     def row_sub(i: int, j: int, q) -> None:
-        # row_i -= q * row_j
+        # row_i -= q * row_j, skipping the zeros of row_j
         if not q:
             return
-        d[i] = [d[i][k] - q * d[j][k] for k in range(C)]
+        d[i] = [x - q * y if y else x for x, y in zip(d[i], d[j])]
         if u is not None:
-            u[i] = [u[i][k] - q * u[j][k] for k in range(R)]
+            u[i] = [x - q * y if y else x for x, y in zip(u[i], u[j])]
 
     def col_sub(i: int, j: int, q) -> None:
-        # col_i -= q * col_j
+        # col_i -= q * col_j, skipping the zeros of col_j
         if not q:
             return
         for row in d:
-            row[i] = row[i] - q * row[j]
+            if row[j]:
+                row[i] = row[i] - q * row[j]
         if vt is not None:
-            vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
+            vt[i] = [x - q * y if y else x for x, y in zip(vt[i], vt[j])]
 
     def find_pivot(s: int):
         best = None
@@ -318,6 +517,7 @@ def _smith_block(
                 return
 
     steps = min(R, C)
+    unit_size = ring.size(ring.one)
     s = 0
     while s < steps:
         tick()
@@ -331,7 +531,7 @@ def _smith_block(
             swap_cols(pj, s)
         clear_pivot(s)
         # divisibility patch: the pivot must divide the remaining block
-        patched = True
+        patched = ring.size(d[s][s]) != unit_size  # a unit divides everything
         while patched:
             patched = False
             piv = d[s][s]
@@ -398,13 +598,13 @@ def _sparse(lines: list) -> list:
     return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
 
 
-# ring tag -> (reduced blocks, gcds, lcms) while a command runs, else None
+# ring tag -> (reduced blocks, reduced pieces, gcds, lcms) while a command runs, else None
 _command_tables: Optional[dict] = None
 
 
 @contextmanager
 def _command_memo():
-    """Share the block and gcd/lcm memos among the Smith calls of one command.
+    """Share the block, piece and gcd/lcm memos among the Smith calls of one command.
 
     `cli.main` opens it around a command.  A nested command (`verify` runs
     `main`) gets a memo of its own, and the outer one is back when it ends.
@@ -418,37 +618,86 @@ def _command_memo():
 
 
 def _memo(ring) -> tuple:
-    """(reduced blocks, gcds, lcms) of the open command, or fresh ones for this call."""
+    """(reduced blocks, reduced pieces, gcds, lcms) of the open command, or fresh ones."""
     if _command_tables is None:
-        return {}, {}, {}
-    return _command_tables.setdefault(ring.tag, ({}, {}, {}))
+        return {}, {}, {}, {}
+    return _command_tables.setdefault(ring.tag, ({}, {}, {}, {}))
 
 
-def _reduced_blocks(ring, m: Mat, with_v: bool, cancel):
+def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
     """Each connected block of m with its elimination, in `_split_blocks` order.
 
-    Yields (cols, pivots, V columns), V as sparse block-local lines (None when
-    not accumulated).  Equal blocks are reduced once per command, or once per
-    call outside one, and share their result, pivot objects included.  A block
-    first reduced without V is reduced again, once, when V is asked for.
+    Yields (rows, cols, pivots, V columns), V as sparse block-local lines
+    (None when not accumulated).  Equal blocks are reduced once per memo
+    `reduced` and share their result, pivot objects included.  A block first
+    reduced without V is reduced again, once, when V is asked for.
     """
-    zero = ring.zero
+    zero, lines = ring.zero, m.lines
     local = [0] * m.ncols  # a column's index inside its block
-    reduced = _memo(ring)[0]  # block lines -> (pivots, V columns or None)
     for rows, cols in _split_blocks(m):
         for p, j in enumerate(cols):
             local[j] = p
-        key = tuple(tuple([(local[j], x) for j, x in m.lines[i]]) for i in rows)
+        key = tuple(tuple([(local[j], x) for j, x in lines[i]]) for i in rows)
         done = reduced.get(key)
         if done is None or with_v and done[1] is None:
             # rows fix the width: a block without rows is one zero column
             pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, with_v, cancel)
             done = reduced[key] = pivots, _sparse(bvt) if with_v else None
-        yield (cols,) + done
+        yield (rows, cols) + done
 
 
-def _chain_of_values(ring, blocks) -> list:
-    """The diagonal of the blocks' pivots, units first, then the invariant factors.
+def _count_pivots(one, blocks) -> tuple:
+    """(number of unit pivots, {nonunit pivot: multiplicity}) of reduced blocks."""
+    units, counts = 0, {}
+    for _, _, pivots, _ in blocks:
+        for x in pivots:
+            if x == one:
+                units += 1
+            else:
+                counts[x] = counts.get(x, 0) + 1
+    return units, counts
+
+
+def _block_kernel(ring, ncols: int, blocks) -> tuple:
+    """The kernel columns of reduced blocks, in block order, and the zero columns."""
+    kernel, zero_cols = [], []
+    for rows, cols, pivots, bvt in blocks:
+        if not rows:
+            zero_cols.append(cols[0])
+        kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(pivots):]]
+    return _by_rows(ring.zero, kernel, ncols), zero_cols
+
+
+def _piece(ring, p: Mat, with_v: bool, tables: tuple, cancel) -> tuple:
+    """A piece's pivot counts, or with V its kernel and zero columns; once per memo."""
+    key = (with_v, p)
+    done = tables[1].get(key)
+    if done is None:
+        blocks = list(_reduced_blocks(ring, p, with_v, cancel, tables[0]))
+        done = _block_kernel(ring, p.ncols, blocks) if with_v else _count_pivots(ring.one, blocks)
+        tables[1][key] = done
+    return done
+
+
+def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
+    """`_count_pivots` of all of m's blocks; a recorded m sums its distinct pieces'."""
+    b = m._blocks
+    if b is None:
+        return _count_pivots(ring.one, _reduced_blocks(ring, m, False, cancel, tables[0]))
+    units, counts = 0, {}
+    for j, k in Counter(b.which).items():
+        pu, pc = _piece(ring, b.kinds[j], False, tables, cancel)
+        units += k * pu
+        for x, c in pc.items():
+            counts[x] = counts.get(x, 0) + k * c
+    return units, counts
+
+
+def _chain_of_values(ring, units: int, counts: dict, tables: tuple) -> list:
+    """The diagonal of `units` units and the nonunit pivots `counts`, as runs.
+
+    The diagonal is returned as [value, count] runs in chain order, units
+    first.
 
     Each distinct nonunit x, with multiplicity k, is inserted into the chain
     d_1 | ... | d_n built so far by e_i = lcm(d_{i-k}, gcd(d_i, x)), where
@@ -458,14 +707,8 @@ def _chain_of_values(ring, blocks) -> list:
     those ends shifted by k, so an insertion costs the runs, not n.  Each
     gcd and lcm is taken once per command, or once per call outside one.
     """
-    one, units, counts = ring.one, 0, {}
-    for _, pivots, _ in blocks:
-        for x in pivots:
-            if x == one:
-                units += 1
-            else:
-                counts[x] = counts.get(x, 0) + 1
-    _, gcds, lcms = _memo(ring)
+    one = ring.one
+    _, _, gcds, lcms = tables
 
     def gcd(a, b):
         if (a, b) not in gcds:
@@ -494,7 +737,7 @@ def _chain_of_values(ring, blocks) -> list:
             else:
                 out.append([y, e - s])
         runs = out
-    return [one] * units + [y for y, c in runs for _ in range(c)]
+    return [[one, units]] + runs
 
 
 def _by_rows(zero, columns: list, nrows: int) -> Mat:
@@ -507,6 +750,9 @@ def _by_rows(zero, columns: list, nrows: int) -> Mat:
 
 
 def transpose(m: Mat) -> Mat:
+    b = m._blocks
+    if b is not None:
+        return _block_sum(m.zero, *_each(transpose, b), b.cols, b.rows, (m.ncols, m.nrows))
     return _by_rows(m.zero, m.lines, m.ncols)
 
 
@@ -521,16 +767,24 @@ def smith_normal_form(
     zero, one = ring.zero, ring.one
     if with_u or with_v:
         diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
+        runs = [(x, 1) for x in diag]
     else:
-        diag, u, vt = _chain_of_values(ring, _reduced_blocks(ring, m, False, cancel)), None, None
+        tables = _memo(ring)
+        runs = _chain_of_values(ring, *_pivot_counts(ring, m, tables, cancel), tables)
+        u = vt = None
+    diag = []
+    for x, c in runs:
+        diag += [x] * c
+    # a chain puts its units first, and a canonical unit is `one`
+    units = sum(c for x, c in runs if x == one)
     diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
         u=_mat(zero, tuple(_sparse(u)), R) if with_u else None,
         v=_by_rows(zero, _sparse(vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
-        unit_count=diagonal.count(one),
-        invariant_factors=tuple(x for x in diagonal if x != one),
+        unit_count=units,
+        invariant_factors=diagonal[units:],
     )
 
 
@@ -538,9 +792,26 @@ def kernel_basis(ring, m: Mat) -> Mat:
     """Columns form a basis of { x : m @ x = 0 }; free because the ring is a PID.
 
     They are each block's non-pivot V columns, embedded at the block's
-    columns, in block order.
+    columns, in block order: blocks with rows by their first row, then the
+    zero columns.  A sum whose rows are one run of pieces keeps that order
+    piece by piece, so its kernel is recorded too: its pieces are the
+    pieces' kernels, with the zero columns' unit vectors in bands of their
+    own after the rest.
     """
-    kernel = []
-    for cols, pivots, bvt in _reduced_blocks(ring, m, True, None):
-        kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(pivots):]]
-    return _by_rows(ring.zero, kernel, m.ncols)
+    tables = _memo(ring)
+    b = m._blocks
+    if b is None or len(b.rows) != 1:
+        return _block_kernel(ring, m.ncols, _reduced_blocks(ring, m, True, None, tables[0]))[0]
+    kernels = [_piece(ring, p, True, tables, None) for p in b.kinds]
+    bands = [list(map([k.ncols - len(z) for k, z in kernels].__getitem__, b.which))]
+    zeros = [kernels[j][1] for j in b.which] if any(z for _, z in kernels) else ()
+    if zeros:
+        starts = [0] * len(zeros)
+        for band in b.cols:  # each piece's zero columns that lie in this band
+            ends = [s + w for s, w in zip(starts, band)]
+            counts = [bisect_left(z, e) - bisect_left(z, s) for z, s, e in zip(zeros, starts, ends)]
+            if any(counts):
+                bands.append(counts)
+            starts = ends
+    shape = (m.ncols, sum(map(sum, bands)))
+    return _block_sum(ring.zero, [k for k, _ in kernels], b.which, b.cols, tuple(bands), shape)

@@ -34,7 +34,6 @@ from functools import cached_property
 from .linalg import (
     Mat,
     SmithDecomposition,
-    _mat,
     block_diag,
     hstack,
     kernel_basis,
@@ -97,11 +96,9 @@ class PresentedModule:
 
     def submodule_from_int_columns(self, columns) -> "Submodule":
         """The span of integer columns: an integer Mat, or a list of integer vectors."""
-        ring = self.ring
         if not isinstance(columns, Mat):
             columns = transpose(Mat(columns, self.ngens))
-        lines = tuple(tuple([(j, ring.from_int(x)) for j, x in line]) for line in columns.lines)
-        return Submodule(self, _mat(ring.zero, lines, columns.ncols))
+        return Submodule(self, columns.map_entries(self.ring.from_int))
 
 
 def modules_isomorphic(m1: PresentedModule, m2: PresentedModule) -> bool:

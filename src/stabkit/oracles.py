@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .rings import canonical_associate, euclid_gcd
@@ -72,6 +73,13 @@ class FiniteModuleTable:
     Elements are tuples of residues.  Scalars act as plain integers, which is
     the Z-module structure; for modulus-3 factors this doubles as the F3
     structure.
+
+    Spans are computed on integer element codes: an element's code is its
+    index in `elements()` (mixed radix, the last factor fastest).  The
+    subgroup generated by some elements is the sum of their cyclic
+    subgroups, so a span grows one generator at a time, coset by coset
+    (`_extend`), and a search over generator sets extends each prefix's span
+    by one more cyclic subgroup (`combination_spans`).
     """
 
     factors: tuple
@@ -94,7 +102,11 @@ class FiniteModuleTable:
         return (0,) * len(self.factors)
 
     def elements(self) -> list[tuple]:
-        return [tuple(e) for e in itertools.product(*(range(d) for d in self.factors))]
+        return list(self._elements)
+
+    @cached_property
+    def _elements(self) -> tuple:
+        return tuple(itertools.product(*(range(d) for d in self.factors)))
 
     def reduce(self, vec: Sequence[int]) -> tuple:
         if len(vec) != len(self.factors):
@@ -107,32 +119,79 @@ class FiniteModuleTable:
     def neg(self, x: Sequence[int]) -> tuple:
         return tuple((-a) % d for a, d in zip(x, self.factors))
 
+    def code(self, vec: Sequence[int]) -> int:
+        """The integer code of an element, given by any integer representative."""
+        c = 0
+        for x, d in zip(self.reduce(vec), self.factors):
+            c = c * d + x
+        return c
+
+    @cached_property
+    def _shifts(self) -> dict:
+        """Element code -> the list of codes of x + that element, indexed by the code of x."""
+        return {}
+
+    def _shift(self, g: int) -> list:
+        row = self._shifts.get(g)
+        if row is None:
+            row = [0]
+            for d, x in zip(self.factors, self._elements[g]):
+                digits = [(y + x) % d for y in range(d)]
+                row = [r * d + y for r in row for y in digits]
+            self._shifts[g] = row
+        return row
+
+    def _extend(self, span: frozenset, g: int) -> frozenset:
+        """span + <g> for a subgroup span: its cosets span + k*g until k*g is back in span."""
+        if g in span:
+            return span
+        shift = self._shift(g)
+        out = set(span)
+        coset, multiple = list(span), g
+        while multiple not in span:
+            coset = [shift[x] for x in coset]
+            out.update(coset)
+            multiple = shift[multiple]
+        return frozenset(out)
+
+    def combination_spans(self, codes: Sequence[int], k: int, start: frozenset):
+        """The span of start and each k-combination of codes, in `itertools.combinations` order.
+
+        Each combination extends its prefix's span, computed once, by one
+        cyclic subgroup.
+        """
+
+        def walk(first: int, depth: int, span: frozenset):
+            if depth == k:
+                yield span
+                return
+            for i in range(first, len(codes) - (k - depth) + 1):
+                yield from walk(i + 1, depth + 1, self._extend(span, codes[i]))
+
+        return walk(0, 0, start)
+
+    def span_codes(self, gens: Iterable[Sequence[int]]) -> frozenset:
+        """The codes of the span of the generators."""
+        span = frozenset([0])
+        for g in gens:
+            span = self._extend(span, self.code(g))
+        return span
+
     def span(self, gens: Iterable[Sequence[int]]) -> frozenset:
         """Closure of the generators under addition and negation."""
-        gens = [self.reduce(g) for g in gens]
-        seen = {self.zero()}
-        frontier = [self.zero()]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                for step in (g, self.neg(g)):
-                    nxt = self.add(cur, step)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-        return frozenset(seen)
+        elements = self._elements
+        return frozenset(elements[c] for c in self.span_codes(gens))
 
 
 def brute_generating_rank(table: FiniteModuleTable) -> int:
     """Smallest k such that some k elements span everything; exhaustive."""
-    all_elements = table.elements()
-    whole = frozenset(all_elements)
-    if len(whole) == 1:
+    n = table.size()
+    if n == 1:
         return 0
+    origin = frozenset([0])
     for k in range(1, len(table.factors) + 1):
-        for combo in itertools.combinations(all_elements, k):
-            if table.span(combo) == whole:
-                return k
+        if any(len(s) == n for s in table.combination_spans(range(n), k, origin)):
+            return k
     return len(table.factors)
 
 
@@ -154,12 +213,11 @@ def brute_submodule_ops(
 
 def brute_subgroup_rank(table: FiniteModuleTable, elements: frozenset) -> int:
     """Minimal generator count of a given subgroup, by exhaustive search."""
-    elems = sorted(elements)
-    target = frozenset(elements)
-    if target == {table.zero()}:
+    codes = sorted(table.code(e) for e in elements)
+    if codes == [0]:
         return 0
-    for k in range(1, len(elems) + 1):
-        for combo in itertools.combinations(elems, k):
-            if table.span(combo) == target:
-                return k
+    origin = frozenset([0])
+    for k in range(1, len(codes) + 1):
+        if any(len(s) == len(codes) for s in table.combination_spans(codes, k, origin)):
+            return k
     raise AssertionError("unreachable: the subgroup generates itself")

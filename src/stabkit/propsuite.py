@@ -151,16 +151,15 @@ def _random_columns(rng: random.Random, table: FiniteModuleTable, count: int) ->
 
 def _brute_quotient_rank(table: FiniteModuleTable, sub_gens: list) -> int:
     """Least k with span(sub ∪ {k extra elements}) = everything."""
-    whole = frozenset(table.elements())
-    base = table.span(sub_gens)
-    if base == whole:
+    n = table.size()
+    base = table.span_codes(sub_gens)
+    if len(base) == n:
         return 0
     # elements already spanned cannot enlarge the span
-    elems = [e for e in table.elements() if e not in base]
+    codes = [c for c in range(n) if c not in base]
     for k in range(1, len(table.factors) + 1):
-        for combo in itertools.combinations(elems, k):
-            if table.span(list(sub_gens) + list(combo)) == whole:
-                return k
+        if any(len(s) == n for s in table.combination_spans(codes, k, base)):
+            return k
     return len(table.factors)
 
 
