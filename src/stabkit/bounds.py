@@ -128,7 +128,7 @@ def _disc_pair_report(s: DiscPairScenario) -> BoundReport:
         "kernel quotient bound: h tube moves force gr(ker/ker∩ker) <= h "
         f"in both directions; computed ranks {g12} and {g21}",
     ]
-    if s.disc_one.signature() == s.disc_two.signature():
+    if s.disc_one.curves == s.disc_two.curves:  # the scenario holds one knot
         upper = 0
         prov.append("identical surgery data up to local 2-knots: upper bound 0")
     else:

@@ -29,8 +29,12 @@ knot costs what one copy costs plus a pass over the n block records.
 
 2-knots appear as doubles of discs: the module of the double is the cokernel
 of x -> (q(x), -q(x)) into two copies of the disc module, where q kills the
-disc kernel.  Local 2-knot connected sums are bookkeeping only; they change
-no kernel.
+disc kernel.  That map is well defined by construction, and the double
+proves it with a lift: A(D) is A(K) modulo the curve classes, presented by
+[L | V^T C] where L = t*V - V^T presents A(K), so the image (L; -L) of A(K)'s
+relations is column k of L taken once in the first copy and negated in the
+second.  `ModuleMap` checks that lift with two products.  Local 2-knot
+connected sums are bookkeeping only; they change no kernel.
 """
 
 from __future__ import annotations
@@ -241,20 +245,32 @@ class TwoKnotModel:
         return self.module.generating_rank
 
 
-def antidiagonal_columns(ring, n: int) -> Mat:
-    """The 2n x n matrix with columns (e_i, -e_i): it spans { (x, -x) } in a double."""
+def antidiagonal_columns(ring, n: int, width: int = None) -> Mat:
+    """The 2w x n matrix with columns (e_i, -e_i) in R^w + R^w, for w = width or n.
+
+    With w = n its columns span { (x, -x) } in a double.
+    """
+    pad = [()] * ((n if width is None else width) - n)
     minus_one = -ring.one
-    lines = tuple([((i, ring.one),) for i in range(n)] + [((i, minus_one),) for i in range(n)])
-    return _mat(ring.zero, lines, n)
+    lines = [((i, ring.one),) for i in range(n)] + pad
+    lines += [((i, minus_one),) for i in range(n)] + pad
+    return _mat(ring.zero, tuple(lines), n)
 
 
 def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
-    """The 2-knot doubling the disc: coker(A_Q(K) -> A_Q(D)^2, x -> (q(x), -q(x)))."""
+    """The 2-knot doubling the disc: coker(A_Q(K) -> A_Q(D)^2, x -> (q(x), -q(x))).
+
+    A_Q(D) is presented by [L | V^T C], L's columns first, so the map's lift
+    sends column k of L to (e_k, -e_k) over the two copies of those columns;
+    `ModuleMap` raises unless that lift proves the map well defined.
+    """
     ambient = alexander_module_Q(disc.knot)
-    quotient = disc_quotient_Q(disc)
+    quotient = ambient.quotient_by(disc_kernel_Q(disc, ambient).generators)
     target = direct_sum(LAURENT, quotient, quotient)
-    matrix = antidiagonal_columns(ambient.ring, ambient.ngens)
-    ModuleMap(ambient, target, matrix)  # raises unless the map is well defined
+    n = ambient.ngens
+    matrix = antidiagonal_columns(LAURENT, n)
+    lift = antidiagonal_columns(LAURENT, n, quotient.relations.ncols)
+    ModuleMap(ambient, target, matrix, lift)
     return TwoKnotModel((disc,), target.quotient_by(matrix))
 
 

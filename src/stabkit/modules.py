@@ -4,7 +4,7 @@ A module is R^ngens / (column span of `relations`).  It carries its ring R,
 the descriptor `INTEGERS`, `LAURENT` or `EISENSTEIN`, and rings compare by
 identity; ngens is the number of relation rows, and the direct sum of no
 modules is the zero module over its ring.  Submodules are given by
-generator columns inside such a quotient.  Everything reduces to Smith
+generator columns inside such a quotient.  Their calculus reduces to Smith
 normal form of block matrices, and to one kernel per submodule:
 
 * membership of v in span(G) mod span(L) is an isomorphism test,
@@ -21,6 +21,11 @@ normal form of block matrices, and to one kernel per submodule:
   of their sum: its G1 rows present span(G1) / (span(G1) ∩ span(G2)), its G2
   rows present span(G2) / (span(G1) ∩ span(G2)), and G1 times its G1 rows
   generates the intersection.
+
+A map between presented modules (`ModuleMap`) carries its lift, the matrix
+that writes each image of a source relation in the target relations.  That
+is a certificate of well-definedness, checked by two products and one
+comparison, so building a map runs no Smith normal form.
 
 Kernels of matrices over a PID are free, so projecting a kernel basis gives
 honest generating sets.
@@ -204,13 +209,17 @@ def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:
 class ModuleMap:
     """A homomorphism source -> target given on presentation generators.
 
-    matrix is target.ngens x source.ngens; construction checks that every
-    source relation lands in the target relation span, i.e. well-definedness.
+    matrix is target.ngens x source.ngens.  The map carries its lift, the
+    target.nrels x source.nrels certificate of well-definedness: column k of
+    the lift writes the image of source relation k in the target relations,
+    matrix * source.relations = target.relations * lift.  Construction checks
+    that equation with two products and one comparison; no Smith form runs.
     """
 
     source: PresentedModule
     target: PresentedModule
     matrix: Mat
+    lift: Mat
 
     def __post_init__(self):
         if self.source.ring is not self.target.ring:
@@ -220,7 +229,12 @@ class ModuleMap:
                 f"map matrix is {self.matrix.nrows}x{self.matrix.ncols}, expected "
                 f"{self.target.ngens}x{self.source.ngens}"
             )
+        src, dst = self.source.relations, self.target.relations
+        if self.lift.nrows != dst.ncols or self.lift.ncols != src.ncols:
+            raise ValueError(
+                f"lift is {self.lift.nrows}x{self.lift.ncols}, expected "
+                f"{dst.ncols}x{src.ncols}"
+            )
         ring = self.source.ring
-        image_of_relations = mat_mul(ring, self.matrix, self.source.relations)
-        if not modules_isomorphic(self.target, self.target.quotient_by(image_of_relations)):
+        if mat_mul(ring, self.matrix, src) != mat_mul(ring, dst, self.lift):
             raise ValueError("matrix does not send source relations into target relations")

@@ -171,6 +171,25 @@ def test_operands_that_do_not_line_up_give_plain_results(ring, entry):
 
 
 @pytest.mark.parametrize("ring, entry", RINGS, ids=IDS)
+def test_equality_of_recorded_sums(ring, entry):
+    one, zero = ring.one, ring.zero
+    x = Mat([[one, zero], [one + one, one]])
+    y = Mat([[one, one], [zero, one]])
+    a = block_diag(ring, *[x, y] * 4)
+    # equal records, from equal pieces that are other objects
+    b = block_diag(ring, *[Mat(x.rows), Mat(y.rows)] * 4)
+    assert a._blocks is not None and b._blocks is not None
+    assert a == b and b == a
+    # a recorded sum and a plain matrix with the same entries
+    assert a == _plain(b) and _plain(b) == a
+    assert a != Mat(a.rows[:-1] + (a.rows[0],), a.ncols)
+    # sums that differ: the same pieces in another order, or one piece changed
+    assert a != block_diag(ring, *[y, x] * 4)
+    assert a != block_diag(ring, *[x, y] * 3, x, x)
+    assert a != block_diag(ring, *[x, y] * 3, x, Mat([[one, one], [zero, -one]]))
+
+
+@pytest.mark.parametrize("ring, entry", RINGS, ids=IDS)
 def test_kernels_split_rows_and_smith_forms_agree(ring, entry):
     for rng, pool, which, nest in _cases(ring, entry, 5, count=12):
         beside = [_random_piece(rng, ring, entry, nrows=p.nrows) for p in pool]

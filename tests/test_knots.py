@@ -19,6 +19,7 @@ from stabkit.knots import (
     add_local_2knot,
     alexander_module_Q,
     alexander_presentation,
+    antidiagonal_columns,
     boundary_connect_sum,
     branched_double_cover,
     connected_sum,
@@ -28,10 +29,11 @@ from stabkit.knots import (
     double_of_disc,
     two_knot_sum,
 )
-from stabkit.linalg import Mat, block_diag
+from stabkit.linalg import Mat, block_diag, hstack
 from stabkit.metabelian import eisenstein_alexander
 from stabkit.modules import (
     ModuleMap,
+    PresentedModule,
     Submodule,
     direct_sum,
     modules_isomorphic,
@@ -370,11 +372,75 @@ def test_double_sign_convention_is_immaterial(k946):
     ambient = alexander_module_Q(disc.knot)
     quotient = disc_quotient_Q(disc)
     target = direct_sum(LAURENT, quotient, quotient)
-    ident = Mat.identity(ambient.ring, ambient.ngens)
+    n, w = ambient.ngens, quotient.relations.ncols
+    ident = Mat.identity(ambient.ring, n)
     plus_map = _vstack(ident, ident)
-    ModuleMap(ambient, target, plus_map)  # well defined
+    # (L; L) is column k of L, the first of A(D)'s relation columns, in both copies
+    pad = Mat([[LAURENT.one if i == j else LAURENT.zero for j in range(n)] for i in range(w)], n)
+    ModuleMap(ambient, target, plus_map, _vstack(pad, pad))  # well defined
     plus = target.quotient_by(plus_map)
     assert modules_isomorphic(plus, double_of_disc(disc).module)
+
+
+def test_double_lift_catches_a_changed_sign_or_column_order(k946):
+    disc = k946.disc("right")
+    ambient = alexander_module_Q(disc.knot)
+    quotient = disc_quotient_Q(disc)
+    target = direct_sum(LAURENT, quotient, quotient)
+    n, w = ambient.ngens, quotient.relations.ncols
+    matrix = antidiagonal_columns(LAURENT, n)
+    lift = antidiagonal_columns(LAURENT, n, w)
+    ModuleMap(ambient, target, matrix, lift)  # the double's own certificate
+    first_copy, _ = lift.split_rows(w)
+    with pytest.raises(ValueError, match="relations"):  # the lift's sign flipped
+        ModuleMap(ambient, target, matrix, _vstack(first_copy, first_copy))
+    with pytest.raises(ValueError, match="relations"):  # the map's sign flipped
+        ModuleMap(ambient, target, _vstack(*[Mat.identity(LAURENT, n)] * 2), lift)
+    classes = disc_kernel_Q(disc, ambient).generators
+    swapped = PresentedModule(LAURENT, hstack(classes, ambient.relations))
+    with pytest.raises(ValueError, match="relations"):  # the classes' columns first
+        ModuleMap(ambient, direct_sum(LAURENT, swapped, swapped), matrix, lift)
+    bare = PresentedModule(LAURENT, classes)  # presented without L's columns
+    bare_target = direct_sum(LAURENT, bare, bare)
+    with pytest.raises(ValueError, match="lift is"):
+        ModuleMap(ambient, bare_target, matrix, lift)
+    no_lift = Mat([[LAURENT.zero] * n] * bare_target.relations.ncols, n)
+    with pytest.raises(ValueError, match="relations"):
+        ModuleMap(ambient, bare_target, matrix, no_lift)
+
+
+def test_double_of_disc_runs_no_smith_form(monkeypatch, catalog, k946):
+    discs = [e.disc(name) for e in catalog.values() for name in e.discs]
+    discs.append(boundary_connect_sum(*[k946.disc("left"), k946.disc("right")] * 8))
+
+    def refuse(*args):
+        raise AssertionError("a Smith form ran")
+
+    monkeypatch.setattr(linalg, "_smith_block", refuse)
+    for disc in discs:
+        double_of_disc(disc)
+
+
+def test_double_module_is_the_disc_quotient(catalog):
+    for entry in catalog.values():
+        for name in entry.discs:
+            disc = entry.disc(name)
+            assert modules_isomorphic(double_of_disc(disc).module, disc_quotient_Q(disc)), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_sum_of_doubles_has_rank_max_of_primary_counts(k946, k61, seed):
+    # double(9_46.left) is Q[t^±1]/(t - 1/2); double(9_46.right) and double(6_1.gamma)
+    # are Q[t^±1]/(t - 2), and coprime cyclic summands pair up into one generator
+    p = double_of_disc(k946.disc("left"))
+    qs = [double_of_disc(k946.disc("right")), double_of_disc(k61.disc("gamma"))]
+    rng = random.Random(seed)
+    count_p, count_q = rng.randint(0, 5), rng.randint(1, 5)
+    models = [p] * count_p + [rng.choice(qs) for _ in range(count_q)]
+    rng.shuffle(models)
+    model = two_knot_sum(*models)
+    assert model.generating_rank == max(count_p, count_q)
+    assert len(model.summands) == count_p + count_q
 
 
 # -------------------------------------------------------------- decorations

@@ -270,16 +270,27 @@ def test_quotient_requires_matching_ambient():
 def test_module_map_validation():
     src = z_module(4)
     dst = z_module(2)
-    f = ModuleMap(src, dst, Mat([[1]]))
+    f = ModuleMap(src, dst, Mat([[1]]), Mat([[2]]))  # 1 * 4 = 2 * 2
     assert dst.quotient_by(f.matrix).is_zero_module()
-    with pytest.raises(ValueError):
-        ModuleMap(dst, src, Mat([[1]]))  # 1 mod 2 -> 1 mod 4 is not well defined
+    # 1 mod 2 -> 1 mod 4 is not well defined: 1 * 2 = 4 * x has no integer solution
+    for x in range(-3, 4):
+        with pytest.raises(ValueError, match="relations"):
+            ModuleMap(dst, src, Mat([[1]]), Mat([[x]]))
+
+
+def test_module_map_rejects_a_wrong_lift():
+    src, dst = z_module(4), z_module(2)
+    with pytest.raises(ValueError, match="relations"):
+        ModuleMap(src, dst, Mat([[1]]), Mat([[1]]))  # 1 * 4 is not 2 * 1
+    for rows in ([[2, 0]], [[2], [0]]):
+        with pytest.raises(ValueError, match="lift is"):
+            ModuleMap(src, dst, Mat([[1]]), Mat(rows))
 
 
 def test_map_kernel_image_cokernel():
     src = z_module(6)
     dst = z_module(3)
-    f = ModuleMap(src, dst, Mat([[1]]))
+    f = ModuleMap(src, dst, Mat([[1]]), Mat([[2]]))  # 1 * 6 = 3 * 2
     assert dst.quotient_by(f.matrix).is_zero_module()
     img = Submodule(dst, f.matrix)
     assert img.spans_equal(_whole(dst))
