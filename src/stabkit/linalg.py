@@ -25,15 +25,18 @@ when a caller reads them (`rows`, equality, hashing, printing, or an
 operation that cannot keep the record).  The pieces of a record are plain
 matrices: a block sum of block sums records the inner pieces.
 
-The Smith pass is the classic elimination: pick the smallest-size nonzero
-entry as pivot (ties broken by row-then-column position, so output is
-deterministic), clear its column and row by Euclidean division, patch any
-divisibility failure in the remaining block by a row addition (a unit pivot
-divides everything and skips that sweep), and normalize each finished pivot
-by the unit u that `ring.canonical` returns with its associate (U's row is
-scaled by u too).  Every diagonal entry is therefore canonical, and a unit
-on the diagonal is exactly `ring.one`.  Transforms U and V are accumulated
-from elementary operations only, so their determinants are units.
+The Smith pass is the classic elimination, one loop per pivot position:
+move the smallest-size nonzero entry of the remaining block to the diagonal
+(ties broken by row-then-column position, so output is deterministic),
+clear its column and then its row by Euclidean division (a nonzero
+remainder is smaller than the pivot, takes its place, and that pass starts
+over), patch a divisibility failure in the remaining block by a row
+addition and clear again (a unit pivot divides everything and skips that
+sweep), and normalize the finished pivot by the unit u that
+`ring.canonical` returns with its associate (U's row is scaled by u too).
+Every diagonal entry is therefore canonical, and a unit on the diagonal is
+exactly `ring.one`.  Transforms U and V are accumulated from elementary
+operations only, so their determinants are units.
 
 Without transforms the elimination runs, densely, on each connected block.
 Permuting rows and columns changes no invariant factor, and the Smith form
@@ -149,13 +152,8 @@ class Mat:
     def rows(self) -> tuple:
         """The dense rows, as a tuple of tuples."""
         if self._rows is None:
-            dense = []
-            for line in self.lines:
-                row = [self.zero] * self.ncols
-                for j, x in line:
-                    row[j] = x
-                dense.append(tuple(row))
-            _set_rows(self, tuple(dense))
+            zero, n = self.zero, self.ncols
+            _set_rows(self, tuple([tuple(_dense(line, n, zero)) for line in self.lines]))
         return self._rows
 
     @classmethod
@@ -211,6 +209,14 @@ class Mat:
 _set_lines, _set_nrows, _set_ncols, _set_zero, _set_rows, _set_blocks = (
     getattr(Mat, name).__set__ for name in Mat.__slots__
 )
+
+
+def _dense(line: tuple, n: int, zero) -> list:
+    """A line as a dense list of length n, with zero in the gaps."""
+    row = [zero] * n
+    for j, x in line:
+        row[j] = x
+    return row
 
 
 def _fill(m: Mat, lines, nrows: int, ncols: int, zero, blocks) -> None:
@@ -425,20 +431,20 @@ def _smith_block(
     Returns (pivots, U rows, V columns): the nonzero diagonal entries in
     order, and the transforms as lists of dense lines (None when not
     accumulated).  V is kept by columns, so a column operation is a line
-    operation on it.  The divisibility patch makes the pivots a chain
-    d_1 | d_2 | ..., so units come first.
+    operation on it.
+
+    One loop per pivot position s: the smallest nonzero entry of the
+    remaining block moves to (s, s); column s, then row s, is cleared entry
+    by entry, and a nonzero remainder, smaller than the pivot, swaps into
+    (s, s) and that pass starts over.  Once both are clear, a nonunit pivot
+    that fails to divide an entry of the remaining block takes that entry's
+    row added to row s, and the loop goes on.  The pivots therefore form a
+    chain d_1 | d_2 | ..., units first.
     """
     R, C = m.nrows, m.ncols
-    d = [[ring.zero] * C for _ in range(R)]
-    for row, line in zip(d, m.lines):
-        for j, x in line:
-            row[j] = x
+    d = [_dense(line, C, ring.zero) for line in m.lines]
     u = [[ring.one if i == j else ring.zero for j in range(R)] for i in range(R)] if with_u else None
     vt = [[ring.one if i == j else ring.zero for j in range(C)] for i in range(C)] if with_v else None
-
-    def tick() -> None:
-        if cancel is not None and cancel():
-            raise SmithCancelled()
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -453,108 +459,64 @@ def _smith_block(
 
     def row_sub(i: int, j: int, q) -> None:
         # row_i -= q * row_j, skipping the zeros of row_j
-        if not q:
-            return
-        d[i] = [x - q * y if y else x for x, y in zip(d[i], d[j])]
-        if u is not None:
-            u[i] = [x - q * y if y else x for x, y in zip(u[i], u[j])]
+        if q:
+            d[i] = [x - q * y if y else x for x, y in zip(d[i], d[j])]
+            if u is not None:
+                u[i] = [x - q * y if y else x for x, y in zip(u[i], u[j])]
 
     def col_sub(i: int, j: int, q) -> None:
         # col_i -= q * col_j, skipping the zeros of col_j
-        if not q:
-            return
-        for row in d:
-            if row[j]:
-                row[i] = row[i] - q * row[j]
-        if vt is not None:
-            vt[i] = [x - q * y if y else x for x, y in zip(vt[i], vt[j])]
+        if q:
+            for row in d:
+                if row[j]:
+                    row[i] = row[i] - q * row[j]
+            if vt is not None:
+                vt[i] = [x - q * y if y else x for x, y in zip(vt[i], vt[j])]
 
-    def find_pivot(s: int):
-        best = None
-        for i in range(s, R):
-            di = d[i]
-            for j in range(s, C):
-                x = di[j]
-                if x:
-                    sz = ring.size(x)
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        return best
-
-    def clear_pivot(s: int) -> None:
-        """Zero out column s below and row s right of the pivot."""
-        while True:
-            tick()
-            # column pass: reduce, promoting any smaller remainder to the pivot
-            i = s + 1
-            while i < R:
-                if not d[i][s]:
-                    i += 1
-                    continue
-                q, _ = divmod(d[i][s], d[s][s])
-                row_sub(i, s, q)
-                if not d[i][s]:
-                    i += 1
-                else:
-                    swap_rows(i, s)  # strictly smaller pivot; restart the pass
-                    i = s + 1
-            # row pass: same on columns; a swap dirties the cleared column
-            dirtied = False
-            j = s + 1
-            while j < C:
-                if not d[s][j]:
-                    j += 1
-                    continue
-                q, _ = divmod(d[s][j], d[s][s])
-                col_sub(j, s, q)
-                if not d[s][j]:
-                    j += 1
-                else:
-                    swap_cols(j, s)
-                    dirtied = True
-                    j = s + 1
-            if not dirtied and not any(d[i][s] for i in range(s + 1, R)):
-                return
-
-    steps = min(R, C)
     unit_size = ring.size(ring.one)
-    s = 0
-    while s < steps:
-        tick()
-        best = find_pivot(s)
-        if best is None:
+    pivots = []
+    for s in range(min(R, C)):
+        # the pivot: the smallest nonzero entry left, the first in row order among equals
+        live = [(ring.size(x), i, j) for i in range(s, R) for j, x in enumerate(d[i][s:], s) if x]
+        if not live:
             break
-        _, pi, pj = best
-        if pi != s:
-            swap_rows(pi, s)
-        if pj != s:
-            swap_cols(pj, s)
-        clear_pivot(s)
-        # divisibility patch: the pivot must divide the remaining block
-        patched = ring.size(d[s][s]) != unit_size  # a unit divides everything
-        while patched:
-            patched = False
+        _, i, j = min(live)
+        swap_rows(i, s)
+        if j != s:
+            swap_cols(j, s)
+        while True:
+            if cancel is not None and cancel():
+                raise SmithCancelled()
+            i = s + 1
+            while i < R:  # clear column s
+                if d[i][s]:
+                    row_sub(i, s, divmod(d[i][s], d[s][s])[0])
+                    if d[i][s]:  # a smaller remainder: it becomes the pivot, and the pass restarts
+                        swap_rows(i, s)
+                        i = s
+                i += 1
+            j = s + 1
+            while j < C:  # clear row s the same way
+                if d[s][j]:
+                    col_sub(j, s, divmod(d[s][j], d[s][s])[0])
+                    if d[s][j]:
+                        swap_cols(j, s)
+                        j = s
+                j += 1
+            if any(d[i][s] for i in range(s + 1, R)):  # a column swap refilled column s
+                continue
+            # a nonunit pivot must divide the rest of the block; a unit divides everything
             piv = d[s][s]
-            for i in range(s + 1, R):
-                row = d[i]
-                for j in range(s + 1, C):
-                    if not row[j]:
-                        continue
-                    _, r = divmod(row[j], piv)
-                    if r:
-                        row_sub(s, i, -ring.one)  # row_s += row_i
-                        clear_pivot(s)
-                        patched = True
-                        break
-                if patched:
-                    break
-        # normalize the pivot to its canonical associate; the rest of row s is zero
-        d[s][s], unit = ring.canonical(d[s][s])
+            rest = range(s + 1, R) if ring.size(piv) != unit_size else ()
+            bad = next((i for i in rest if any(x and divmod(x, piv)[1] for x in d[i][s:])), None)
+            if bad is None:
+                break
+            row_sub(s, bad, -ring.one)  # row_s += row_bad, and clear again
+        pivot, unit = ring.canonical(d[s][s])
         if u is not None and unit != ring.one:
             u[s] = [unit * x for x in u[s]]
-        s += 1
-
-    return tuple(d[i][i] for i in range(s)), u, vt
+        pivots.append(pivot)
+    return tuple(pivots), u, vt
 
 
 def _split_blocks(m: Mat):

@@ -46,7 +46,6 @@ from .linalg import (
     smith_normal_form,
     transpose,
 )
-from .rings import canonical_associate
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class PresentedModule:
         acc = ring.one
         for x in self._diag_snf.diagonal:
             acc = acc * x
-        return canonical_associate(ring, acc)
+        return ring.canonical(acc)[0]
 
     def is_zero_module(self) -> bool:
         return self.generating_rank == 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .rings import canonical_associate, euclid_gcd
+from .rings import euclid_gcd
 
 
 def oracle_cap() -> int:
@@ -62,7 +62,7 @@ def minor_gcd_divisors(ring, rows: Sequence[Sequence[object]]) -> tuple:
         g = ring.zero
         for m in _minor_dets(ring, rows, k):
             g = euclid_gcd(ring, g, m)
-        out.append(canonical_associate(ring, g))
+        out.append(g)  # euclid_gcd returns the canonical associate
     return tuple(out)
 
 
@@ -112,12 +112,6 @@ class FiniteModuleTable:
         if len(vec) != len(self.factors):
             raise ValueError("wrong coordinate count")
         return tuple(x % d for x, d in zip(vec, self.factors))
-
-    def add(self, x: Sequence[int], y: Sequence[int]) -> tuple:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def neg(self, x: Sequence[int]) -> tuple:
-        return tuple((-a) % d for a, d in zip(x, self.factors))
 
     def code(self, vec: Sequence[int]) -> int:
         """The integer code of an element, given by any integer representative."""

@@ -470,14 +470,9 @@ LAURENT = LaurentRing()
 EISENSTEIN = EisensteinRing()
 
 
-def canonical_associate(ring, x):
-    """The canonical representative of the associate class of x."""
-    return ring.canonical(x)[0]
-
-
 def associates(ring, x, y) -> bool:
     """True when x and y differ by a unit factor."""
-    return canonical_associate(ring, x) == canonical_associate(ring, y)
+    return ring.canonical(x)[0] == ring.canonical(y)[0]
 
 
 def euclid_gcd(ring, a, b):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from stabkit import linalg
+from stabkit.knots import SeifertKnot, alexander_presentation
 from stabkit.linalg import (
     Mat,
     SmithCancelled,
@@ -296,6 +297,20 @@ def _random_eisenstein(rng):
     return EisensteinInt(rng.randint(-3, 3), rng.randint(-3, 3))
 
 
+def _dense_rectangle(ring, entry, rng):
+    """A matrix of 0 to 6 rows and 0 to 6 columns, each entry zero or not with even odds."""
+    r, c = rng.randint(0, 6), rng.randint(0, 6)
+
+    def nonzero():
+        x = ring.zero
+        while not x:
+            x = entry(rng)
+        return x
+
+    rows = [[nonzero() if rng.random() < 0.5 else ring.zero for _ in range(c)] for _ in range(r)]
+    return Mat(rows, c)
+
+
 @pytest.mark.parametrize(
     "ring, entry",
     [(INTEGERS, _random_int), (LAURENT, _random_laurent), (EISENSTEIN, _random_eisenstein)],
@@ -303,6 +318,7 @@ def _random_eisenstein(rng):
 )
 def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
     rng = random.Random(20261018)
+    inputs = []
     for _ in range(12):
         pool = []
         for _ in range(3):
@@ -314,8 +330,10 @@ def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
         whole = _vstack(whole, Mat([[ring.zero] * whole.ncols] * rng.randint(0, 1), whole.ncols))
         row_order = rng.sample(range(whole.nrows), whole.nrows)
         col_order = rng.sample(range(whole.ncols), whole.ncols)
-        m = Mat([[whole.rows[i][j] for j in col_order] for i in row_order], whole.ncols)
-
+        inputs.append(Mat([[whole.rows[i][j] for j in col_order] for i in row_order], whole.ncols))
+    # dense rectangles make the elimination swap in remainders and patch divisibility
+    inputs += [_dense_rectangle(ring, entry, rng) for _ in range(30)]
+    for m in inputs:
         dec = smith_normal_form(ring, m)
         assert dec.diagonal[: dec.rank] == _smith_block(ring, m, False, False, None)[0]
         _check_decomposition(ring, m, dec)
@@ -330,6 +348,41 @@ def test_snf_of_shuffled_block_diagonal_matches_whole_matrix(ring, entry):
         assert not any(x for row in mat_mul(ring, m, k).rows for x in row)
         assert k.ncols == m.ncols - dec.rank
         assert smith_normal_form(ring, k, with_u=False, with_v=False).unit_count == k.ncols
+
+
+# A dense genus-5 Seifert matrix V = S + P: S is symmetric, and P has a 1 at
+# (2k, 2k + 1), so V - V^T is the standard symplectic form and det(V - V^T) = 1.
+_DENSE_GENUS_5 = (
+    (-1,  3, -2,  0, -2,  1,  1,  1,  1, -1),
+    ( 2, -2,  1, -2,  1,  1,  2, -2,  1,  0),
+    (-2,  1, -1,  3, -2,  0, -2, -2, -2,  2),
+    ( 0, -2,  2, -2,  1, -1,  1, -2,  2, -1),
+    (-2,  1, -2,  1,  1,  2,  2, -1,  0, -1),
+    ( 1,  1,  0, -1,  1, -1,  1,  0, -2,  1),
+    ( 1,  2, -2,  1,  2,  1,  2, -1, -1,  0),
+    ( 1, -2, -2, -2, -1,  0, -2, -2,  0,  2),
+    ( 1,  1, -2,  2,  0, -2, -1,  0,  1,  3),
+    (-1,  0,  2, -1, -1,  1,  0,  2,  2, -1),
+)
+
+
+def test_dense_alexander_kernel_keeps_its_laurent_divisions(monkeypatch):
+    # The pivot order sets the elimination's cost on dense input.  Ours makes
+    # 122 divisions here; reducing column and row by one pivot and then
+    # rescanning the whole block for the next one makes 218.
+    presentation = alexander_presentation(SeifertKnot("dense genus 5", _DENSE_GENUS_5))
+    calls = []
+    inner = LaurentPolyQ.__divmod__
+
+    def counted(a, b):
+        calls.append(1)
+        return inner(a, b)
+
+    monkeypatch.setattr(LaurentPolyQ, "__divmod__", counted)
+    kernel = kernel_basis(LAURENT, presentation)
+    monkeypatch.setattr(LaurentPolyQ, "__divmod__", inner)
+    assert kernel.ncols == 0  # Delta(1) = 1, so the presentation is nonsingular
+    assert len(calls) <= 122
 
 
 def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch):
