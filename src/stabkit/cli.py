@@ -153,7 +153,10 @@ def resolve_knot_ref(catalog: dict, ref: str) -> list:
             if len(leaves) - first > MAX_SUMMANDS:
                 _within_limit(len(leaves) - first, "knot summands", ref[a:b])
 
-    resolve(0, len(ref), 0)
+    try:
+        resolve(0, len(ref), 0)
+    finally:
+        del resolve  # it calls itself through its cell: free the cycle by refcount
     return leaves
 
 

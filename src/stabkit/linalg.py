@@ -555,7 +555,7 @@ def _split_blocks(m: Mat):
     return list(comps.values())
 
 
-def _sparse(lines: list) -> list:
+def _nonzeros(lines: list) -> list:
     """Dense lines as (index, value) pairs of their nonzeros."""
     return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
 
@@ -604,7 +604,7 @@ def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
         if done is None or with_v and done[1] is None:
             # rows fix the width: a block without rows is one zero column
             pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, with_v, cancel)
-            done = reduced[key] = pivots, _sparse(bvt) if with_v else None
+            done = reduced[key] = pivots, _nonzeros(bvt) if with_v else None
         yield (rows, cols) + done
 
 
@@ -741,8 +741,8 @@ def smith_normal_form(
     units = sum(c for x, c in runs if x == one)
     diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
-        u=_mat(zero, tuple(_sparse(u)), R) if with_u else None,
-        v=_by_rows(zero, _sparse(vt), C) if with_v else None,
+        u=_mat(zero, tuple(_nonzeros(u)), R) if with_u else None,
+        v=_by_rows(zero, _nonzeros(vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),
         unit_count=units,

@@ -241,15 +241,13 @@ DEFAULT_SEED = 20260814
 DEFAULT_CASES = 200
 
 
-def run_all(seed: int = DEFAULT_SEED, cases: int = DEFAULT_CASES, emit=None) -> bool:
+def run_all(seed: int, cases: int, emit) -> bool:
     ok = True
     for name, fn in SUITES.items():
         try:
             n = fn(seed, cases)
-            if emit:
-                emit(f"PASS {name} ({n} cases, seed {seed})")
+            emit(f"PASS {name} ({n} cases, seed {seed})")
         except AssertionError as e:
             ok = False
-            if emit:
-                emit(f"FAIL {name}: {e}")
+            emit(f"FAIL {name}: {e}")
     return ok

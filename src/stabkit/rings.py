@@ -4,9 +4,12 @@ Every ring here is a Euclidean domain with an explicit division step, so
 Smith normal form and gcd computations terminate with exact results.  Ring
 elements do their own arithmetic through Python operators (`+`, `-`, `*`,
 `==`, builtin `divmod`, `str`) and, like `int`, are false exactly when zero:
-the zero test is truthiness, `if x`, everywhere.  A ring descriptor
-(`INTEGERS`, `LAURENT`, `EISENSTEIN`) holds only what the generic matrix
-algorithms need besides that arithmetic, its whole protocol being:
+the zero test is truthiness, `if x`, everywhere.  Elements come only from
+constructors, `LaurentPolyQ({exponent: coefficient})`, `EisensteinInt(a, b)`
+and a descriptor's `from_int`; `str` prints them, and no text is read back.
+A ring descriptor (`INTEGERS`, `LAURENT`, `EISENSTEIN`) holds only what the
+generic matrix algorithms need besides that arithmetic, its whole protocol
+being:
 
 * `tag` and `name`: a fixed identifier and the printed name;
 * `zero` and `one`;
@@ -40,63 +43,16 @@ that is canonical is `one`:
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import Mapping, Optional
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*(?:\*\s*(?P<var1>[tw])(?:\^(?P<exp1>-?\d+))?)?
-          | (?P<var2>[tw])(?:\^(?P<exp2>-?\d+))?
-        )\s*""",
-    re.VERBOSE,
-)
+from typing import Optional
 
 
-class RingFormatError(ValueError):
-    """Raised when a textual ring element does not match the documented form."""
-
-
-def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
-    """Parse a sum like ``-1 + 2*t`` or ``3/2*t^-2`` into {exponent: coeff}."""
-    terms: dict[int, Fraction] = {}
-    pos = 0
-    first = True
-    text = text.strip()
-    if not text:
-        raise RingFormatError("empty ring element")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise RingFormatError(f"cannot parse {text!r} at offset {pos}")
-        sign = m.group("sign")
-        if sign is None and not first:
-            raise RingFormatError(f"missing +/- between terms in {text!r}")
-        c = Fraction(-1 if sign == "-" else 1)
-        seen_var = m.group("var1") or m.group("var2")
-        if m.group("coeff") is not None:
-            c *= Fraction(m.group("coeff"))
-        if seen_var is not None and seen_var != var:
-            raise RingFormatError(f"unexpected variable {seen_var!r} in {text!r}")
-        exp_text = m.group("exp1") or m.group("exp2")
-        exp = 0
-        if seen_var is not None:
-            exp = int(exp_text) if exp_text is not None else 1
-        terms[exp] = terms.get(exp, Fraction(0)) + c
-        pos = m.end()
-        first = False
-    return {e: c for e, c in terms.items() if c != 0}
-
-
-def _format_terms(terms: Mapping[int, Fraction], var: str) -> str:
-    """Render terms in increasing exponent order, e.g. ``-1 + 2*t``."""
-    terms = {e: c for e, c in terms.items() if c != 0}
+def _format_terms(terms, var: str) -> str:
+    """Render sorted, nonzero (exponent, coefficient) pairs, e.g. ``-1 + 2*t``."""
     if not terms:
         return "0"
     parts: list[str] = []
-    for i, exp in enumerate(sorted(terms)):
-        c = terms[exp]
+    for exp, c in terms:
         neg = c < 0
         mag = -c if neg else c
         if exp == 0:
@@ -104,10 +60,10 @@ def _format_terms(terms: Mapping[int, Fraction], var: str) -> str:
         else:
             v = var if exp == 1 else f"{var}^{exp}"
             body = v if mag == 1 else f"{mag}*{v}"
-        if i == 0:
-            parts.append(f"-{body}" if neg else body)
-        else:
+        if parts:
             parts.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if neg else body)
     return " ".join(parts)
 
 
@@ -170,10 +126,6 @@ class LaurentPolyQ:
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPolyQ is immutable")
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPolyQ":
-        return cls(_parse_terms(text, "t"))
 
     @property
     def terms(self) -> tuple[tuple[int, object], ...]:
@@ -275,7 +227,7 @@ class LaurentPolyQ:
             return h
 
     def __str__(self) -> str:
-        return _format_terms(dict(self._terms), "t")
+        return _format_terms(self._terms, "t")
 
     def __repr__(self) -> str:
         return f"LaurentPolyQ({dict(self._terms)!r})"
@@ -314,17 +266,6 @@ class EisensteinInt:
 
     def __setattr__(self, name, value):
         raise AttributeError("EisensteinInt is immutable")
-
-    @classmethod
-    def parse(cls, text: str) -> "EisensteinInt":
-        terms = _parse_terms(text, "w")
-        if any(e not in (0, 1) for e in terms):
-            raise RingFormatError(f"powers of w other than w^1 not accepted: {text!r}")
-        a = terms.get(0, Fraction(0))
-        b = terms.get(1, Fraction(0))
-        if a.denominator != 1 or b.denominator != 1:
-            raise RingFormatError(f"non-integer coordinates in {text!r}")
-        return cls(int(a), int(b))
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -373,7 +314,7 @@ class EisensteinInt:
         return hash(("EisensteinInt", self.a, self.b))
 
     def __str__(self) -> str:
-        return _format_terms({0: self.a, 1: self.b}, "w")
+        return _format_terms([(e, c) for e, c in ((0, self.a), (1, self.b)) if c], "w")
 
     def __repr__(self) -> str:
         return f"EisensteinInt({self.a}, {self.b})"

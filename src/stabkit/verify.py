@@ -68,8 +68,9 @@ _RIGHT = _CAT["9_46"].disc("right")
 _K61 = _CAT["6_1"].knot
 _GAMMA = _CAT["6_1"].disc("gamma")
 
-_TM2 = LaurentPolyQ.parse("-2 + t")
-_2TM1 = LaurentPolyQ.parse("-1 + 2*t")
+_TM2 = LaurentPolyQ({0: -2, 1: 1})
+_2TM1 = LaurentPolyQ({0: -1, 1: 2})
+_XI_MINUS_2 = EisensteinInt(-2, 1)
 _ORDER_BOTH = _TM2 * _2TM1
 
 
@@ -191,13 +192,12 @@ def anchor_61_obstruction():
     _check(nonzero, "obstruction reported zero")
     order = module.order()
     _check(order.norm() == 7, f"norm {order.norm()} != 7")
-    _eq_assoc(EISENSTEIN, order, EisensteinInt.parse("-2 + w"), "obstruction order")
+    _eq_assoc(EISENSTEIN, order, _XI_MINUS_2, "obstruction order")
 
 
 def anchor_norm_seven_ring_facts():
-    xi_minus_2 = EisensteinInt.parse("-2 + w")
-    _check(xi_minus_2.norm() == 7, "N(xi-2) != 7")
-    product = xi_minus_2 * xi_minus_2.conj()
+    _check(_XI_MINUS_2.norm() == 7, "N(xi-2) != 7")
+    product = _XI_MINUS_2 * _XI_MINUS_2.conj()
     _eq_assoc(EISENSTEIN, product, EISENSTEIN.from_int(7), "(xi-2)(conj) != 7")
 
 
@@ -245,19 +245,19 @@ def anchor_decorations_do_not_change_kernels():
     )
 
 
-def _cli(argv: list) -> tuple:
+def _cli(argv: list):
+    """Run `stabkit --json ...` in-process; check exit 0 and return the payload."""
     from .cli import main
 
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(argv)
-    return code, buf.getvalue()
+        code = main(["--json", *argv])
+    _check(code == 0, f"exit code {code}")
+    return json.loads(buf.getvalue())
 
 
 def anchor_cli_alexander():
-    code, out = _cli(["--json", "alexander", "9_46"])
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["alexander", "9_46"])
     _check(
         payload["order"] == str(LAURENT.canonical(_ORDER_BOTH)[0]),
         f"order {payload['order']!r}",
@@ -265,13 +265,9 @@ def anchor_cli_alexander():
 
 
 def anchor_cli_kernels():
-    code, out = _cli(["--json", "kernels", "9_46", "--discs", "left,right"])
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["kernels", "9_46", "--discs", "left,right"])
     _check(payload["pairs"][0]["intersection_is_zero"], "intersection not zero")
-    code, out = _cli(["--json", "kernels", "6_1", "--discs", "gamma"])
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["kernels", "6_1", "--discs", "gamma"])
     want = str(LAURENT.canonical(_2TM1)[0])
     _check(
         payload["kernels"][0]["order"] == want,
@@ -280,11 +276,7 @@ def anchor_cli_kernels():
 
 
 def anchor_cli_bound_d2():
-    code, out = _cli(
-        ["--json", "bound", "d2", "--knot", "sum^3(9_46)", "--discs", "left^3,right^3"]
-    )
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["bound", "d2", "--knot", "sum^3(9_46)", "--discs", "left^3,right^3"])
     _check(
         payload["lower"] == 3 and payload["upper"] == 3,
         f"lower {payload['lower']} upper {payload['upper']}",
@@ -292,18 +284,12 @@ def anchor_cli_bound_d2():
 
 
 def anchor_cli_bound_metabelian():
-    code, out = _cli(["--json", "bound", "metabelian", "--scenario", "thmC(g=1)"])
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["bound", "metabelian", "--scenario", "thmC(g=1)"])
     _check(payload["lower"] == 1, f"lower {payload['lower']}")
 
 
 def anchor_cli_bound_d1():
-    code, out = _cli(
-        ["--json", "bound", "d1", "--two-knot", "double(9_46.right)^2", "--vs", "unknot"]
-    )
-    _check(code == 0, f"exit code {code}")
-    payload = json.loads(out)
+    payload = _cli(["bound", "d1", "--two-knot", "double(9_46.right)^2", "--vs", "unknot"])
     _check(payload["lower"] == 2, f"lower {payload['lower']}")
 
 
@@ -336,17 +322,14 @@ ANCHORS = (
 )
 
 
-def run_verify(emit=None) -> bool:
+def run_verify(emit) -> bool:
     ok = True
     for name, fn in ANCHORS:
         try:
             fn()
-            if emit:
-                emit(f"PASS {name}")
+            emit(f"PASS {name}")
         except AssertionError as e:
             ok = False
-            if emit:
-                emit(f"FAIL {name}: {e}")
-    if emit:
-        emit("all anchors passed" if ok else "verification FAILED")
+            emit(f"FAIL {name}: {e}")
+    emit("all anchors passed" if ok else "verification FAILED")
     return ok

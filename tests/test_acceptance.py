@@ -6,6 +6,7 @@ Every test prints one PASS/FAIL line with its wall time so a run of
 
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 from stabkit import propsuite
 from stabkit.bounds import (
@@ -41,8 +42,9 @@ def budget(n: int, label: str, seconds: float):
     assert elapsed < seconds, f"criterion {n} overran its budget: {elapsed:.2f}s"
 
 
-def poly(text: str) -> LaurentPolyQ:
-    return LaurentPolyQ.parse(text)
+T_MINUS_2 = LaurentPolyQ({0: -2, 1: 1})  # t - 2
+T_MINUS_HALF = LaurentPolyQ({0: Fraction(-1, 2), 1: 1})  # t - 1/2, canonical for 2t - 1
+ORDER_946 = LaurentPolyQ({0: 1, 1: Fraction(-5, 2), 2: 1})  # (2t - 1)(t - 2), canonical
 
 
 def thmc_scenario(k61, copies: int) -> SatelliteScenario:
@@ -57,12 +59,12 @@ def thmc_scenario(k61, copies: int) -> SatelliteScenario:
 def test_criterion_1_disc_kernels_of_9_46(k946):
     with budget(1, "9_46 kernel suite", 1.0):
         module = alexander_module_Q(k946.knot)
-        assert module.order() == poly("1 - 5/2*t + t^2")  # (2t-1)(t-2), canonical
+        assert module.order() == ORDER_946
         assert module.generating_rank == 1
         left = disc_kernel_Q(k946.disc("left"), module)
         right = disc_kernel_Q(k946.disc("right"), module)
-        assert left.order() == poly("-2 + t")
-        assert right.order() == poly("-1/2 + t")
+        assert left.order() == T_MINUS_2
+        assert right.order() == T_MINUS_HALF
         from stabkit.modules import submodule_intersection
 
         assert submodule_intersection(left, right).is_zero()
@@ -81,7 +83,7 @@ def test_criterion_3_doubles_of_discs(k946):
     with budget(3, "2-knot d1 bounds m=1..4", 5.0):
         one = double_of_disc(k946.disc("right"))
         assert one.module.generating_rank == 1
-        assert one.module.order() == poly("-2 + t")
+        assert one.module.order() == T_MINUS_2
         for m in range(1, 5):
             model = two_knot_sum(*([one] * m))
             assert model.generating_rank == m
@@ -93,7 +95,7 @@ def test_criterion_4_twist_knot_suite(k61):
     with budget(4, "6_1 suite", 1.0):
         module = alexander_module_Q(k61.knot)
         assert module.generating_rank == 1
-        assert module.order() == poly("1 - 5/2*t + t^2")
+        assert module.order() == ORDER_946
         kernel = disc_kernel_Q(k61.disc("gamma"), module)
         t_minus_2_everything = module.submodule_from_int_columns([(1, -1)])
         assert kernel.spans_equal(t_minus_2_everything)

@@ -1,5 +1,6 @@
 """CLI behavior: reference grammar, output formats, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import stabkit
 from stabkit import cli, linalg, verify
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
-from stabkit.errors import SchemaError
+from stabkit.errors import SchemaError, UnknownReferenceError
 from stabkit.modules import PresentedModule
 
 CUSTOM_ENTRY = {
@@ -479,6 +480,22 @@ def test_padded_deep_knot_reference_resolves_to_one_leaf():
     ref = "sum( " * depth + " " * 20000 + "9_46" + " ) " * depth
     catalog = builtin_catalog()
     assert cli.resolve_knot_ref(catalog, ref) == [catalog["9_46"]]
+
+
+def test_knot_reference_leaves_no_reference_cycles():
+    catalog = builtin_catalog()
+    cli.resolve_knot_ref(catalog, "sum(6_1,sum^2(9_46))")  # warm any caches first
+    gc.collect()
+    gc.disable()
+    try:
+        cli.resolve_knot_ref(catalog, "sum(6_1,sum^2(9_46))")
+        try:
+            cli.resolve_knot_ref(catalog, "sum(9_46,sum(6_1,nope))")
+        except UnknownReferenceError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cap_size_references_meet_their_closed_forms(capsys):

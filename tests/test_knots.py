@@ -46,8 +46,9 @@ from test_linalg import _det, _vstack
 UNKNOT = SeifertKnot("unknot", ())
 
 
-def poly(text: str) -> LaurentPolyQ:
-    return LaurentPolyQ.parse(text)
+T_MINUS_2 = LaurentPolyQ({0: -2, 1: 1})  # t - 2
+T_MINUS_HALF = LaurentPolyQ({0: Fraction(-1, 2), 1: 1})  # t - 1/2, canonical for 2t - 1
+ORDER_946 = LaurentPolyQ({0: 1, 1: Fraction(-5, 2), 2: 1})  # (2t - 1)(t - 2), canonical
 
 
 # ---------------------------------------------------------------- validation
@@ -171,13 +172,13 @@ def test_presentation_unknot_is_empty():
 def test_alexander_module_9_46(k946):
     m = alexander_module_Q(k946.knot)
     assert m.generating_rank == 1
-    assert m.order() == poly("1 - 5/2*t + t^2")  # (2t-1)(t-2) made canonical
+    assert m.order() == ORDER_946
 
 
 def test_alexander_module_6_1_is_cyclic(k61):
     m = alexander_module_Q(k61.knot)
     assert m.generating_rank == 1
-    assert m.order() == poly("1 - 5/2*t + t^2")
+    assert m.order() == ORDER_946
 
 
 def test_alexander_polynomial_symmetry(catalog):
@@ -208,14 +209,14 @@ def test_curve_class_convention_6_1(k61):
 def test_9_46_left_kernel_is_the_t_minus_2_summand(k946):
     kern = disc_kernel_Q(k946.disc("left"))
     assert kern.generating_rank == 1
-    assert kern.order() == poly("-2 + t")
-    assert disc_quotient_Q(k946.disc("left")).order() == poly("-1/2 + t")
+    assert kern.order() == T_MINUS_2
+    assert disc_quotient_Q(k946.disc("left")).order() == T_MINUS_HALF
 
 
 def test_9_46_right_kernel_is_the_2t_minus_1_summand(k946):
     kern = disc_kernel_Q(k946.disc("right"))
-    assert kern.order() == poly("-1/2 + t")
-    assert disc_quotient_Q(k946.disc("right")).order() == poly("-2 + t")
+    assert kern.order() == T_MINUS_HALF
+    assert disc_quotient_Q(k946.disc("right")).order() == T_MINUS_2
 
 
 def test_9_46_kernels_intersect_trivially(k946):
@@ -233,8 +234,8 @@ def test_6_1_kernel_is_t_minus_2_times_everything(k61):
     kern = disc_kernel_Q(k61.disc("gamma"), ambient)
     expected = ambient.submodule_from_int_columns([(1, -1)])
     assert kern.spans_equal(expected)
-    assert kern.order() == poly("-1/2 + t")
-    assert disc_quotient_Q(k61.disc("gamma")).order() == poly("-2 + t")
+    assert kern.order() == T_MINUS_HALF
+    assert disc_quotient_Q(k61.disc("gamma")).order() == T_MINUS_2
 
 
 def test_kernel_and_quotient_orders_multiply(catalog):
@@ -281,7 +282,7 @@ def test_all_left_boundary_sum_kernel(k946, n):
     # order is (t-2)^n up to units
     prod = LAURENT.one
     for _ in range(n):
-        prod = prod * poly("-2 + t")
+        prod = prod * T_MINUS_2
     assert associates(LAURENT, kern.order(), prod)
 
 
@@ -290,7 +291,7 @@ def test_mixed_boundary_sum_kernel(k946):
     kern = disc_kernel_Q(disc)
     # the two orders are coprime, so the mixed kernel is cyclic
     assert kern.generating_rank == 1
-    assert associates(LAURENT, kern.order(), poly("-2 + t") * poly("-1/2 + t"))
+    assert associates(LAURENT, kern.order(), T_MINUS_2 * T_MINUS_HALF)
 
 
 def test_sum_module_matches_per_summand_invariants(k946, k61):
@@ -344,12 +345,12 @@ def test_branched_kernel_unknot_disc_is_zero():
 def test_double_of_right_disc(k946):
     model = double_of_disc(k946.disc("right"))
     assert model.generating_rank == 1
-    assert model.module.order() == poly("-2 + t")
+    assert model.module.order() == T_MINUS_2
 
 
 def test_double_of_left_disc(k946):
     model = double_of_disc(k946.disc("left"))
-    assert model.module.order() == poly("-1/2 + t")
+    assert model.module.order() == T_MINUS_HALF
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

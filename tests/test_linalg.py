@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_mat_shapes_and_zero_width():
 # three nonzero entries per ring, so a shape can be filled all-nonzero
 _NONZERO = {
     INTEGERS.tag: (2, -1, 7),
-    LAURENT.tag: (LaurentPolyQ.parse("1 + t"), LaurentPolyQ.parse("t^-1"), LAURENT.one),
+    LAURENT.tag: (LaurentPolyQ({0: 1, 1: 1}), LaurentPolyQ({-1: 1}), LAURENT.one),
     EISENSTEIN.tag: (EisensteinInt(1, 1), EisensteinInt(0, -2), EisensteinInt(3, 0)),
 }
 
@@ -75,8 +76,8 @@ def test_dense_sparse_round_trip(ring, shape):
 
 
 def test_map_entries_drops_entries_sent_to_zero():
-    one_plus_t = LaurentPolyQ.parse("1 + t")
-    m = Mat([[one_plus_t, LaurentPolyQ.parse("2 + t")], [LAURENT.zero, one_plus_t]], 2)
+    one_plus_t = LaurentPolyQ({0: 1, 1: 1})
+    m = Mat([[one_plus_t, LaurentPolyQ({0: 2, 1: 1})], [LAURENT.zero, one_plus_t]], 2)
     at_minus_one = m.map_entries(lambda p: sum(c if e % 2 == 0 else -c for e, c in p.terms))
     assert at_minus_one.lines == (((1, 1),), ())
     assert at_minus_one.rows == ((0, 1), (0, 0))
@@ -123,8 +124,8 @@ def test_snf_transform_products():
 
 def test_snf_laurent_example():
     rows = [
-        [LAURENT.zero, LaurentPolyQ.parse("-1 + 2*t")],
-        [LaurentPolyQ.parse("-2 + t"), LAURENT.zero],
+        [LAURENT.zero, LaurentPolyQ({0: -1, 1: 2})],
+        [LaurentPolyQ({0: -2, 1: 1}), LAURENT.zero],
     ]
     dec = smith_normal_form(LAURENT, Mat(rows, 2))
     assert dec.diagonal[0] == LAURENT.one
@@ -132,8 +133,8 @@ def test_snf_laurent_example():
 
 
 def test_snf_eisenstein_pivot_canonical():
-    rows = [[EisensteinInt.parse("-1 + 2*w"), EISENSTEIN.zero],
-            [EISENSTEIN.zero, EisensteinInt.parse("-2 + w")]]
+    rows = [[EisensteinInt(-1, 2), EISENSTEIN.zero],
+            [EISENSTEIN.zero, EisensteinInt(-2, 1)]]
     dec = smith_normal_form(EISENSTEIN, Mat(rows, 2))
     assert dec.diagonal[0].norm() == 1 or dec.diagonal[0].norm() == 7
     for d in dec.invariant_factors:
@@ -159,7 +160,7 @@ def test_snf_cancel_hook():
 
 
 def test_kernel_basis_over_laurent():
-    t = LaurentPolyQ.parse("t")
+    t = LaurentPolyQ({1: 1})
     m = Mat([[LAURENT.one, t]], 2)
     k = kernel_basis(LAURENT, m)
     assert k.ncols == 1
@@ -271,10 +272,10 @@ def test_snf_merges_coprime_blocks_over_integers():
 
 
 def test_snf_merges_coprime_blocks_over_laurent():
-    a, b = LaurentPolyQ.parse("t - 2"), LaurentPolyQ.parse("2*t - 1")
+    a, b = LaurentPolyQ({0: -2, 1: 1}), LaurentPolyQ({0: -1, 1: 2})
     m = block_diag(LAURENT, Mat([[a]]), Mat([[b]]))
     dec = smith_normal_form(LAURENT, m)
-    assert dec.diagonal == (LAURENT.one, LaurentPolyQ.parse("1 - 5/2*t + t^2"))
+    assert dec.diagonal == (LAURENT.one, LaurentPolyQ({0: 1, 1: Fraction(-5, 2), 2: 1}))
     assert dec.unit_count == 1
     _check_decomposition(LAURENT, m, dec)
     assert _column_span(LAURENT, m).contains_columns(Mat([[a], [b]]))
@@ -420,7 +421,8 @@ def test_library_calls_share_no_memo(monkeypatch):
 
 
 def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch):
-    m = block_diag(LAURENT, *[Mat([[LaurentPolyQ.parse(x)]]) for x in ("2*t - 1", "0", "t - 2")])
+    entries = (LaurentPolyQ({0: -1, 1: 2}), LAURENT.zero, LaurentPolyQ({0: -2, 1: 1}))
+    m = block_diag(LAURENT, *[Mat([[x]]) for x in entries])
     m = hstack(m, m)
     fresh = kernel_basis(LAURENT, m)
     calls = []
@@ -452,7 +454,7 @@ def test_kernel_basis_makes_no_diagonal_moves():
 
 
 def test_diagonal_only_snf_costs_the_distinct_values(monkeypatch):
-    a, b = LaurentPolyQ.parse("2*t - 1"), LaurentPolyQ.parse("t - 2")
+    a, b = LaurentPolyQ({0: -1, 1: 2}), LaurentPolyQ({0: -2, 1: 1})
     k = 256
     m = block_diag(LAURENT, *[Mat([[x]]) for x in (a, b) * k])
     calls = []
@@ -465,7 +467,7 @@ def test_diagonal_only_snf_costs_the_distinct_values(monkeypatch):
     monkeypatch.setattr(LaurentPolyQ, "__eq__", counted)
     dec = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
     monkeypatch.setattr(LaurentPolyQ, "__eq__", inner)
-    lcm = LaurentPolyQ.parse("1 - 5/2*t + t^2")
+    lcm = LaurentPolyQ({0: 1, 1: Fraction(-5, 2), 2: 1})
     assert dec.diagonal == (LAURENT.one,) * k + (lcm,) * k
     assert (dec.unit_count, dec.invariant_factors) == (k, (lcm,) * k)
     # linear in the entries; the pairwise merge compares about k^2 / 2 pairs

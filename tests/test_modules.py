@@ -5,6 +5,7 @@ tables; that is the contract the fancier rings inherit through SNF.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -183,8 +184,8 @@ def test_membership_against_oracle():
             assert s1.contains_columns(single) == (table.reduce(v) in span1)
 
     # over Q[t^±1] and Z[w]: members up to a unit factor, and non-members
-    p, q = LaurentPolyQ.parse("t - 2"), LaurentPolyQ.parse("2*t - 1")
-    unit = LaurentPolyQ.parse("-3/2*t^-2")
+    p, q = LaurentPolyQ({0: -2, 1: 1}), LaurentPolyQ({0: -1, 1: 2})
+    unit = LaurentPolyQ({-2: Fraction(-3, 2)})
     module = PresentedModule(LAURENT, Mat([[p * q]], 1))
     span_q = Submodule(module, Mat([[q]], 1))
     assert span_q.contains_columns(Mat([[unit * q]], 1))
@@ -309,8 +310,8 @@ def test_quotient_by():
 
 
 def test_laurent_module_example():
-    tm2 = LaurentPolyQ.parse("-2 + t")
-    two_tm1 = LaurentPolyQ.parse("-1 + 2*t")
+    tm2 = LaurentPolyQ({0: -2, 1: 1})
+    two_tm1 = LaurentPolyQ({0: -1, 1: 2})
     m = PresentedModule(LAURENT, Mat([[tm2, LAURENT.zero], [LAURENT.zero, two_tm1]], 2))
     assert m.generating_rank == 1  # coprime orders merge into one cyclic factor
     assert str(m.order()) == "1 - 5/2*t + t^2"

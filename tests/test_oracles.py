@@ -22,8 +22,8 @@ def test_minor_gcd_divisors_examples():
 
 def test_minor_gcd_divisors_laurent():
     rows = [
-        [LAURENT.zero, LaurentPolyQ.parse("-1 + 2*t")],
-        [LaurentPolyQ.parse("-2 + t"), LAURENT.zero],
+        [LAURENT.zero, LaurentPolyQ({0: -1, 1: 2})],
+        [LaurentPolyQ({0: -2, 1: 1}), LAURENT.zero],
     ]
     d1, d2 = minor_gcd_divisors(LAURENT, rows)
     assert LAURENT.canonical(d1)[0] == LAURENT.one

@@ -1,4 +1,4 @@
-"""Ring layer: exact arithmetic, division, gcd, canonical forms, parsing."""
+"""Ring layer: exact arithmetic, division, gcd, canonical forms, printing."""
 
 import math
 from fractions import Fraction
@@ -14,7 +14,6 @@ from stabkit.rings import (
     LAURENT,
     EisensteinInt,
     LaurentPolyQ,
-    RingFormatError,
     euclid_gcd,
 )
 
@@ -71,10 +70,21 @@ def test_ring_protocol(ring, data):
 
 # ------------------------------------------------------------------ laurents
 
-def test_laurent_parse_and_fmt_roundtrip():
-    for text in ("0", "1", "-2 + t", "-1 + 2*t", "1 - 5/2*t + t^2", "t^-2 + 3*t"):
-        p = LaurentPolyQ.parse(text)
-        assert LaurentPolyQ.parse(str(p)) == p
+def test_laurent_str_examples():
+    for terms, text in [
+        ({}, "0"),
+        ({0: 1}, "1"),
+        ({0: -1}, "-1"),
+        ({0: -2, 1: 1}, "-2 + t"),
+        ({0: -1, 1: 2}, "-1 + 2*t"),
+        ({0: 1, 1: Fraction(-5, 2), 2: 1}, "1 - 5/2*t + t^2"),
+        ({-2: 1, 1: 3}, "t^-2 + 3*t"),
+        ({-1: -1}, "-t^-1"),
+        ({-3: Fraction(1, 3), 0: -1}, "1/3*t^-3 - 1"),
+        ({1: Fraction(-2, 3), 4: -1}, "-2/3*t - t^4"),
+        ({2: -1, 0: 2}, "2 - t^2"),
+    ]:
+        assert str(LaurentPolyQ(terms)) == text, terms
 
 
 def test_laurent_fmt_skips_zero_coefficients():
@@ -83,15 +93,15 @@ def test_laurent_fmt_skips_zero_coefficients():
 
 
 def test_laurent_divmod_example():
-    num = LaurentPolyQ.parse("1 - 5/2*t + t^2")
-    den = LaurentPolyQ.parse("-2 + t")
+    num = LaurentPolyQ({0: 1, 1: Fraction(-5, 2), 2: 1})
+    den = LaurentPolyQ({0: -2, 1: 1})
     q, r = divmod(num, den)
     assert not r
     assert q * den == num
 
 
 def test_laurent_canonical_is_monic_with_lowest_exponent_zero():
-    p = LaurentPolyQ.parse("t^-2 + 3*t")
+    p = LaurentPolyQ({-2: 1, 1: 3})
     assoc, unit = LAURENT.canonical(p)
     assert str(assoc) == "1/3 + t^3"
     assert unit * p == assoc
@@ -209,25 +219,42 @@ def test_laurent_divmod_by_unit_matches_long_division(a, e, c, v):
 # --------------------------------------------------------------- eisenstein
 
 def test_eisenstein_norm_examples():
-    assert EisensteinInt.parse("-2 + w").norm() == 7
-    assert EisensteinInt.parse("3 + 2*w").norm() == 7
-    assert EisensteinInt.parse("2").norm() == 4
+    assert EisensteinInt(-2, 1).norm() == 7
+    assert EisensteinInt(3, 2).norm() == 7
+    assert EisensteinInt(2, 0).norm() == 4
     assert len(EISENSTEIN_UNITS) == 6
 
 
 def test_eisenstein_conj():
-    w = EisensteinInt.parse("w")
-    assert w.conj() == EisensteinInt.parse("-1 - w")
+    w = EisensteinInt(0, 1)
+    assert w.conj() == EisensteinInt(-1, -1)
     a = EisensteinInt(3, 2)
     assert a.conj().conj() == a
 
 
+def test_eisenstein_str_examples():
+    for a, b, text in [
+        (0, 0, "0"),
+        (3, 0, "3"),
+        (-3, 0, "-3"),
+        (0, 1, "w"),
+        (0, -1, "-w"),
+        (0, 2, "2*w"),
+        (1, 1, "1 + w"),
+        (-1, -1, "-1 - w"),
+        (-2, 1, "-2 + w"),
+        (3, -2, "3 - 2*w"),
+        (0, -5, "-5*w"),
+    ]:
+        assert str(EisensteinInt(a, b)) == text, (a, b)
+
+
 def test_eisenstein_canonical_sector():
     # canonical associate has a > b >= 0
-    assoc, unit = EISENSTEIN.canonical(EisensteinInt.parse("-2 + w"))
+    assoc, unit = EISENSTEIN.canonical(EisensteinInt(-2, 1))
     assert (assoc.a, assoc.b) == (3, 2)
-    assert unit * EisensteinInt.parse("-2 + w") == assoc
-    seven = EisensteinInt.parse("-1 + 2*w") * EisensteinInt.parse("-2 + w")
+    assert unit * EisensteinInt(-2, 1) == assoc
+    seven = EisensteinInt(-1, 2) * EisensteinInt(-2, 1)
     assoc, _ = EISENSTEIN.canonical(seven)
     assert (assoc.a, assoc.b) == (7, 0)
 
@@ -286,11 +313,6 @@ def test_eisenstein_gcd_divides(a, b):
 def test_eisenstein_norm_multiplicative(a):
     b = EisensteinInt(2, 1)
     assert (a * b).norm() == a.norm() * b.norm()
-
-
-def test_eisenstein_parse_rejects_higher_powers():
-    with pytest.raises(RingFormatError):
-        EisensteinInt.parse("w^2")
 
 
 # ------------------------------------------------------------------- others
