@@ -47,7 +47,7 @@ from .knots import (
     double_of_disc,
     two_knot_sum,
 )
-from .linalg import _command_memo, mat_mul
+from .linalg import mat_mul
 from .metabelian import SatelliteScenario
 from .modules import Submodule, relative_quotients
 from . import propsuite
@@ -315,9 +315,8 @@ def cmd_kernels(args) -> int:
     catalog = _load(args)
     leaves = resolve_knot_ref(catalog, args.knot)
     knot = knot_of_leaves(leaves)
-    specs = _split_top(args.discs) if args.discs else sorted(
-        name for name in (leaves[0].discs if len(leaves) == 1 else ())
-    )
+    default = sorted(leaves[0].discs) if len(leaves) == 1 else []
+    specs = _split_top(args.discs) if args.discs else default
     if not specs:
         raise UnknownReferenceError("no discs given; use --discs")
     ambient = alexander_module_Q(knot)
@@ -396,15 +395,13 @@ def cmd_bound(args) -> int:
             scenario = resolve_scenario(catalog, args.scenario)
         else:
             raise UnknownReferenceError("bound metabelian needs --scenario or --scenario-json")
-    elif args.kind == "d1":
+    else:  # d1: argparse restricts the kinds
         if not args.two_knot or not args.vs:
             raise UnknownReferenceError("bound d1 needs --two-knot and --vs")
         scenario = TwoKnotPairScenario(
             resolve_two_knot_ref(catalog, args.two_knot),
             resolve_two_knot_ref(catalog, args.vs),
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise UnknownReferenceError(f"unknown bound kind {args.kind!r}")
     report = full_report(scenario)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
@@ -423,8 +420,7 @@ def cmd_verify(args) -> int:
 def cmd_properties(args) -> int:
     if args.cases < 1:
         raise SchemaError("--cases must be at least 1", f"got {args.cases}")
-    seed = args.seed if args.seed is not None else propsuite.DEFAULT_SEED
-    ok = propsuite.run_all(seed=seed, cases=args.cases, emit=print)
+    ok = propsuite.run_all(seed=args.seed, cases=args.cases, emit=print)
     return 0 if ok else 1
 
 
@@ -448,14 +444,36 @@ malformed input, 3 failed theorem hypothesis
 """
 
 
+# argparse's messages for a value it read as an option, and a token it reads so:
+# one '-', then not '-' and not a number (a negative number stays a value)
+_MISREAD = re.compile(r"(?:the following arguments are required|unrecognized arguments): .*"
+                      r"|argument (--[\w-]+): expected one argument")
+_DASHED = re.compile(r"-(?!-|\d+$|\d*\.\d+$)\S+")
+
+
+class _CommandLineError(Exception):
+    """A malformed command line: the parser's prog and argparse's message."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line in one stderr line, without the usage block.
+    """Hands a malformed command line to `main`, which reports it in one stderr line.
 
     `add_subparsers` builds the subcommand parsers with this class too.
     """
 
     def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        raise _CommandLineError(self.prog, message)
+
+
+def _usage_line(argv, prog: str, message: str) -> str:
+    """argparse's error; a value it read as an option is named, with how to pass it."""
+    misread = _MISREAD.fullmatch(message)
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    for before, token in zip(["", *head], head):
+        if misread and _DASHED.fullmatch(token) and misread[1] in (None, before):
+            how = f"write {before}={token}" if misread[1] else "put -- before it, after the options"
+            return f"{prog}: error: {token!r} begins with '-', so it was read as an option; {how}"
+    return f"{prog}: error: {message}"
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument("--catalog", metavar="PATH", help="JSON file with extra knots")
     parser.add_argument(
-        "--seed", type=int, default=None, help="seed for property-test replay"
+        "--seed", type=int, default=propsuite.DEFAULT_SEED, help="seed for property-test replay"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -506,14 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # --help or --version
         return int(e.code or 0)
+    except _CommandLineError as e:
+        print(_usage_line(sys.argv[1:] if argv is None else argv, *e.args), file=sys.stderr)
+        return 2
     try:
-        with _command_memo():
-            return args.func(args)
+        return args.func(args)
     except HypothesisError as e:
         print(f"error: failed hypothesis: {e}", file=sys.stderr)
         return 3

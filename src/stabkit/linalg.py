@@ -48,11 +48,12 @@ once, and only a piece is split into connected blocks.  A matrix with no
 record (a small sum, a catalog knot, a piece, the kernel of a sum whose rows
 are stacked parts) is split by union-find over its stored nonzeros
 (`_split_blocks`).
-While `cli.main` runs a command, one memo per ring holds every block and
-every piece already reduced and every gcd and lcm the chain merge took, so
-the many Smith calls of one request on the same summands share them.  A
-library call outside a command keeps a memo of its own, which ends with the
-call.  Both block readers do only the work their callers use:
+One memo per ring lasts for the process: every block and every piece
+already reduced and every gcd and lcm the chain merge took, keyed by content,
+so the Smith calls of all requests on the same summands share them.  A table
+that would pass `_MEMO_CAP` entries is emptied first.  Keys are block
+contents and values are immutable, so a hit returns what a fresh
+elimination would.  Both block readers do only the work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
   columns, in block order.  Those columns span the kernel, and nothing is
@@ -80,7 +81,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -555,35 +555,34 @@ def _split_blocks(m: Mat):
     return list(comps.values())
 
 
-def _nonzeros(lines: list) -> list:
+def _nonzeros(lines: list) -> tuple:
     """Dense lines as (index, value) pairs of their nonzeros."""
-    return [tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines]
+    return tuple([tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines])
 
 
-# ring tag -> (reduced blocks, reduced pieces, gcds, lcms) while a command runs, else None
-_command_tables: Optional[dict] = None
+# The most entries one memo table holds: four times the most one command
+# was seen to need (`properties`, 276 blocks over Z; the benchmark workloads
+# need fewer than 30).  An entry of random property-suite blocks takes about
+# 3 KB, so a full table holds about 3 MB.
+_MEMO_CAP = 1024
 
 
-@contextmanager
-def _command_memo():
-    """Share the block, piece and gcd/lcm memos among the Smith calls of one command.
+class _Table(dict):
+    """A memo table: a new key that would take it past `_MEMO_CAP` empties it first."""
 
-    `cli.main` opens it around a command.  A nested command (`verify` runs
-    `main`) gets a memo of its own, and the outer one is back when it ends.
-    """
-    global _command_tables
-    outer, _command_tables = _command_tables, {}
-    try:
-        yield
-    finally:
-        _command_tables = outer
+    def __setitem__(self, key, value):
+        if len(self) >= _MEMO_CAP and key not in self:
+            self.clear()
+        dict.__setitem__(self, key, value)
+
+
+# ring tag -> (reduced blocks, reduced pieces, gcds, lcms), for the life of the process
+_tables: dict = {}
 
 
 def _memo(ring) -> tuple:
-    """(reduced blocks, reduced pieces, gcds, lcms) of the open command, or fresh ones."""
-    if _command_tables is None:
-        return {}, {}, {}, {}
-    return _command_tables.setdefault(ring.tag, ({}, {}, {}, {}))
+    """The ring's (reduced blocks, reduced pieces, gcds, lcms)."""
+    return _tables.setdefault(ring.tag, (_Table(), _Table(), _Table(), _Table()))
 
 
 def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
@@ -608,16 +607,16 @@ def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
         yield (rows, cols) + done
 
 
-def _count_pivots(one, blocks) -> tuple:
-    """(number of unit pivots, {nonunit pivot: multiplicity}) of reduced blocks."""
+def _count_pivots(one, runs) -> tuple:
+    """(number of unit pivots, ((nonunit pivot, multiplicity), ...)) of (pivots, times) runs."""
     units, counts = 0, {}
-    for _, _, pivots, _ in blocks:
+    for pivots, k in runs:
         for x in pivots:
             if x == one:
-                units += 1
+                units += k
             else:
-                counts[x] = counts.get(x, 0) + 1
-    return units, counts
+                counts[x] = counts.get(x, 0) + k
+    return units, tuple(counts.items())
 
 
 def _block_kernel(ring, ncols: int, blocks) -> tuple:
@@ -627,36 +626,32 @@ def _block_kernel(ring, ncols: int, blocks) -> tuple:
         if not rows:
             zero_cols.append(cols[0])
         kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(pivots):]]
-    return _by_rows(ring.zero, kernel, ncols), zero_cols
+    return _by_rows(ring.zero, kernel, ncols), tuple(zero_cols)
 
 
 def _piece(ring, p: Mat, with_v: bool, tables: tuple, cancel) -> tuple:
-    """A piece's pivot counts, or with V its kernel and zero columns; once per memo."""
+    """A piece's pivots, or with V its kernel and zero columns; once per memo."""
     key = (with_v, p)
     done = tables[1].get(key)
     if done is None:
         blocks = list(_reduced_blocks(ring, p, with_v, cancel, tables[0]))
-        done = _block_kernel(ring, p.ncols, blocks) if with_v else _count_pivots(ring.one, blocks)
-        tables[1][key] = done
+        pivots = tuple(x for _, _, block_pivots, _ in blocks for x in block_pivots)
+        done = tables[1][key] = _block_kernel(ring, p.ncols, blocks) if with_v else pivots
     return done
 
 
 def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
-    """`_count_pivots` of all of m's blocks; a recorded m sums its distinct pieces'."""
+    """`_count_pivots` of all of m's blocks; a recorded m reads each distinct piece once."""
     b = m._blocks
     if b is None:
-        return _count_pivots(ring.one, _reduced_blocks(ring, m, False, cancel, tables[0]))
-    units, counts = 0, {}
-    for j, k in Counter(b.which).items():
-        pu, pc = _piece(ring, b.kinds[j], False, tables, cancel)
-        units += k * pu
-        for x, c in pc.items():
-            counts[x] = counts.get(x, 0) + k * c
-    return units, counts
+        blocks = _reduced_blocks(ring, m, False, cancel, tables[0])
+        return _count_pivots(ring.one, [(pivots, 1) for _, _, pivots, _ in blocks])
+    pieces = [(b.kinds[j], k) for j, k in Counter(b.which).items()]
+    return _count_pivots(ring.one, [(_piece(ring, p, False, tables, cancel), k) for p, k in pieces])
 
 
-def _chain_of_values(ring, units: int, counts: dict, tables: tuple) -> list:
-    """The diagonal of `units` units and the nonunit pivots `counts`, as runs.
+def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> list:
+    """The diagonal of `units` units and the nonunit (pivot, multiplicity) `counts`, as runs.
 
     The diagonal is returned as [value, count] runs in chain order, units
     first.
@@ -667,7 +662,7 @@ def _chain_of_values(ring, units: int, counts: dict, tables: tuple) -> list:
     merges k copies of x's valuation into a sorted list.  The chain is kept as
     runs of equal values, and e_i is constant between the run ends of d and
     those ends shifted by k, so an insertion costs the runs, not n.  Each
-    gcd and lcm is taken once per command, or once per call outside one.
+    gcd and lcm is taken once per memo.
     """
     one = ring.one
     _, _, gcds, lcms = tables
@@ -683,7 +678,7 @@ def _chain_of_values(ring, units: int, counts: dict, tables: tuple) -> list:
         return lcms[a, b]
 
     runs: list = []  # [value, count] in chain order
-    for x, k in counts.items():
+    for x, k in counts:
         ends = [0]
         for _, c in runs:
             ends.append(ends[-1] + c)
@@ -741,7 +736,7 @@ def smith_normal_form(
     units = sum(c for x, c in runs if x == one)
     diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
     return SmithDecomposition(
-        u=_mat(zero, tuple(_nonzeros(u)), R) if with_u else None,
+        u=_mat(zero, _nonzeros(u), R) if with_u else None,
         v=_by_rows(zero, _nonzeros(vt), C) if with_v else None,
         diagonal=diagonal,
         rank=len(diag),

@@ -26,3 +26,11 @@ def k946(catalog):
 @pytest.fixture(scope="session")
 def k61(catalog):
     return catalog["6_1"]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty Smith memo for one test; the process memo is back afterwards."""
+    from stabkit import linalg
+
+    monkeypatch.setattr(linalg, "_tables", {})

@@ -221,7 +221,7 @@ def test_kernels_split_rows_and_smith_forms_agree(ring, entry):
         assert top._blocks is not None and bottom._blocks is not None
 
 
-def test_smith_memo_is_shared_by_equal_pieces_of_one_command(monkeypatch):
+def test_smith_memo_is_shared_by_equal_pieces_of_one_command(monkeypatch, fresh_memo):
     calls = []
     real = linalg._smith_block
 
@@ -231,17 +231,16 @@ def test_smith_memo_is_shared_by_equal_pieces_of_one_command(monkeypatch):
 
     monkeypatch.setattr(linalg, "_smith_block", counted)
     piece = Mat([[2, 4, 0], [0, 6, 0]])
-    with linalg._command_memo():
-        m = block_diag(INTEGERS, *[piece, Mat([[2, 4, 0], [0, 6, 0]])] * 6)
-        assert m._blocks is not None
-        assert smith_normal_form(INTEGERS, m, False, False).diagonal == (2,) * 12 + (6,) * 12
-        kernel_basis(INTEGERS, m)
-        kernel_basis(INTEGERS, transpose(transpose(m)))
+    m = block_diag(INTEGERS, *[piece, Mat([[2, 4, 0], [0, 6, 0]])] * 6)
+    assert m._blocks is not None
+    assert smith_normal_form(INTEGERS, m, False, False).diagonal == (2,) * 12 + (6,) * 12
+    kernel_basis(INTEGERS, m)
+    kernel_basis(INTEGERS, transpose(transpose(m)))
     # one 2x2 block and one zero column, each without and with V
     assert len(calls) == len(set(calls)) == 4
 
 
-def test_bound_d2_of_a_sum_splits_only_summand_pieces(capsys, monkeypatch):
+def test_bound_d2_of_a_sum_splits_only_summand_pieces(capsys, monkeypatch, fresh_memo):
     splits, reduced = [], []
     real_split, real_smith = linalg._split_blocks, linalg._smith_block
 

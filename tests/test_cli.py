@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 import stabkit
-from stabkit import cli, linalg, verify
+from stabkit import cli, linalg
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError, UnknownReferenceError
+from stabkit.linalg import Mat
 from stabkit.modules import PresentedModule
+from stabkit.rings import EisensteinInt, LaurentPolyQ
 
 CUSTOM_ENTRY = {
     "name": "custom",
@@ -405,6 +407,60 @@ def test_malformed_command_line_is_exit_2_with_one_line(capsys, argv, prog):
     assert len(err.splitlines()) == 1 and err.startswith(f"{prog}: error: "), err
 
 
+_READ_AS_OPTION = "begins with '-', so it was read as an option"
+
+
+@pytest.mark.parametrize(
+    "argv,line,fixed,fixed_error",
+    [
+        (
+            ["alexander", "-1x"],
+            f"stabkit alexander: error: '-1x' {_READ_AS_OPTION}; "
+            "put -- before it, after the options",
+            ["alexander", "--", "-1x"],
+            "error: unknown knot '-1x'",
+        ),
+        (
+            ["kernels", "9_46", "--discs", "-left"],
+            f"stabkit kernels: error: '-left' {_READ_AS_OPTION}; write --discs=-left",
+            ["kernels", "9_46", "--discs=-left"],
+            "error: unknown disc '-left'",
+        ),
+        (
+            ["bound", "d1", "--two-knot", "-x", "--vs", "unknot"],
+            f"stabkit bound: error: '-x' {_READ_AS_OPTION}; write --two-knot=-x",
+            ["bound", "d1", "--two-knot=-x", "--vs", "unknot"],
+            "error: unknown 2-knot reference '-x'",
+        ),
+    ],
+    ids=["positional", "discs value", "two-knot value"],
+)
+def test_value_read_as_an_option_is_named_with_how_to_pass_it(
+    capsys, argv, line, fixed, fixed_error
+):
+    assert run(capsys, *argv) == (2, "", line + "\n")
+    # passed the way the line says, the value reaches the command, which names the true problem
+    code, out, err = run(capsys, *fixed)
+    assert (code, out) == (2, "") and err.startswith(fixed_error), err
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # the first problem argparse meets is the kind, not the dashed token after it
+        (["bound", "d3", "-x"], "stabkit bound: error: argument kind: invalid choice: 'd3'"),
+        # a negative number is a value, and the knot is simply missing
+        (["--seed", "-5", "alexander"], "stabkit alexander: error: the following arguments"),
+        # after --, nothing is read as an option
+        (["kernels", "9_46", "--", "-x"], "stabkit: error: unrecognized arguments: -x"),
+    ],
+    ids=["invalid kind", "negative number", "after --"],
+)
+def test_other_command_line_errors_keep_their_message(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(line) and len(err.splitlines()) == 1, err
+
+
 def test_version_is_exit_0(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
@@ -664,51 +720,53 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
     assert sorted(builtin_catalog()) == ["6_1", "9_46", "unknot"]
 
 
-# ---------------------------------------------------------- command memo
+# ------------------------------------------------------------- Smith memo
 
 
-def test_main_leaves_no_memo_open(capsys, tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(dict(SCENARIO, companion="unknot", companion_disc="trivial")))
-    for argv, expected in (
-        (["kernels", "9_46"], 0),
-        (["bound", "d3"], 2),
-        (["alexander", "no_such_knot"], 2),
-        (["bound", "metabelian", "--scenario-json", str(path)], 3),
-    ):
-        assert run(capsys, *argv)[0] == expected, argv
-        assert linalg._command_tables is None, argv
+DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "readme_digests.json"
+README_ARGVS = [item["argv"] for item in json.loads(DIGESTS.read_text(encoding="utf-8"))]
+
+# requests like the benchmark's two workloads, on other sizes and summands
+MIXED_ARGVS = (
+    ["--json", "bound", "d2", "--knot", "sum^9(9_46)", "--discs", "left^9,right^9"],
+    ["--json", "kernels", "sum(9_46,6_1)", "--discs", "left+gamma,right+gamma"],
+    ["--json", "bound", "d1", "--two-knot", "double(9_46.left)^3+double(6_1.gamma)^2",
+     "--vs", "double(9_46.right)^2"],
+    ["alexander", "sum(6_1,9_46,6_1)"],
+    ["--json", "bound", "metabelian", "--scenario", "thmC(g=3)"],
+    ["kernels", "6_1"],
+    ["--seed", "3", "properties", "--cases", "2"],
+)
 
 
-def test_nested_main_restores_the_outer_memo(capsys, monkeypatch):
-    """`verify` runs `main` inside its command; the nested call has its own memo."""
-    real_cli, real_memo = verify._cli, linalg._memo
-    outers, inners = [], []
+def test_memo_values_are_immutable(capsys, fresh_memo):
+    """The memo lasts for the process, so no caller may get a value it could change."""
 
-    def spied_cli(argv):
-        outer = linalg._command_tables
-        try:
-            return real_cli(argv)
-        finally:
-            assert linalg._command_tables is outer
-            outers.append(outer)
+    def frozen(x):
+        if isinstance(x, tuple):
+            return all(map(frozen, x))
+        return x is None or isinstance(x, (int, Mat, LaurentPolyQ, EisensteinInt))
 
-    def spied_memo(ring):
-        inners.append(linalg._command_tables)
-        return real_memo(ring)
-
-    monkeypatch.setattr(verify, "_cli", spied_cli)
-    monkeypatch.setattr(linalg, "_memo", spied_memo)
-    assert run(capsys, "verify")[0] == 0
-    assert outers and all(t is not None for t in outers + inners)
-    outer_ids = {id(t) for t in outers}
-    assert len(outer_ids) == 1
-    # the nested commands opened memos of their own
-    assert {id(t) for t in inners} - outer_ids
-    assert linalg._command_tables is None
+    for argv in README_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
+    values = [v for tables in linalg._tables.values() for t in tables for v in t.values()]
+    assert values and all(map(frozen, values))
 
 
-def test_kernels_reduces_each_distinct_block_once(capsys, monkeypatch):
+def test_commands_print_the_same_on_a_cold_and_a_warm_memo(capsys, monkeypatch):
+    argvs = README_ARGVS + [["verify"]]
+    cold = []
+    for argv in argvs:
+        monkeypatch.setattr(linalg, "_tables", {})
+        cold.append(run(capsys, *argv))
+    monkeypatch.setattr(linalg, "_tables", {})
+    for argv in MIXED_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert all(code == 0 for code, _, _ in cold)
+
+
+def test_kernels_reduces_each_distinct_block_once(capsys, monkeypatch, fresh_memo):
     calls = []
     real = linalg._smith_block
 
@@ -724,8 +782,7 @@ def test_kernels_reduces_each_distinct_block_once(capsys, monkeypatch):
 
 def test_readme_outputs_match_recorded_digests(capsys):
     """Every README `--json` command prints exactly what the benchmark recorded."""
-    digests = Path(__file__).resolve().parents[1] / "bench" / "readme_digests.json"
-    for item in json.loads(digests.read_text(encoding="utf-8")):
+    for item in json.loads(DIGESTS.read_text(encoding="utf-8")):
         code, out, _ = run(capsys, *item["argv"])
         text = f"exit {code}\n{out}"
         assert hashlib.sha256(text.encode()).hexdigest() == item["sha256"], item["argv"]

@@ -635,6 +635,7 @@ def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946):
     counts = []
     for copies in (2, 8, 64):
         calls.clear()
+        monkeypatch.setattr(linalg, "_tables", {})  # the memo would keep the last sum's blocks
         connected_sum(*[k946.knot] * copies)
         counts.append(len(calls))
     # V - V^T of 9_46 splits into two 1x1 blocks; more copies add no distinct block

@@ -386,7 +386,7 @@ def test_dense_alexander_kernel_keeps_its_laurent_divisions(monkeypatch):
     assert len(calls) <= 122
 
 
-def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch):
+def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch, fresh_memo):
     calls = []
     inner = linalg._smith_block
 
@@ -404,7 +404,7 @@ def test_kernel_basis_reduces_each_distinct_block_once(monkeypatch):
     assert k.ncols == m.ncols - smith_normal_form(INTEGERS, m).rank
 
 
-def test_library_calls_share_no_memo(monkeypatch):
+def test_a_second_identical_library_call_reduces_nothing(monkeypatch, fresh_memo):
     calls = []
     inner = linalg._smith_block
 
@@ -417,10 +417,10 @@ def test_library_calls_share_no_memo(monkeypatch):
     first = kernel_basis(INTEGERS, m)
     count = len(calls)
     assert count and kernel_basis(INTEGERS, m) == first
-    assert len(calls) == 2 * count
+    assert len(calls) == count
 
 
-def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch):
+def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch, fresh_memo):
     entries = (LaurentPolyQ({0: -1, 1: 2}), LAURENT.zero, LaurentPolyQ({0: -2, 1: 1}))
     m = block_diag(LAURENT, *[Mat([[x]]) for x in entries])
     m = hstack(m, m)
@@ -433,15 +433,32 @@ def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch)
         return inner(*args)
 
     monkeypatch.setattr(linalg, "_smith_block", counted)
-    with linalg._command_memo():
-        bare = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
-        assert kernel_basis(LAURENT, m) == fresh
-        assert kernel_basis(LAURENT, m) == fresh
-        assert smith_normal_form(LAURENT, m, with_u=False, with_v=False) == bare
+    monkeypatch.setattr(linalg, "_tables", {})  # `fresh` above filled the memo
+    bare = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
+    assert kernel_basis(LAURENT, m) == fresh
+    assert kernel_basis(LAURENT, m) == fresh
+    assert smith_normal_form(LAURENT, m, with_u=False, with_v=False) == bare
     # the four distinct blocks (two 1x2, a zero row, a zero column) once
     # without V, then once with V, and never again
     assert calls == [False] * 4 + [True] * 4
-    assert linalg._command_tables is None
+
+
+def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
+    cap = 8
+    monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
+    largest = [0] * 4
+    for k in range(1, 30):
+        # a recorded sum of two distinct pieces, whose pivots 2k and 3k take a gcd and an lcm
+        a, b = Mat([[2 * k]]), Mat([[3 * k, 0]])
+        m = block_diag(INTEGERS, *[a, b] * 4)
+        assert m._blocks is not None
+        assert smith_normal_form(INTEGERS, m, False, False).diagonal == (k,) * 4 + (6 * k,) * 4
+        assert kernel_basis(INTEGERS, m).ncols == 4
+        sizes = list(map(len, linalg._memo(INTEGERS)))
+        assert max(sizes) <= cap, sizes
+        largest = list(map(max, largest, sizes))
+    # every table (blocks, pieces, gcds, lcms) reached the cap and was emptied
+    assert largest == [cap] * 4
 
 
 def test_kernel_basis_makes_no_diagonal_moves():
