@@ -47,9 +47,8 @@ from .knots import (
     double_of_disc,
     two_knot_sum,
 )
-from .linalg import mat_mul
 from .metabelian import SatelliteScenario
-from .modules import Submodule, relative_quotients
+from .modules import pair_quotients
 from . import propsuite
 
 
@@ -340,15 +339,12 @@ def cmd_kernels(args) -> int:
         )
     for i in range(len(kernels)):
         for j in range(i + 1, len(kernels)):
-            # one kernel gives both quotients; as in `submodule_intersection`,
-            # G_i times the first quotient's relations generates the intersection
-            q12, q21 = relative_quotients(kernels[i], kernels[j])
-            inter = Submodule(ambient, mat_mul(ambient.ring, kernels[i].generators, q12.relations))
+            q12, q21, order = pair_quotients(kernels[i], kernels[j])
             payload["pairs"].append(
                 {
                     "discs": [specs[i], specs[j]],
-                    "intersection_is_zero": inter.is_zero(),
-                    "intersection_order": str(inter.order()),
+                    "intersection_is_zero": order == ambient.ring.one,
+                    "intersection_order": str(order),
                     "quotient_gr": [q12.generating_rank, q21.generating_rank],
                 }
             )

@@ -20,7 +20,16 @@ normal form of block matrices, and to one kernel per submodule:
 * a pair of submodules costs one kernel, ker [G1 | G2 | L], the presentation
   of their sum: its G1 rows present span(G1) / (span(G1) ∩ span(G2)), its G2
   rows present span(G2) / (span(G1) ∩ span(G2)), and G1 times its G1 rows
-  generates the intersection.
+  generates the intersection;
+* the order of that intersection needs no second kernel: over a PID,
+  orders multiply along an exact sequence of torsion modules, and
+  0 -> s1 ∩ s2 -> s1 -> s1 / (s1 ∩ s2) -> 0 is exact, so order(s1 ∩ s2) is
+  order(s1) / order(s1 / (s1 ∩ s2)) up to a unit (`pair_quotients`, which
+  cancels the invariant factors the two share before it multiplies), and
+  the intersection is zero exactly when that quotient is a unit.
+  Every module here is torsion: A_Q(K) is, because every `SeifertKnot`
+  checks det(V - V^T) = 1, so Δ(1) = ±1 ≠ 0, and submodules and quotients
+  of a torsion module are torsion.
 
 A map between presented modules (`ModuleMap`) carries its lift, the matrix
 that writes each image of a source relation in the target relations.  That
@@ -34,7 +43,8 @@ honest generating sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 from .linalg import (
     Mat,
@@ -78,14 +88,10 @@ class PresentedModule:
         return tuple(x for x in self._diag_snf.invariant_factors if x)
 
     def order(self):
-        """Product of invariant factors, canonical; zero iff free rank > 0."""
-        ring = self.ring
+        """Product of the nonunit invariant factors, canonical; zero iff free rank > 0."""
         if self.free_rank > 0:
-            return ring.zero
-        acc = ring.one
-        for x in self._diag_snf.diagonal:
-            acc = acc * x
-        return ring.canonical(acc)[0]
+            return self.ring.zero
+        return self.ring.canonical(reduce(mul, self.torsion_invariants, self.ring.one))[0]
 
     def is_zero_module(self) -> bool:
         return self.generating_rank == 0
@@ -196,6 +202,32 @@ def relative_quotients(s1: Submodule, s2: Submodule) -> tuple:
 def quotient_of_submodules(top: Submodule, bottom: Submodule) -> PresentedModule:
     """Presents span(top) / (span(bottom) ∩ span(top))."""
     return relative_quotients(top, bottom)[0]
+
+
+def pair_quotients(s1: Submodule, s2: Submodule) -> tuple:
+    """(q12, q21, order of span(s1) ∩ span(s2)), from the one kernel of `relative_quotients`.
+
+    0 -> s1 ∩ s2 -> s1 -> q12 -> 0 is exact, so for torsion s1 the order of
+    the intersection is order(s1) / order(q12), canonical, and it is the
+    ring's one exactly when the intersection is zero.  The invariant factors
+    s1 and q12 share cancel before anything is multiplied.  An s1 that is
+    not torsion (order zero) or a division that leaves a remainder is a
+    ValueError.
+    """
+    q12, q21 = relative_quotients(s1, s2)
+    ring, whole = s1.ring, s1.presentation
+    if whole.free_rank > 0:
+        raise ValueError("intersection order of a submodule that is not torsion")
+    rest, num = list(q12.torsion_invariants), ring.one
+    for x in whole.torsion_invariants:  # a list, not a Counter: hashing fresh polynomials costs more
+        if x in rest:
+            rest.remove(x)
+        else:
+            num = num * x
+    quo, rem = divmod(num, reduce(mul, rest, ring.one))
+    if rem:
+        raise ValueError("submodule order is not divisible by its quotient's order")
+    return q12, q21, ring.canonical(quo)[0]
 
 
 def submodule_intersection(s1: Submodule, s2: Submodule) -> Submodule:

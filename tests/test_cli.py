@@ -149,9 +149,9 @@ def test_summed_knot_is_validated_once_per_request(capsys, monkeypatch, argv, si
 
 
 @pytest.mark.parametrize("discs", ["left^4,right^4", "left^4,right^4,left+right+left+right"])
-def test_kernels_computes_one_kernel_per_disc_and_two_per_pair(capsys, monkeypatch, discs):
-    # one kernel for both relative quotients and the intersection's generators,
-    # one for the intersection's presentation
+def test_kernels_computes_one_kernel_per_disc_and_one_per_pair(capsys, monkeypatch, discs):
+    # one kernel for both relative quotients; the intersection's order is read
+    # off the orders of the kernel and the first quotient
     from stabkit import modules
     from stabkit.bounds import kernel_quotient_ranks
     from stabkit.knots import alexander_module_Q, disc_kernel_Q
@@ -167,7 +167,7 @@ def test_kernels_computes_one_kernel_per_disc_and_two_per_pair(capsys, monkeypat
     code, out, _ = run(capsys, "--json", "kernels", "sum^4(9_46)", "--discs", discs)
     assert code == 0
     d = len(discs.split(","))
-    assert len(calls) == d + 2 * (d * (d - 1) // 2)
+    assert len(calls) == d + d * (d - 1) // 2
 
     monkeypatch.setattr(modules, "kernel_basis", real)
     leaves = cli.resolve_knot_ref(cli.builtin_catalog(), "sum^4(9_46)")

@@ -4,6 +4,7 @@ Finite Z-module claims are cross-checked against the exhaustive oracle
 tables; that is the contract the fancier rings inherit through SNF.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,18 +12,22 @@ import pytest
 
 from stabkit import modules
 from stabkit.bounds import kernel_quotient_ranks
-from stabkit.linalg import Mat
+from stabkit.catalog import builtin_catalog
+from stabkit.knots import alexander_module_Q, boundary_connect_sum, connected_sum, disc_kernel_Q
+from stabkit.linalg import Mat, smith_normal_form
 from stabkit.modules import (
     ModuleMap,
     PresentedModule,
     Submodule,
     direct_sum,
     modules_isomorphic,
+    pair_quotients,
     quotient_of_submodules,
     relative_quotients,
     submodule_intersection,
 )
 from stabkit.oracles import FiniteModuleTable, brute_submodule_ops
+from stabkit.propsuite import _random_eisenstein_mat, _random_int_mat, _random_laurent_mat
 from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
@@ -68,6 +73,35 @@ def test_order_of_finite_module():
     assert z_module(9).order() == 9
     assert z_module(3, 3).order() == 9
     assert z_module().order() == 1
+
+
+@pytest.mark.parametrize(
+    "ring, random_mat",
+    [
+        (INTEGERS, _random_int_mat),
+        (LAURENT, _random_laurent_mat),
+        (EISENSTEIN, _random_eisenstein_mat),
+    ],
+    ids=["Z", "Laurent", "Eisenstein"],
+)
+def test_order_is_the_running_product_over_the_whole_diagonal(ring, random_mat):
+    rng = random.Random(23)
+    free = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        m = random_mat(rng, n)
+        if rng.random() < 0.3:  # a zero column (and row): free rank > 0
+            k = rng.randrange(n)
+            m = Mat([[x if k not in (i, j) else ring.zero for j, x in enumerate(row)]
+                     for i, row in enumerate(m.rows)], n)
+        module = PresentedModule(ring, m)
+        acc = ring.one
+        for x in smith_normal_form(ring, m, with_u=False, with_v=False).diagonal:
+            acc = acc * x
+        assert module.order() == ring.canonical(acc)[0]
+        assert (module.order() == ring.zero) == (module.free_rank > 0)
+        free += module.free_rank > 0
+    assert free > 0
 
 
 def test_iso_invariants_and_isomorphism():
@@ -161,6 +195,54 @@ def test_relative_quotients_against_oracle():
         assert q2.order() == len(want["span2"]) // common
         assert q1.iso_invariants() == quotient_of_submodules(s1, s2).iso_invariants()
         assert q2.iso_invariants() == quotient_of_submodules(s2, s1).iso_invariants()
+
+
+def test_intersection_order_against_oracle():
+    # the inputs of test_relative_quotients_against_oracle
+    rng = random.Random(11)
+    for _ in range(40):
+        factors = tuple(sorted(rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(1, 2))))
+        table = FiniteModuleTable(factors)
+        module = z_module(*factors)
+        g1 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        g2 = [tuple(rng.randrange(d) for d in factors) for _ in range(rng.randint(0, 3))]
+        s1 = module.submodule_from_int_columns(g1)
+        s2 = module.submodule_from_int_columns(g2)
+        want = brute_submodule_ops(table, g1, g2)
+        inter = submodule_intersection(s1, s2)
+        got = pair_quotients(s1, s2)[2]
+        assert got == inter.order() == len(want["intersection"])
+        assert (got == 1) is inter.is_zero()
+
+
+def test_intersection_order_on_disc_kernels():
+    # sums of 1-4 summands of 9_46 and 6_1, every pair of disc choices
+    catalog = builtin_catalog()
+    rng = random.Random(8)
+    pairs = nonzero = 0
+    for size in (1, 2, 3, 4) * 2:
+        leaves = [catalog[rng.choice(("9_46", "6_1"))] for _ in range(size)]
+        knot = connected_sum(*(e.knot for e in leaves))
+        ambient = alexander_module_Q(knot)
+        kernels = [
+            disc_kernel_Q(boundary_connect_sum(*choice, knot=knot), ambient)
+            for choice in itertools.product(*(e.discs.values() for e in leaves))
+        ]
+        for k1, k2 in itertools.combinations(kernels, 2):
+            inter = submodule_intersection(k1, k2)
+            got = pair_quotients(k1, k2)[2]
+            assert got == inter.order()
+            assert (got == LAURENT.one) is inter.is_zero()
+            pairs += 1
+            nonzero += not inter.is_zero()
+    assert 0 < nonzero < pairs
+
+
+def test_intersection_order_rejects_a_module_that_is_not_torsion():
+    free = PresentedModule(INTEGERS, Mat([[0]], 1))
+    s = _whole(free)
+    with pytest.raises(ValueError, match="not torsion"):
+        pair_quotients(s, _zero(free))
 
 
 def test_membership_against_oracle():
