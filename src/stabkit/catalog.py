@@ -5,6 +5,9 @@ named surgery discs, and (when used as a satellite pattern) the class of the
 infection curve eta in the Alexander module.  The built-in entries depend on
 no input, so a process builds and validates them once; every call of
 `builtin_catalog` still returns a new dict, which `load_catalog` extends.
+Their knots and discs derive their matrices (presentations, curve classes,
+doubles) once per object, on first use, not at build (see `knots`), so
+every later request that names them reuses those matrices.
 """
 
 from __future__ import annotations

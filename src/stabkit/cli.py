@@ -181,15 +181,14 @@ def resolve_disc_spec(leaves: list, spec: str, knot) -> SurgeryDisc:
         raise UnknownReferenceError(
             f"disc spec {spec!r} names {len(names)} discs for {len(leaves)} summands"
         )
-    return boundary_connect_sum(*(e.disc(n) for e, n in zip(leaves, names)), knot=knot)
+    # the discs first: a generator that raises inside a call that also passes
+    # `knot=` leaks the keyword dict, and the knot with it, on CPython 3.11
+    discs = [e.disc(n) for e, n in zip(leaves, names)]
+    return boundary_connect_sum(*discs, knot=knot)
 
 
 def resolve_two_knot_ref(catalog: dict, ref: str) -> TwoKnotModel:
-    """`unknot`, `double(ID.DISC)`, `double(ID.DISC)^m`, or `+`-joined terms.
-
-    Each distinct disc is doubled once per call, however many terms name it.
-    """
-    doubles: dict = {}
+    """`unknot`, `double(ID.DISC)`, `double(ID.DISC)^m`, or `+`-joined terms."""
 
     def term(part: str) -> list:
         """The doubles one term contributes; `unknot` contributes none."""
@@ -204,9 +203,7 @@ def resolve_two_knot_ref(catalog: dict, ref: str) -> TwoKnotModel:
         count = _repeat_count(m.group(3) or "1", "2-knot summands", part)
         if count < 1:
             raise UnknownReferenceError(f"double power must be >= 1 in {part!r}")
-        if disc not in doubles:
-            doubles[disc] = double_of_disc(disc)
-        return [doubles[disc]] * count
+        return [double_of_disc(disc)] * count
 
     models: list = []
     for part in ref.strip().split("+"):

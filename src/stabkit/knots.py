@@ -35,12 +35,25 @@ proves it with a lift: A(D) is A(K) modulo the curve classes, presented by
 relations is column k of L taken once in the first copy and negated in the
 second.  `ModuleMap` checks that lift with two products.  Local 2-knot
 connected sums are bookkeeping only; they change no kernel.
+
+The objects are frozen, so what they derive is derived once per object, on
+first use: a knot keeps V^T, V + V^T and t*V - V^T over each ring it was
+asked for; a disc keeps V^T C over each ring and the relations of its
+double, whose lift is checked when they are built.  Catalog entries live for
+the process, so every request that names them reuses these matrices; a sum
+a request builds dies with the request, and what it kept with it.  Matrices
+are kept, never modules: a `PresentedModule` or `Submodule` keeps its Smith
+form and kernel once computed, so keeping one would carry that work from one
+request into the next.  Every call builds its modules afresh around the kept
+matrices, and the Smith forms and kernels a request runs depend on that
+request alone.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import SchemaError
 from .linalg import (
@@ -79,7 +92,7 @@ class SeifertKnot:
             raise SchemaError("seifert matrix not even-sized", f"{self.name!r} has size {n}")
         # V - V^T is skew-symmetric, so det = Pf^2 >= 0: exactly the product of
         # its invariant factors, not only up to sign.
-        skew = zip_entries(INTEGERS, operator.sub, v, transpose(v))
+        skew = zip_entries(INTEGERS, operator.sub, v, self.seifert_t)
         d = 1
         for x in smith_normal_form(INTEGERS, skew, with_u=False, with_v=False).diagonal:
             d *= x
@@ -91,6 +104,21 @@ class SeifertKnot:
     @property
     def genus(self) -> int:
         return self.seifert.nrows // 2
+
+    @cached_property
+    def seifert_t(self) -> Mat:
+        """V^T."""
+        return transpose(self.seifert)
+
+    @cached_property
+    def seifert_sym(self) -> Mat:
+        """V + V^T, the form the disc curves must be 0-framed in."""
+        return zip_entries(INTEGERS, operator.add, self.seifert, self.seifert_t)
+
+    @cached_property
+    def _presentations(self) -> dict:
+        """ring -> t*V - V^T over it, filled by `alexander_presentation`."""
+        return {}
 
 
 def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
@@ -112,9 +140,14 @@ _T_TIMES_X_MINUS_Y = {
 
 
 def alexander_presentation(knot: SeifertKnot, ring=LAURENT) -> Mat:
-    """t*V - V^T over Q[t^±1], or evaluated at t = -1 (ring INTEGERS) or t = w (EISENSTEIN)."""
-    v = knot.seifert
-    return zip_entries(ring, _T_TIMES_X_MINUS_Y[ring], v, transpose(v))
+    """t*V - V^T over Q[t^±1], or evaluated at t = -1 (ring INTEGERS) or t = w (EISENSTEIN).
+
+    Built once per knot and ring; later calls return the same matrix.
+    """
+    kept = knot._presentations
+    if ring not in kept:
+        kept[ring] = zip_entries(ring, _T_TIMES_X_MINUS_Y[ring], knot.seifert, knot.seifert_t)
+    return kept[ring]
 
 
 def alexander_module_Q(knot: SeifertKnot) -> PresentedModule:
@@ -166,8 +199,7 @@ class SurgeryDisc:
                 )
             c = transpose(_int_mat(c, n))
             object.__setattr__(self, "curves", c)
-        v = self.knot.seifert
-        sym_c = mat_mul(INTEGERS, zip_entries(INTEGERS, operator.add, v, transpose(v)), c)
+        sym_c = mat_mul(INTEGERS, self.knot.seifert_sym, c)
         framing = first_nonzero(mat_mul(INTEGERS, transpose(c), sym_c))
         if framing is not None:
             i, j, val = framing
@@ -183,6 +215,23 @@ class SurgeryDisc:
     def signature(self) -> tuple:
         """Identity of the disc up to local 2-knot decorations; orderable."""
         return (self.knot.name, self.knot.seifert.lines, self.curves.lines)
+
+    @cached_property
+    def _classes(self) -> dict:
+        """ring -> the curve classes V^T C over it, filled by `disc_kernel_Q`."""
+        return {}
+
+    @cached_property
+    def _double_relations(self) -> Mat:
+        """The relations of the double's module, built and certified once (`double_of_disc`)."""
+        ambient = alexander_module_Q(self.knot)
+        quotient = ambient.quotient_by(disc_kernel_Q(self, ambient).generators)
+        target = direct_sum(LAURENT, quotient, quotient)
+        n = ambient.ngens
+        matrix = antidiagonal_columns(LAURENT, n)
+        lift = antidiagonal_columns(LAURENT, n, quotient.relations.ncols)
+        ModuleMap(ambient, target, matrix, lift)
+        return target.quotient_by(matrix).relations
 
 
 def add_local_2knot(disc: SurgeryDisc) -> SurgeryDisc:
@@ -219,8 +268,11 @@ def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodu
     """
     if ambient is None:
         ambient = alexander_module_Q(disc.knot)
-    classes = mat_mul(INTEGERS, transpose(disc.knot.seifert), disc.curves)
-    return ambient.submodule_from_int_columns(classes)
+    kept, ring = disc._classes, ambient.ring
+    if ring not in kept:
+        classes = mat_mul(INTEGERS, disc.knot.seifert_t, disc.curves)
+        kept[ring] = classes.map_entries(ring.from_int)
+    return Submodule(ambient, kept[ring])
 
 
 def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
@@ -262,16 +314,11 @@ def double_of_disc(disc: SurgeryDisc) -> TwoKnotModel:
 
     A_Q(D) is presented by [L | V^T C], L's columns first, so the map's lift
     sends column k of L to (e_k, -e_k) over the two copies of those columns;
-    `ModuleMap` raises unless that lift proves the map well defined.
+    `ModuleMap` raises unless that lift proves the map well defined.  The
+    disc builds those relations and checks the lift once; the module around
+    them is new on every call.
     """
-    ambient = alexander_module_Q(disc.knot)
-    quotient = ambient.quotient_by(disc_kernel_Q(disc, ambient).generators)
-    target = direct_sum(LAURENT, quotient, quotient)
-    n = ambient.ngens
-    matrix = antidiagonal_columns(LAURENT, n)
-    lift = antidiagonal_columns(LAURENT, n, quotient.relations.ncols)
-    ModuleMap(ambient, target, matrix, lift)
-    return TwoKnotModel((disc,), target.quotient_by(matrix))
+    return TwoKnotModel((disc,), PresentedModule(LAURENT, disc._double_relations))
 
 
 def two_knot_sum(*models: TwoKnotModel) -> TwoKnotModel:

@@ -49,7 +49,7 @@ from .rings import EISENSTEIN
 
 
 def eisenstein_alexander(knot: SeifertKnot) -> PresentedModule:
-    """The Alexander presentation at t = w, over Z[w]."""
+    """The Alexander presentation at t = w, over Z[w]; the matrix is the one the knot keeps."""
     return PresentedModule(EISENSTEIN, alexander_presentation(knot, EISENSTEIN))
 
 

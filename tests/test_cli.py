@@ -788,6 +788,91 @@ def test_readme_outputs_match_recorded_digests(capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == item["sha256"], item["argv"]
 
 
+# ---------------------------------------------------------- catalog matrices
+
+
+def test_catalog_objects_derive_their_matrices_once(capsys, monkeypatch, k61):
+    from stabkit import knots
+
+    metabelian = ["--json", "bound", "metabelian", "--scenario", "thmC(g=2)"]
+    d1 = ["--json", "bound", "d1", "--two-knot", "double(9_46.right)^2+double(6_1.gamma)",
+          "--vs", "unknot"]
+    first = [run(capsys, *metabelian), run(capsys, *d1)]
+    assert first[0][0] == first[1][0] == 0
+    presentations, checks = [], []
+    real_zip, real_map = knots.zip_entries, knots.ModuleMap
+
+    def zip_entries(ring, fn, a, b):
+        if a is k61.knot.seifert and fn in knots._T_TIMES_X_MINUS_Y.values():
+            presentations.append(ring.tag)
+        return real_zip(ring, fn, a, b)
+
+    def module_map(*args):
+        checks.append(args)
+        return real_map(*args)
+
+    monkeypatch.setattr(knots, "zip_entries", zip_entries)
+    monkeypatch.setattr(knots, "ModuleMap", module_map)
+    assert run(capsys, *metabelian) == first[0]
+    assert presentations == []
+    assert run(capsys, *d1) == first[1]
+    assert checks == []
+
+
+@pytest.mark.parametrize("discs, code", [("left^3,right^3", 0), ("left^3,right+right+nope", 2)])
+def test_a_request_sum_dies_with_the_request(capsys, discs, code):
+    from stabkit.knots import SeifertKnot
+
+    argv = ["bound", "d2", "--knot", "sum^3(9_46)", "--discs", discs]
+    assert run(capsys, "--json", *argv)[0] == code
+    gc.collect()
+    alive = [k for k in gc.get_objects()
+             if isinstance(k, SeifertKnot) and k.name == "9_46#9_46#9_46"]
+    assert alive == []
+
+
+def test_smith_and_kernel_calls_do_not_depend_on_history(capsys, monkeypatch):
+    """Kept catalog matrices carry no Smith form or kernel into a later request."""
+    import functools
+
+    from stabkit import catalog
+
+    # new catalog objects, built and validated here, so the first pass starts
+    # with nothing kept on them
+    monkeypatch.setattr(
+        catalog, "_builtin_entries", functools.lru_cache(catalog._builtin_entries.__wrapped__)
+    )
+    builtin_catalog()
+    counts = {}
+    for name in ("smith_normal_form", "kernel_basis"):
+        real = getattr(linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):  # every module that bound it, as bench/layertrace does
+            if getattr(mod, "__name__", "").startswith("stabkit") and vars(mod).get(name) is real:
+                monkeypatch.setattr(mod, name, counted)
+    argvs = README_ARGVS + [
+        ["--json", "bound", "d1", "--two-knot", "double(9_46.right)", "--vs", "unknot"],
+        ["--json", "kernels", "9_46"],
+    ]
+
+    def one_pass():
+        seen = []
+        for argv in argvs:
+            counts.update(smith_normal_form=0, kernel_basis=0)
+            assert run(capsys, *argv)[0] == 0, argv
+            seen.append(dict(counts))
+        return seen
+
+    first = one_pass()
+    assert any(c["smith_normal_form"] for c in first)
+    assert any(c["kernel_basis"] for c in first)
+    assert one_pass() == first
+
+
 # --------------------------------------------------------- verify, properties
 
 
