@@ -27,9 +27,8 @@ from typing import Optional
 
 from .errors import SchemaError
 from .knots import SurgeryDisc, TwoKnotModel, alexander_module_Q, disc_kernel_Q
-from .linalg import block_diag
 from .metabelian import SatelliteScenario, theorem_C_lower_bound
-from .modules import Submodule, direct_sum, relative_quotients
+from .modules import Submodule, kernel_pair, relative_quotients
 from .rings import LAURENT
 
 _QUANTITIES = ("d1", "d2", "d2_metabelian")
@@ -156,18 +155,16 @@ def _two_knot_report(s: TwoKnotPairScenario) -> BoundReport:
     return BoundReport("d1", lower, upper, tuple(prov))
 
 
-def satellite_abelian_kernel_pair(s: SatelliteScenario):
+def satellite_abelian_kernel_pair(s: SatelliteScenario) -> tuple:
     """Both disc-choice kernels over Q[t^±1]; with winding number zero they agree.
 
     The companion block dies rationally, so either satellite disc restricts to
-    the base-disc surgery on every summand and the two kernels are equal.
+    the base-disc surgery on every summand and the two kernels have equal
+    generators.
     """
     base = alexander_module_Q(s.base_disc.knot)
     half = disc_kernel_Q(s.base_disc, base).generators
-    ambient = direct_sum(LAURENT, *(base for _ in range(s.copies)))
-    gens = block_diag(LAURENT, *(half for _ in range(s.copies)))
-    kernel = Submodule(ambient, gens)
-    return kernel, kernel
+    return kernel_pair(LAURENT, [(base, half, half)] * s.copies)
 
 
 def _satellite_report(s: SatelliteScenario) -> BoundReport:

@@ -43,6 +43,7 @@ from .modules import (
     PresentedModule,
     Submodule,
     direct_sum,
+    kernel_pair,
     quotient_of_submodules,
 )
 from .rings import EISENSTEIN
@@ -226,11 +227,12 @@ def character_selection(n: int, constraints) -> Character:
 
 
 def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> tuple:
-    """Both disc-choice kernels (k1, k2) of the satellite, assembled block by block.
+    """Both disc-choice kernels (k1, k2) of the satellite, assembled slot by slot.
 
-    The two are submodules of one twisted-homology module.  Summands with a nonzero character component contribute the (disc
-    independent) base part plus the companion block; zero components
-    contribute the untwisted base kernel, identical for both choices.
+    The two are submodules of one twisted-homology module.  Summands with a
+    nonzero character component contribute the (disc independent) base part
+    plus the companion block; zero components contribute the untwisted base
+    kernel, identical for both choices.
     """
     if len(chi) != scenario.copies:
         raise SchemaError(
@@ -258,18 +260,9 @@ def satellite_kernel_pair(scenario: SatelliteScenario, chi: Character) -> tuple:
     anti = antidiagonal_columns(ring, comp_xi.ngens)
     comp_k2 = block_diag(ring, anti, anti)
 
-    blocks: list[tuple[PresentedModule, Mat, Mat]] = []
-    for v in chi.values:
-        if v != 0:
-            blocks.append((carrier, carrier_all, carrier_all))
-            blocks.append((comp_block, comp_k1, comp_k2))
-        else:
-            blocks.append((untwisted, untwisted_kernel_cols, untwisted_kernel_cols))
-
-    ambient = direct_sum(ring, *(b[0] for b in blocks))
-    k1 = block_diag(ring, *(b[1] for b in blocks))
-    k2 = block_diag(ring, *(b[2] for b in blocks))
-    return Submodule(ambient, k1), Submodule(ambient, k2)
+    twisted = [(carrier, carrier_all, carrier_all), (comp_block, comp_k1, comp_k2)]
+    plain = [(untwisted, untwisted_kernel_cols, untwisted_kernel_cols)]
+    return kernel_pair(ring, [slot for v in chi.values for slot in (twisted if v else plain)])
 
 
 def kernel_pair_quotient(pair: tuple) -> PresentedModule:

@@ -4,8 +4,10 @@ A module is R^ngens / (column span of `relations`).  It carries its ring R,
 the descriptor `INTEGERS`, `LAURENT` or `EISENSTEIN`, and rings compare by
 identity; ngens is the number of relation rows, and the direct sum of no
 modules is the zero module over its ring.  Submodules are given by
-generator columns inside such a quotient.  Their calculus reduces to Smith
-normal form of block matrices, and to one kernel per submodule:
+generator columns inside such a quotient, and a kernel pair (two submodules
+of one direct sum, `kernel_pair`) by one block of columns per summand.
+Their calculus reduces to Smith normal form of block matrices, and to one
+kernel per submodule:
 
 * membership of v in span(G) mod span(L) is an isomorphism test,
   R^n / [G | L] ≅ R^n / [G | L | v] (`Submodule.contains_columns`; the zero
@@ -183,6 +185,19 @@ class Submodule:
 
     def order(self):
         return self.presentation.order()
+
+
+def kernel_pair(ring, slots: list) -> tuple:
+    """(k1, k2) in the direct sum of the slots' modules, assembled slot by slot.
+
+    A slot is (module, cols1, cols2), one diagonal block: k1 is generated by
+    the block sum of the slots' cols1, and k2 by that of their cols2.
+    """
+    ambient = direct_sum(ring, *(m for m, _, _ in slots))
+    return (
+        Submodule(ambient, block_diag(ring, *(c for _, c, _ in slots))),
+        Submodule(ambient, block_diag(ring, *(c for _, _, c in slots))),
+    )
 
 
 def relative_quotients(s1: Submodule, s2: Submodule) -> tuple:

@@ -4,14 +4,14 @@ Nothing here touches the Smith normal form engine or the module calculus:
 results come from explicit element enumeration (finite Z- and F3-modules) or
 from first-principles minor expansions, so they can referee those algorithms.
 
-Enumeration is capped: instances larger than the cap (env STABKIT_CAP,
-default 200 elements) raise OracleCapExceeded rather than stall.
+Enumeration is capped: instances larger than `CAP` (200 elements) raise
+OracleCapExceeded rather than stall.  Every least-generator search is one
+exhaustive search over spans (`brute_spanning_rank`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 from .rings import euclid_gcd
 
 
-def oracle_cap() -> int:
-    return int(os.environ.get("STABKIT_CAP", "200"))
+CAP = 200  # largest element count a FiniteModuleTable enumerates
 
 
 class OracleCapExceeded(RuntimeError):
@@ -87,10 +86,8 @@ class FiniteModuleTable:
     def __post_init__(self):
         if any(d <= 0 for d in self.factors):
             raise ValueError("factors must be positive (finite modules only)")
-        if self.size() > oracle_cap():
-            raise OracleCapExceeded(
-                f"module with {self.size()} elements exceeds cap {oracle_cap()}"
-            )
+        if self.size() > CAP:
+            raise OracleCapExceeded(f"module with {self.size()} elements exceeds cap {CAP}")
 
     def size(self) -> int:
         n = 1
@@ -177,16 +174,20 @@ class FiniteModuleTable:
         return frozenset(elements[c] for c in self.span_codes(gens))
 
 
+def brute_spanning_rank(table: FiniteModuleTable, codes, start: frozenset, size: int) -> int:
+    """Least k such that start and some k of the codes span `size` elements; exhaustive.
+
+    If no k works, not even all of the codes, it raises AssertionError.
+    """
+    for k in range(len(codes) + 1):
+        if any(len(s) == size for s in table.combination_spans(codes, k, start)):
+            return k
+    raise AssertionError("no combination of the codes spans the target")
+
+
 def brute_generating_rank(table: FiniteModuleTable) -> int:
     """Smallest k such that some k elements span everything; exhaustive."""
-    n = table.size()
-    if n == 1:
-        return 0
-    origin = frozenset([0])
-    for k in range(1, len(table.factors) + 1):
-        if any(len(s) == n for s in table.combination_spans(range(n), k, origin)):
-            return k
-    return len(table.factors)
+    return brute_spanning_rank(table, range(table.size()), frozenset([0]), table.size())
 
 
 def brute_submodule_ops(
@@ -208,10 +209,4 @@ def brute_submodule_ops(
 def brute_subgroup_rank(table: FiniteModuleTable, elements: frozenset) -> int:
     """Minimal generator count of a given subgroup, by exhaustive search."""
     codes = sorted(table.code(e) for e in elements)
-    if codes == [0]:
-        return 0
-    origin = frozenset([0])
-    for k in range(1, len(codes) + 1):
-        if any(len(s) == len(codes) for s in table.combination_spans(codes, k, origin)):
-            return k
-    raise AssertionError("unreachable: the subgroup generates itself")
+    return brute_spanning_rank(table, codes, frozenset([0]), len(codes))

@@ -17,12 +17,17 @@ from fractions import Fraction
 from .linalg import Mat, mat_mul, smith_normal_form
 from .metabelian import character_selection
 from .modules import PresentedModule
-from .oracles import FiniteModuleTable, brute_generating_rank, brute_subgroup_rank
+from .oracles import (
+    FiniteModuleTable,
+    brute_generating_rank,
+    brute_spanning_rank,
+    brute_subgroup_rank,
+)
 from .rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
-def _random_int_mat(rng: random.Random, n: int) -> Mat:
-    return Mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], n)
+def _random_int(rng: random.Random) -> int:
+    return rng.randint(-9, 9)
 
 
 def _random_laurent(rng: random.Random) -> LaurentPolyQ:
@@ -37,18 +42,13 @@ def _random_laurent(rng: random.Random) -> LaurentPolyQ:
     return LaurentPolyQ(terms) if terms else LAURENT.zero
 
 
-def _random_laurent_mat(rng: random.Random, n: int) -> Mat:
-    return Mat([[_random_laurent(rng) for _ in range(n)] for _ in range(n)], n)
+def _random_eisenstein(rng: random.Random) -> EisensteinInt:
+    return EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4))
 
 
-def _random_eisenstein_mat(rng: random.Random, n: int) -> Mat:
-    return Mat(
-        [
-            [EisensteinInt(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)]
-            for _ in range(n)
-        ],
-        n,
-    )
+def _random_mat(rng: random.Random, entry, n: int) -> Mat:
+    """An n x n matrix of entry(rng) draws, row by row."""
+    return Mat([[entry(rng) for _ in range(n)] for _ in range(n)], n)
 
 
 def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
@@ -80,30 +80,25 @@ def _check_snf_against_minors(ring, m: Mat, note: str, with_transforms: bool):
         ), f"U*M*V != D {note}"
 
 
-def suite_snf_integers(seed: int, cases: int) -> int:
+def _snf_suite(ring, entry, label: str, every: int, seed: int, cases: int) -> int:
+    """Random 4 x 4 matrices against their minors; every `every`-th case checks U*M*V = D too."""
     rng = random.Random(seed)
     for i in range(cases):
-        m = _random_int_mat(rng, 4)
-        _check_snf_against_minors(INTEGERS, m, f"(integers, seed={seed}, case={i})", True)
+        m = _random_mat(rng, entry, 4)
+        _check_snf_against_minors(ring, m, f"({label}, seed={seed}, case={i})", i % every == 0)
     return cases
+
+
+def suite_snf_integers(seed: int, cases: int) -> int:
+    return _snf_suite(INTEGERS, _random_int, "integers", 1, seed, cases)
 
 
 def suite_snf_laurent(seed: int, cases: int) -> int:
-    rng = random.Random(seed)
-    for i in range(cases):
-        m = _random_laurent_mat(rng, 4)
-        _check_snf_against_minors(
-            LAURENT, m, f"(laurent, seed={seed}, case={i})", i % 5 == 0
-        )
-    return cases
+    return _snf_suite(LAURENT, _random_laurent, "laurent", 5, seed, cases)
 
 
 def suite_snf_eisenstein(seed: int, cases: int) -> int:
-    rng = random.Random(seed)
-    for i in range(cases):
-        m = _random_eisenstein_mat(rng, 4)
-        _check_snf_against_minors(EISENSTEIN, m, f"(eisenstein, seed={seed}, case={i})", True)
-    return cases
+    return _snf_suite(EISENSTEIN, _random_eisenstein, "eisenstein", 1, seed, cases)
 
 
 def suite_eisenstein_division(seed: int, cases: int) -> int:
@@ -151,16 +146,10 @@ def _random_columns(rng: random.Random, table: FiniteModuleTable, count: int) ->
 
 def _brute_quotient_rank(table: FiniteModuleTable, sub_gens: list) -> int:
     """Least k with span(sub ∪ {k extra elements}) = everything."""
-    n = table.size()
     base = table.span_codes(sub_gens)
-    if len(base) == n:
-        return 0
     # elements already spanned cannot enlarge the span
-    codes = [c for c in range(n) if c not in base]
-    for k in range(1, len(table.factors) + 1):
-        if any(len(s) == n for s in table.combination_spans(codes, k, base)):
-            return k
-    return len(table.factors)
+    codes = [c for c in range(table.size()) if c not in base]
+    return brute_spanning_rank(table, codes, base, table.size())
 
 
 def suite_generating_rank_lemma(seed: int, cases: int) -> int:

@@ -186,6 +186,7 @@ def test_satellite_report(k61):
 def test_satellite_kernels_coincide(k61):
     s = thmc(k61, 3)
     p1, p2 = satellite_abelian_kernel_pair(s)
+    assert p1 is not p2 and p1.generators == p2.generators
     assert p1.spans_equal(p2)
     assert kernel_quotient_ranks(p1, p2) == (0, 0)
 

@@ -480,6 +480,20 @@ def test_custom_catalog_entry(capsys, tmp_path):
     assert payload["kernels"][0]["generating_rank"] == 1
 
 
+def test_disc_specs_split_only_at_top_level_commas(capsys, tmp_path):
+    # the commas inside a disc name's parentheses do not separate specs
+    entry = dict(CUSTOM_ENTRY, discs=[{"name": "d(a,b)", "curves": [[1, 2]]}])
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([entry]))
+    code, out, _ = run(
+        capsys, "--json", "--catalog", str(path), "kernels", "custom", "--discs", "d(a,b),d(a,b)"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [k["disc"] for k in payload["kernels"]] == ["d(a,b)", "d(a,b)"]
+    assert [p["discs"] for p in payload["pairs"]] == [["d(a,b)", "d(a,b)"]]
+
+
 def test_custom_catalog_keeps_builtins(capsys, tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(CUSTOM_ENTRY))  # single object form

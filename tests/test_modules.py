@@ -20,6 +20,7 @@ from stabkit.modules import (
     PresentedModule,
     Submodule,
     direct_sum,
+    kernel_pair,
     modules_isomorphic,
     pair_quotients,
     quotient_of_submodules,
@@ -27,7 +28,7 @@ from stabkit.modules import (
     submodule_intersection,
 )
 from stabkit.oracles import FiniteModuleTable, brute_submodule_ops
-from stabkit.propsuite import _random_eisenstein_mat, _random_int_mat, _random_laurent_mat
+from stabkit.propsuite import _random_eisenstein, _random_int, _random_laurent, _random_mat
 from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
@@ -76,20 +77,20 @@ def test_order_of_finite_module():
 
 
 @pytest.mark.parametrize(
-    "ring, random_mat",
+    "ring, entry",
     [
-        (INTEGERS, _random_int_mat),
-        (LAURENT, _random_laurent_mat),
-        (EISENSTEIN, _random_eisenstein_mat),
+        (INTEGERS, _random_int),
+        (LAURENT, _random_laurent),
+        (EISENSTEIN, _random_eisenstein),
     ],
     ids=["Z", "Laurent", "Eisenstein"],
 )
-def test_order_is_the_running_product_over_the_whole_diagonal(ring, random_mat):
+def test_order_is_the_running_product_over_the_whole_diagonal(ring, entry):
     rng = random.Random(23)
     free = 0
     for _ in range(30):
         n = rng.randint(1, 4)
-        m = random_mat(rng, n)
+        m = _random_mat(rng, entry, n)
         if rng.random() < 0.3:  # a zero column (and row): free rank > 0
             k = rng.randrange(n)
             m = Mat([[x if k not in (i, j) else ring.zero for j, x in enumerate(row)]
@@ -243,6 +244,29 @@ def test_intersection_order_rejects_a_module_that_is_not_torsion():
     s = _whole(free)
     with pytest.raises(ValueError, match="not torsion"):
         pair_quotients(s, _zero(free))
+
+
+def test_intersection_order_rejects_a_quotient_whose_order_does_not_divide(monkeypatch):
+    # q12 of order 2 cannot be a quotient of a submodule of order 9
+    module = z_module(9)
+    monkeypatch.setattr(modules, "relative_quotients", lambda s1, s2: (z_module(2), z_module()))
+    with pytest.raises(ValueError, match="not divisible"):
+        pair_quotients(_whole(module), _zero(module))
+
+
+def test_kernel_pair_assembles_slot_by_slot():
+    a, b = z_module(4), z_module(3, 9)
+    k1, k2 = kernel_pair(
+        INTEGERS,
+        [(a, Mat([[2]], 1), Mat([[1]], 1)), (b, Mat([[1], [0]], 1), Mat([[0, 1], [3, 0]], 2))],
+    )
+    assert k1.ambient is k2.ambient
+    assert k1.ambient.relations == direct_sum(INTEGERS, a, b).relations
+    assert k1.generators.rows == ((2, 0), (0, 1), (0, 0))
+    assert k2.generators.rows == ((1, 0, 0), (0, 0, 1), (0, 3, 0))
+    assert kernel_quotient_ranks(k1, k2) == (0, 1)
+    z1, z2 = kernel_pair(LAURENT, [])
+    assert z1.ambient.ngens == 0 and z1.generators.ncols == z2.generators.ncols == 0
 
 
 def test_membership_against_oracle():

@@ -2,14 +2,15 @@
 
 import pytest
 
+from stabkit import oracles
 from stabkit.oracles import (
     FiniteModuleTable,
     OracleCapExceeded,
     brute_generating_rank,
+    brute_spanning_rank,
     brute_submodule_ops,
     brute_subgroup_rank,
     minor_gcd_divisors,
-    oracle_cap,
 )
 from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ
 
@@ -43,6 +44,17 @@ def test_brute_subgroup_rank():
     assert brute_subgroup_rank(table, table.span([])) == 0
 
 
+def test_brute_spanning_rank():
+    table = FiniteModuleTable((3, 3))  # the code of (a, b) is 3a + b
+    assert brute_spanning_rank(table, range(9), frozenset([0]), 9) == 2
+    base = table.span_codes([(1, 0)])
+    assert base == frozenset([0, 3, 6])
+    assert brute_spanning_rank(table, [c for c in range(9) if c not in base], base, 9) == 1
+    assert brute_spanning_rank(table, [1, 3], base, 3) == 0
+    with pytest.raises(AssertionError):
+        brute_spanning_rank(table, [3, 6], frozenset([0]), 9)
+
+
 def test_brute_submodule_ops():
     table = FiniteModuleTable((9,))
     out = brute_submodule_ops(table, [(3,)], [(6,)])
@@ -53,13 +65,16 @@ def test_brute_submodule_ops():
 
 
 def test_cap_enforced():
-    assert oracle_cap() >= 1
+    assert oracles.CAP == 200
+    FiniteModuleTable((2, 100))
+    with pytest.raises(OracleCapExceeded):
+        FiniteModuleTable((201,))
     with pytest.raises(OracleCapExceeded):
         FiniteModuleTable((2,) * 20)
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv("STABKIT_CAP", "5")
+def test_cap_patched(monkeypatch):
+    monkeypatch.setattr(oracles, "CAP", 5)
     with pytest.raises(OracleCapExceeded):
         FiniteModuleTable((6,))
     FiniteModuleTable((5,))
