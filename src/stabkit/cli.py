@@ -32,6 +32,7 @@ import re
 import sys
 from bisect import bisect_left
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import __version__
 from .bounds import DiscPairScenario, TwoKnotPairScenario, full_report
@@ -160,7 +161,7 @@ def resolve_knot_ref(catalog: dict, ref: str) -> list:
 
 
 def knot_of_leaves(leaves: list):
-    return connected_sum(*(e.knot for e in leaves))
+    return connected_sum(*[e.knot for e in leaves])
 
 
 def resolve_disc_spec(leaves: list, spec: str, knot) -> SurgeryDisc:
@@ -259,6 +260,34 @@ def scenario_from_json(catalog: dict, path: str) -> SatelliteScenario:
     )
 
 
+# -------------------------------------------------------------------- output
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte; keys must be str.
+
+    The containers are laid out here and every leaf goes through the C
+    encoder.  The indented `json.dumps` runs the pure-Python encoder, whose
+    nested closures refer to one another, so every call left reference
+    cycles that only the cycle collector frees; this leaves none.  `indent`
+    is the line break and indentation that close the container written.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_str(k)}: {json_text(v, inner)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([json_text(v, inner) for v in obj]) + indent + "]"
+    return json.dumps(obj)  # a number, a boolean or null
+
+
 # ------------------------------------------------------------------ commands
 
 def _load(args) -> dict:
@@ -270,16 +299,14 @@ def cmd_alexander(args) -> int:
     leaves = resolve_knot_ref(catalog, args.knot)
     knot = knot_of_leaves(leaves)
     module = alexander_module_Q(knot)
-    # the printed rows, from the sparse lines: each distinct entry is formatted once
-    rels, texts = module.relations, {}
+    # the printed rows, from the sparse lines; an entry formats itself once and keeps the text
+    rels = module.relations
     zero = str(module.ring.zero)
     rows = []
     for line in rels.lines:
         row = [zero] * rels.ncols
         for j, x in line:
-            if x not in texts:
-                texts[x] = str(x)
-            row[j] = texts[x]
+            row[j] = str(x)
         rows.append(row)
     order = str(module.order())  # the Alexander polynomial is this order
     payload = {
@@ -293,7 +320,7 @@ def cmd_alexander(args) -> int:
         "alexander_polynomial": order,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         print(f"knot: {payload['knot']}")
         print(f"genus: {payload['genus']}")
@@ -346,7 +373,7 @@ def cmd_kernels(args) -> int:
                 }
             )
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json_text(payload))
     else:
         print(f"knot: {payload['knot']}")
         print(
@@ -397,7 +424,7 @@ def cmd_bound(args) -> int:
         )
     report = full_report(scenario)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(json_text(report.to_json_dict()))
     else:
         print(report.to_text())
     return 0

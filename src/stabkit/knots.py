@@ -41,18 +41,29 @@ first use: a knot keeps V^T, V + V^T and t*V - V^T over each ring it was
 asked for; a disc keeps V^T C over each ring and the relations of its
 double, whose lift is checked when they are built.  Catalog entries live for
 the process, so every request that names them reuses these matrices; a sum
-a request builds dies with the request, and what it kept with it.  Matrices
-are kept, never modules: a `PresentedModule` or `Submodule` keeps its Smith
-form and kernel once computed, so keeping one would carry that work from one
-request into the next.  Every call builds its modules afresh around the kept
-matrices, and the Smith forms and kernels a request runs depend on that
-request alone.
+a request builds dies with the request, and what it kept with it.
+
+A connected sum or boundary sum keeps the knots or discs it was built from
+(`summands`, nested sums opened; it takes no part in equality), and its
+t*V - V^T and V^T C over a ring are the block sums of its summands' kept
+matrices, not products of its own V and C.  So every entry of a sum's
+matrices is the very object its summand holds, a catalog entry's for every
+CLI request: its hash is cached and it equals itself by identity, so the
+Smith memo finds the blocks of a sum a request built without hashing or
+comparing new polynomials.  Every check a sum must pass still runs on the
+whole sum when it is built.
+
+Matrices are kept, never modules: a `PresentedModule` or `Submodule` keeps
+its Smith form and kernel once computed, so keeping one would carry that
+work from one request into the next.  Every call builds its modules afresh
+around the kept matrices, and the Smith forms and kernels a request runs
+depend on that request alone.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import SchemaError
@@ -79,6 +90,8 @@ def _int_mat(rows, ncols: int) -> Mat:
 class SeifertKnot:
     name: str
     seifert: Mat  # 2g x 2g integer matrix; given as dense rows, it is converted
+    # the knots a connected sum was built from, set by `connected_sum`; () otherwise
+    summands: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         v = self.seifert
@@ -127,7 +140,14 @@ def connected_sum(*knots: SeifertKnot) -> SeifertKnot:
     if len(knots) == 1:
         return knots[0]
     name = "#".join(k.name for k in knots)
-    return SeifertKnot(name, block_diag(INTEGERS, *(k.seifert for k in knots)))
+    knot = SeifertKnot(name, block_diag(INTEGERS, *[k.seifert for k in knots]))
+    object.__setattr__(knot, "summands", _leaves(knots))
+    return knot
+
+
+def _leaves(parts: tuple) -> tuple:
+    """The knots or discs that sums of `parts` were built from, nested sums opened."""
+    return tuple([x for p in parts for x in p.summands or (p,)])
 
 
 # The (i, j) entry x*t - y of t*V - V^T, for x = V_ij and y = V_ji, keyed by
@@ -142,11 +162,15 @@ _T_TIMES_X_MINUS_Y = {
 def alexander_presentation(knot: SeifertKnot, ring=LAURENT) -> Mat:
     """t*V - V^T over Q[t^±1], or evaluated at t = -1 (ring INTEGERS) or t = w (EISENSTEIN).
 
-    Built once per knot and ring; later calls return the same matrix.
+    Built once per knot and ring; later calls return the same matrix.  A
+    connected sum's is the block sum of its summands' own.
     """
     kept = knot._presentations
     if ring not in kept:
-        kept[ring] = zip_entries(ring, _T_TIMES_X_MINUS_Y[ring], knot.seifert, knot.seifert_t)
+        if knot.summands:
+            kept[ring] = block_diag(ring, *[alexander_presentation(k, ring) for k in knot.summands])
+        else:
+            kept[ring] = zip_entries(ring, _T_TIMES_X_MINUS_Y[ring], knot.seifert, knot.seifert_t)
     return kept[ring]
 
 
@@ -181,6 +205,8 @@ class SurgeryDisc:
     name: str
     curves: Mat
     local_2knots: int = 0
+    # the discs a boundary sum was built from, set by `boundary_connect_sum`; () otherwise
+    summands: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         g = self.knot.genus
@@ -218,7 +244,7 @@ class SurgeryDisc:
 
     @cached_property
     def _classes(self) -> dict:
-        """ring -> the curve classes V^T C over it, filled by `disc_kernel_Q`."""
+        """ring -> the curve classes V^T C over it, filled by `_curve_classes`."""
         return {}
 
     @cached_property
@@ -236,27 +262,34 @@ class SurgeryDisc:
 
 def add_local_2knot(disc: SurgeryDisc) -> SurgeryDisc:
     """Connected-sum a locally knotted 2-sphere onto the disc: bookkeeping only."""
-    return replace(disc, local_2knots=disc.local_2knots + 1)
+    decorated = replace(disc, local_2knots=disc.local_2knots + 1)
+    object.__setattr__(decorated, "summands", disc.summands)  # `replace` leaves them out
+    return decorated
 
 
 def boundary_connect_sum(*discs: SurgeryDisc, knot: SeifertKnot = None) -> SurgeryDisc:
     """The disc sum, a disc for the connected sum of the discs' knots in order.
 
     A caller that already holds that connected sum passes it as `knot`, so it
-    is not built and validated again.
+    is not built and validated again; a knot with other summands is a
+    ValueError.
     """
     if not discs:
         raise ValueError("boundary connect sum of nothing")
     if len(discs) == 1:
         return discs[0]
     if knot is None:
-        knot = connected_sum(*(d.knot for d in discs))
-    return SurgeryDisc(
+        knot = connected_sum(*[d.knot for d in discs])
+    elif knot.summands != _leaves([d.knot for d in discs]):
+        raise ValueError(f"{knot.name!r} is not the connected sum of the discs' knots")
+    disc = SurgeryDisc(
         knot,
         "&".join(d.name for d in discs),
-        block_diag(INTEGERS, *(d.curves for d in discs)),
+        block_diag(INTEGERS, *[d.curves for d in discs]),
         sum(d.local_2knots for d in discs),
     )
+    object.__setattr__(disc, "summands", _leaves(discs))
+    return disc
 
 
 def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodule:
@@ -268,11 +301,22 @@ def disc_kernel_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> Submodu
     """
     if ambient is None:
         ambient = alexander_module_Q(disc.knot)
-    kept, ring = disc._classes, ambient.ring
+    return Submodule(ambient, _curve_classes(disc, ambient.ring))
+
+
+def _curve_classes(disc: SurgeryDisc, ring) -> Mat:
+    """V^T C over `ring`, built once per disc and ring.
+
+    A boundary sum's is the block sum of its summands' own.
+    """
+    kept = disc._classes
     if ring not in kept:
-        classes = mat_mul(INTEGERS, disc.knot.seifert_t, disc.curves)
-        kept[ring] = classes.map_entries(ring.from_int)
-    return Submodule(ambient, kept[ring])
+        if disc.summands:
+            kept[ring] = block_diag(ring, *[_curve_classes(d, ring) for d in disc.summands])
+        else:
+            classes = mat_mul(INTEGERS, disc.knot.seifert_t, disc.curves)
+            kept[ring] = classes.map_entries(ring.from_int)
+    return kept[ring]
 
 
 def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
@@ -326,5 +370,5 @@ def two_knot_sum(*models: TwoKnotModel) -> TwoKnotModel:
         return models[0]
     return TwoKnotModel(
         sum((m.summands for m in models), ()),
-        direct_sum(LAURENT, *(m.module for m in models)),
+        direct_sum(LAURENT, *[m.module for m in models]),
     )

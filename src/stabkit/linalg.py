@@ -48,12 +48,16 @@ once, and only a piece is split into connected blocks.  A matrix with no
 record (a small sum, a catalog knot, a piece, the kernel of a sum whose rows
 are stacked parts) is split by union-find over its stored nonzeros
 (`_split_blocks`).
-One memo per ring lasts for the process: every block and every piece
-already reduced and every gcd and lcm the chain merge took, keyed by content,
-so the Smith calls of all requests on the same summands share them.  A table
-that would pass `_MEMO_CAP` entries is emptied first.  Keys are block
-contents and values are immutable, so a hit returns what a fresh
-elimination would.  Both block readers do only the work their callers use:
+One memo per ring lasts for the process.  Its six tables are keyed by
+content: every block and every piece already reduced, every gcd and lcm the
+chain merge took, the merged chain of each distinct tuple of (pivot,
+multiplicity) counts, and the canonical product of each tuple of values
+`product` was asked for (a module's order, both sides of
+`modules.pair_quotients`).  So the Smith calls and orders of all requests
+on the same summands share them.  A table that would pass `_MEMO_CAP`
+entries is emptied first.  Keys are contents and values are immutable, so a
+hit returns what a fresh computation would.  Both block readers do only the
+work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
   columns, in block order.  Those columns span the kernel, and nothing is
@@ -123,7 +127,7 @@ class Mat:
     __slots__ = ("lines", "nrows", "ncols", "zero", "_rows", "_blocks")
 
     def __init__(self, rows: Iterable[Iterable[object]], ncols: Optional[int] = None):
-        rs = tuple(tuple(r) for r in rows)
+        rs = tuple([tuple(r) for r in rows])
         if rs:
             width = len(rs[0])
             if any(len(r) != width for r in rs):
@@ -172,7 +176,7 @@ class Mat:
             pieces = _each(lambda p: p.map_entries(fn), b)
             return _block_sum(zero, *pieces, b.rows, b.cols, (self.nrows, self.ncols))
         lines = tuple(
-            tuple([(j, y) for j, y in [(j, fn(x)) for j, x in line] if y]) for line in self.lines
+            [tuple([(j, y) for j, y in [(j, fn(x)) for j, x in line] if y]) for line in self.lines]
         )
         return _mat(zero, lines, self.ncols)
 
@@ -318,10 +322,10 @@ def hstack(*mats: Mat) -> Mat:
         if all(r is not None and r.rows == rec.rows for r in recs):  # rows line up piece by piece
             cols = sum((r.cols for r in recs), ())
             return _block_sum(zero, *_each(hstack, *recs), rec.rows, cols, (n, ncols))
-    lines = tuple(
+    lines = tuple([
         tuple([(j + off, x) for m, off in zip(mats, offsets) for j, x in m.lines[i]])
         for i in range(n)
-    )
+    ])
     return _mat(zero, lines, ncols)
 
 
@@ -332,7 +336,12 @@ _FEW_PIECES = 4
 
 
 def block_diag(ring, *mats: Mat) -> Mat:
-    """The block sum of mats, recording its pieces; a block sum among mats gives its own."""
+    """The block sum of mats, recording its pieces; a block sum among mats gives its own.
+
+    Callers pass `*[...]`, not `*(... for ...)`: a generator's tuple is made
+    at length 10 and resized, and the resized tuples fill the interpreter's
+    tuple free lists, which only a full garbage collection empties.
+    """
     pieces: list = []
     for m in mats:
         b = m._blocks
@@ -576,13 +585,17 @@ class _Table(dict):
         dict.__setitem__(self, key, value)
 
 
-# ring tag -> (reduced blocks, reduced pieces, gcds, lcms), for the life of the process
+# ring tag -> (reduced blocks, reduced pieces, gcds, lcms, chains, products), for the
+# life of the process
 _tables: dict = {}
 
 
 def _memo(ring) -> tuple:
-    """The ring's (reduced blocks, reduced pieces, gcds, lcms)."""
-    return _tables.setdefault(ring.tag, (_Table(), _Table(), _Table(), _Table()))
+    """The ring's (reduced blocks, reduced pieces, gcds, lcms, chains, products)."""
+    tables = _tables.get(ring.tag)
+    if tables is None:
+        tables = _tables[ring.tag] = tuple(_Table() for _ in range(6))
+    return tables
 
 
 def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
@@ -598,7 +611,7 @@ def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
     for rows, cols in _split_blocks(m):
         for p, j in enumerate(cols):
             local[j] = p
-        key = tuple(tuple([(local[j], x) for j, x in lines[i]]) for i in rows)
+        key = tuple([tuple([(local[j], x) for j, x in lines[i]]) for i in rows])
         done = reduced.get(key)
         if done is None or with_v and done[1] is None:
             # rows fix the width: a block without rows is one zero column
@@ -635,7 +648,7 @@ def _piece(ring, p: Mat, with_v: bool, tables: tuple, cancel) -> tuple:
     done = tables[1].get(key)
     if done is None:
         blocks = list(_reduced_blocks(ring, p, with_v, cancel, tables[0]))
-        pivots = tuple(x for _, _, block_pivots, _ in blocks for x in block_pivots)
+        pivots = tuple([x for _, _, block_pivots, _ in blocks for x in block_pivots])
         done = tables[1][key] = _block_kernel(ring, p.ncols, blocks) if with_v else pivots
     return done
 
@@ -650,11 +663,11 @@ def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
     return _count_pivots(ring.one, [(_piece(ring, p, False, tables, cancel), k) for p, k in pieces])
 
 
-def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> list:
+def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> tuple:
     """The diagonal of `units` units and the nonunit (pivot, multiplicity) `counts`, as runs.
 
-    The diagonal is returned as [value, count] runs in chain order, units
-    first.
+    The diagonal is returned as (value, count) runs in chain order, units
+    first.  The nonunit runs are merged once per memo and `counts` tuple.
 
     Each distinct nonunit x, with multiplicity k, is inserted into the chain
     d_1 | ... | d_n built so far by e_i = lcm(d_{i-k}, gcd(d_i, x)), where
@@ -664,8 +677,15 @@ def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> list:
     those ends shifted by k, so an insertion costs the runs, not n.  Each
     gcd and lcm is taken once per memo.
     """
-    one = ring.one
-    _, _, gcds, lcms = tables
+    chains = tables[4]
+    merged = chains.get(counts)
+    if merged is None:
+        merged = chains[counts] = _merged_runs(ring, counts, tables[2], tables[3])
+    return ((ring.one, units),) + merged
+
+
+def _merged_runs(ring, counts: tuple, gcds: dict, lcms: dict) -> tuple:
+    """The nonunit runs of `_chain_of_values`, each gcd and lcm taken once per memo."""
 
     def gcd(a, b):
         if (a, b) not in gcds:
@@ -694,7 +714,19 @@ def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> list:
             else:
                 out.append([y, e - s])
         runs = out
-    return [[one, units]] + runs
+    return tuple([tuple(run) for run in runs])
+
+
+def product(ring, values: tuple):
+    """The canonical associate of the product of `values`, once per memo and tuple of values."""
+    products = _memo(ring)[5]
+    done = products.get(values)
+    if done is None:
+        acc = ring.one
+        for x in values:
+            acc = acc * x
+        done = products[values] = ring.canonical(acc)[0]
+    return done
 
 
 def _by_rows(zero, columns: list, nrows: int) -> Mat:
@@ -703,7 +735,7 @@ def _by_rows(zero, columns: list, nrows: int) -> Mat:
     for j, col in enumerate(columns):
         for i, x in col:
             rows[i].append((j, x))
-    return _mat(zero, tuple(map(tuple, rows)), len(columns))
+    return _mat(zero, tuple([tuple(row) for row in rows]), len(columns))
 
 
 def transpose(m: Mat) -> Mat:

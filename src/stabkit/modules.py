@@ -45,8 +45,7 @@ honest generating sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import mul
+from functools import cached_property
 
 from .linalg import (
     Mat,
@@ -55,6 +54,7 @@ from .linalg import (
     hstack,
     kernel_basis,
     mat_mul,
+    product,
     smith_normal_form,
     transpose,
 )
@@ -87,13 +87,13 @@ class PresentedModule:
     @property
     def torsion_invariants(self) -> tuple:
         """Nonunit, nonzero invariant factors in divisibility order."""
-        return tuple(x for x in self._diag_snf.invariant_factors if x)
+        return tuple([x for x in self._diag_snf.invariant_factors if x])
 
     def order(self):
         """Product of the nonunit invariant factors, canonical; zero iff free rank > 0."""
         if self.free_rank > 0:
             return self.ring.zero
-        return self.ring.canonical(reduce(mul, self.torsion_invariants, self.ring.one))[0]
+        return product(self.ring, self.torsion_invariants)
 
     def is_zero_module(self) -> bool:
         return self.generating_rank == 0
@@ -121,7 +121,7 @@ def direct_sum(ring, *modules: PresentedModule) -> PresentedModule:
     """The block sum of modules over `ring`; of no modules, the zero module."""
     if any(m.ring is not ring for m in modules):
         raise ValueError("direct sum over mixed rings")
-    return PresentedModule(ring, block_diag(ring, *(m.relations for m in modules)))
+    return PresentedModule(ring, block_diag(ring, *[m.relations for m in modules]))
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,10 @@ def kernel_pair(ring, slots: list) -> tuple:
     A slot is (module, cols1, cols2), one diagonal block: k1 is generated by
     the block sum of the slots' cols1, and k2 by that of their cols2.
     """
-    ambient = direct_sum(ring, *(m for m, _, _ in slots))
+    ambient = direct_sum(ring, *[m for m, _, _ in slots])
     return (
-        Submodule(ambient, block_diag(ring, *(c for _, c, _ in slots))),
-        Submodule(ambient, block_diag(ring, *(c for _, _, c in slots))),
+        Submodule(ambient, block_diag(ring, *[c for _, c, _ in slots])),
+        Submodule(ambient, block_diag(ring, *[c for _, _, c in slots])),
     )
 
 
@@ -225,21 +225,22 @@ def pair_quotients(s1: Submodule, s2: Submodule) -> tuple:
     0 -> s1 ∩ s2 -> s1 -> q12 -> 0 is exact, so for torsion s1 the order of
     the intersection is order(s1) / order(q12), canonical, and it is the
     ring's one exactly when the intersection is zero.  The invariant factors
-    s1 and q12 share cancel before anything is multiplied.  An s1 that is
-    not torsion (order zero) or a division that leaves a remainder is a
+    s1 and q12 share cancel before anything is multiplied, and each side's
+    product is taken once per memo (`linalg.product`).  An s1 that is not
+    torsion (order zero) or a division that leaves a remainder is a
     ValueError.
     """
     q12, q21 = relative_quotients(s1, s2)
     ring, whole = s1.ring, s1.presentation
     if whole.free_rank > 0:
         raise ValueError("intersection order of a submodule that is not torsion")
-    rest, num = list(q12.torsion_invariants), ring.one
+    rest, own = list(q12.torsion_invariants), []
     for x in whole.torsion_invariants:  # a list, not a Counter: hashing fresh polynomials costs more
         if x in rest:
             rest.remove(x)
         else:
-            num = num * x
-    quo, rem = divmod(num, reduce(mul, rest, ring.one))
+            own.append(x)
+    quo, rem = divmod(product(ring, tuple(own)), product(ring, tuple(rest)))
     if rem:
         raise ValueError("submodule order is not divisible by its quotient's order")
     return q12, q21, ring.canonical(quo)[0]

@@ -103,14 +103,15 @@ class LaurentPolyQ:
     A coefficient is an `int` when it is integral and a non-integral
     `Fraction` otherwise, so equal polynomials have equal terms.  The public
     constructor validates and normalises its input; the operators build
-    their results through a trusted constructor that skips both.
+    their results through a trusted constructor that skips both.  The hash
+    and the printed text are computed on first use and kept in slots.
 
     The Euclidean size is the degree span (max exponent - min exponent); the
     division step shifts both operands to honest polynomials, divides there,
     and restores the unit factors.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_str")
 
     def __init__(self, terms: Optional[dict[int, object]] = None):
         acc: dict[int, object] = {}
@@ -227,7 +228,12 @@ class LaurentPolyQ:
             return h
 
     def __str__(self) -> str:
-        return _format_terms(self._terms, "t")
+        try:
+            return self._str
+        except AttributeError:
+            text = _format_terms(self._terms, "t")
+            _set_str(self, text)
+            return text
 
     def __repr__(self) -> str:
         return f"LaurentPolyQ({dict(self._terms)!r})"
@@ -236,6 +242,7 @@ class LaurentPolyQ:
 _new = object.__new__
 _set_terms = LaurentPolyQ._terms.__set__
 _set_hash = LaurentPolyQ._hash.__set__
+_set_str = LaurentPolyQ._str.__set__
 _ZERO = _new(LaurentPolyQ)
 _set_terms(_ZERO, ())
 

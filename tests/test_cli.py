@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -566,6 +567,38 @@ def test_knot_reference_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_json_commands_leave_no_reference_cycles(capsys):
+    for argv in README_ARGVS:  # warm every cache first
+        assert run(capsys, *argv)[0] == 0, argv
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in README_ARGVS:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _random_json(rng, depth=0):
+    if depth > 3 or rng.random() < 0.4:
+        return rng.choice([0, -7, 2**70, True, False, None, 0.5, -1e300, "", "t^-2 + 3*t",
+                           'q"\\\n\t', "é\u2013\U0001f600"])
+    if rng.random() < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    keys = ["b", "a", "é", "aa", "", 'k"\n']
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def test_json_text_is_indented_json_dumps(capsys):
+    rng = random.Random(4)
+    for _ in range(500):
+        obj = _random_json(rng)
+        assert cli.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+    code, out, _ = run(capsys, "--json", "kernels", "sum(9_46,6_1)", "--discs", "left+gamma")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_cap_size_references_meet_their_closed_forms(capsys):

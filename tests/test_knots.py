@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit import linalg
+from stabkit import knots, linalg
 from stabkit.errors import SchemaError
 from stabkit.knots import (
     SeifertKnot,
@@ -41,7 +41,7 @@ from stabkit.modules import (
     relative_quotients,
     submodule_intersection,
 )
-from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ, associates
+from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, LaurentPolyQ, associates
 from test_linalg import _det, _vstack
 
 UNKNOT = SeifertKnot("unknot", ())
@@ -628,6 +628,73 @@ def test_presentation_of_sum_is_block_diagonal_with_shared_zeros(k946, k61):
     assert all(x is LAURENT.zero for row in pres.rows for x in row if not x)
     gens = alexander_module_Q(k946.knot).submodule_from_int_columns([(1, 0)]).generators
     assert gens.rows[1][0] is LAURENT.zero
+
+
+def _nested(rng, parts, join):
+    """join over parts, or over sums of a random split of them: `sum(...)` inside `sum(...)`."""
+    if len(parts) < 4 or rng.random() < 0.5:
+        return join(*parts)
+    cut = rng.randrange(2, len(parts) - 1)
+    return join(join(*parts[:cut]), *parts[cut:])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sum_matrices_are_the_summands_own(catalog, seed):
+    """A sum's t*V - V^T and V^T C: as built from its own V and C, of its summands' entries."""
+    rng = random.Random(seed)
+    recorded = set()
+    for size in (2, 3, 4, 8, 12):
+        ids = [rng.choice(("9_46", "6_1", "unknot") if size <= 4 else ("9_46", "6_1"))
+               for _ in range(size)]
+        leaves = [catalog[i] for i in ids]
+        knot = _nested(rng, [e.knot for e in leaves], connected_sum)
+        discs = [rng.choice(list(e.discs.values())) for e in leaves]
+        disc = _nested(rng, discs, boundary_connect_sum)
+        assert knot.summands == tuple(e.knot for e in leaves)
+        assert knot.summands == tuple(d.knot for d in disc.summands)
+        assert disc.summands == tuple(discs) and disc.knot == knot
+        v, v_t = knot.seifert, linalg.transpose(knot.seifert)
+        classes = linalg.mat_mul(INTEGERS, v_t, disc.curves)
+        for ring in (LAURENT, INTEGERS, EISENSTEIN):
+            pres = alexander_presentation(knot, ring)
+            assert pres == linalg.zip_entries(ring, knots._T_TIMES_X_MINUS_Y[ring], v, v_t)
+            gens = disc_kernel_Q(disc, PresentedModule(ring, pres)).generators
+            assert gens == classes.map_entries(ring.from_int)
+            own_classes = [
+                disc_kernel_Q(d, PresentedModule(ring, alexander_presentation(d.knot, ring)))
+                for d in discs
+            ]
+            for own, mats in [
+                (pres, [alexander_presentation(e.knot, ring) for e in leaves]),
+                (gens, [k.generators for k in own_classes]),
+            ]:
+                entries = {id(x) for m in mats for line in m.lines for _, x in line}
+                assert all(id(x) in entries for line in own.lines for _, x in line)
+            recorded.add(pres._blocks is not None)
+    assert recorded == {False, True}
+
+
+def test_boundary_sum_rejects_a_knot_with_other_summands(k946, k61):
+    left, right = k946.disc("left"), k946.disc("right")
+    assert boundary_connect_sum(left, right, knot=connected_sum(k946.knot, k946.knot)).summands
+    for knot in (k946.knot, connected_sum(k946.knot, k61.knot)):
+        with pytest.raises(ValueError, match="not the connected sum"):
+            boundary_connect_sum(left, right, knot=knot)
+
+
+def test_boundary_sum_takes_decorated_and_hand_built_discs_on_sums(k946, k61):
+    """A disc on a sum knot that keeps no summands of its own is one summand of a larger sum."""
+    pair = boundary_connect_sum(k946.disc("left"), k946.disc("right"))
+    decorated = add_local_2knot(pair)
+    assert decorated.summands == pair.summands
+    by_hand = SurgeryDisc(pair.knot, "by hand", pair.curves)
+    gamma = k61.disc("gamma")
+    whole = boundary_connect_sum(pair, gamma)
+    for disc in (decorated, by_hand):
+        for knot in (None, connected_sum(k946.knot, k946.knot, k61.knot)):
+            total = boundary_connect_sum(disc, gamma, knot=knot)
+            assert total.knot == whole.knot and total.curves == whole.curves
+            assert disc_kernel_Q(total).generators == disc_kernel_Q(whole).generators
 
 
 def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946):

@@ -446,19 +446,22 @@ def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch,
 def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
     cap = 8
     monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
-    largest = [0] * 4
+    largest = [0] * len(linalg._memo(INTEGERS))
     for k in range(1, 30):
-        # a recorded sum of two distinct pieces, whose pivots 2k and 3k take a gcd and an lcm
+        # a recorded sum of two distinct pieces, whose pivots 2k and 3k take a gcd and
+        # an lcm, merge into a new chain and multiply into a new product
         a, b = Mat([[2 * k]]), Mat([[3 * k, 0]])
         m = block_diag(INTEGERS, *[a, b] * 4)
         assert m._blocks is not None
-        assert smith_normal_form(INTEGERS, m, False, False).diagonal == (k,) * 4 + (6 * k,) * 4
+        dec = smith_normal_form(INTEGERS, m, False, False)
+        assert dec.diagonal == (k,) * 4 + (6 * k,) * 4
+        assert linalg.product(INTEGERS, dec.invariant_factors) == k**4 * (6 * k) ** 4
         assert kernel_basis(INTEGERS, m).ncols == 4
         sizes = list(map(len, linalg._memo(INTEGERS)))
         assert max(sizes) <= cap, sizes
         largest = list(map(max, largest, sizes))
-    # every table (blocks, pieces, gcds, lcms) reached the cap and was emptied
-    assert largest == [cap] * 4
+    # every table (blocks, pieces, gcds, lcms, chains, products) reached the cap and was emptied
+    assert largest == [cap] * len(largest) and len(largest) == 6
 
 
 def test_kernel_basis_makes_no_diagonal_moves():

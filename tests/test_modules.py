@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit import modules
+from stabkit import linalg, modules
 from stabkit.bounds import kernel_quotient_ranks
 from stabkit.catalog import builtin_catalog
 from stabkit.knots import alexander_module_Q, boundary_connect_sum, connected_sum, disc_kernel_Q
@@ -85,9 +85,10 @@ def test_order_of_finite_module():
     ],
     ids=["Z", "Laurent", "Eisenstein"],
 )
-def test_order_is_the_running_product_over_the_whole_diagonal(ring, entry):
+def test_order_is_the_running_product_over_the_whole_diagonal(monkeypatch, ring, entry):
     rng = random.Random(23)
     free = 0
+    matrices, cold = [], []
     for _ in range(30):
         n = rng.randint(1, 4)
         m = _random_mat(rng, entry, n)
@@ -95,14 +96,21 @@ def test_order_is_the_running_product_over_the_whole_diagonal(ring, entry):
             k = rng.randrange(n)
             m = Mat([[x if k not in (i, j) else ring.zero for j, x in enumerate(row)]
                      for i, row in enumerate(m.rows)], n)
+        monkeypatch.setattr(linalg, "_tables", {})
+        cold.append(PresentedModule(ring, m).order())
+        matrices.append(m)
+    for m, order in zip(matrices, cold):
         module = PresentedModule(ring, m)
         acc = ring.one
         for x in smith_normal_form(ring, m, with_u=False, with_v=False).diagonal:
             acc = acc * x
-        assert module.order() == ring.canonical(acc)[0]
+        assert module.order() == ring.canonical(acc)[0] == order
         assert (module.order() == ring.zero) == (module.free_rank > 0)
         free += module.free_rank > 0
     assert free > 0
+    # one memo for all thirty, twice over: the second pass finds every chain and product kept
+    for _ in range(2):
+        assert [PresentedModule(ring, m).order() for m in matrices] == cold
 
 
 def test_iso_invariants_and_isomorphism():

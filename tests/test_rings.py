@@ -84,7 +84,9 @@ def test_laurent_str_examples():
         ({1: Fraction(-2, 3), 4: -1}, "-2/3*t - t^4"),
         ({2: -1, 0: 2}, "2 - t^2"),
     ]:
-        assert str(LaurentPolyQ(terms)) == text, terms
+        p = LaurentPolyQ(terms)
+        assert str(p) == text, terms
+        assert str(p) is str(p)  # formatted once, then kept
 
 
 def test_laurent_fmt_skips_zero_coefficients():
