@@ -43,21 +43,22 @@ Permuting rows and columns changes no invariant factor, and the Smith form
 of A ⊕ B is the Smith form of diag(SNF(A), SNF(B)) (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, §2.4), so the pivots of the
 blocks, merged into one divisibility chain, are the diagonal.  A recorded
-matrix takes its blocks from its pieces: each distinct piece is looked up
-once, and only a piece is split into connected blocks.  A matrix with no
-record (a small sum, a catalog knot, a piece, the kernel of a sum whose rows
-are stacked parts) is split by union-find over its stored nonzeros
-(`_split_blocks`).
-One memo per ring lasts for the process.  Its six tables are keyed by
-content: every block and every piece already reduced, every gcd and lcm the
-chain merge took, the merged chain of each distinct tuple of (pivot,
-multiplicity) counts, and the canonical product of each tuple of values
-`product` was asked for (a module's order, both sides of
-`modules.pair_quotients`).  So the Smith calls and orders of all requests
-on the same summands share them.  A table that would pass `_MEMO_CAP`
-entries is emptied first.  Keys are contents and values are immutable, so a
-hit returns what a fresh computation would.  Both block readers do only the
-work their callers use:
+matrix takes its blocks from its pieces, each distinct piece looked up once;
+any other matrix (a small sum, a catalog knot, the kernel of a sum whose
+rows are stacked parts) is a piece of its own.  A piece is split by
+union-find over its stored nonzeros (`_split_blocks`) and each of its
+blocks reduced with V (`_piece`), so one reduction gives the piece's pivots,
+its kernel and its zero columns, whichever a caller asks for first.
+One memo per ring lasts for the process.  Its four tables are keyed by
+content, and a matrix has one entry in each table it reaches: every block
+and every piece already reduced, the merged chain of each distinct tuple of
+(pivot, multiplicity) counts, and the canonical product of each tuple of
+values `product` was asked for (a module's order, both sides of
+`modules.pair_quotients`).  So the Smith calls, kernels and orders of all
+requests on the same matrices share them.  A table that would pass
+`_MEMO_CAP` entries is emptied first.  Keys are contents and values are
+immutable, so a hit returns what a fresh computation would.  Both piece
+readers do only the work their callers use:
 
 * `kernel_basis` embeds each block's non-pivot V columns at the block's
   columns, in block order.  Those columns span the kernel, and nothing is
@@ -569,11 +570,15 @@ def _nonzeros(lines: list) -> tuple:
     return tuple([tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines])
 
 
-# The most entries one memo table holds: four times the most one command
-# was seen to need (`properties`, 276 blocks over Z; the benchmark workloads
-# need fewer than 30).  An entry of random property-suite blocks takes about
-# 3 KB, so a full table holds about 3 MB.
-_MEMO_CAP = 1024
+# The most entries one memo table holds.  A piece entry is a whole matrix
+# with its kernel: 2 to 3 KB on the property suites' and kernels-witness's
+# matrices, about 10 KB on the witness's Z[w] span matrices.  A cap of 1,024
+# would keep all of kernels-witness's 485 to 537 Q[t^±1] pieces (seeds 1-3,
+# 600 requests), and 55 s benchmark runs then read 11-12% more peak RSS than
+# a memo that keeps no whole matrices.  At 384 a full table of those pieces
+# holds about 1 MB, and the largest other tables stay whole: bound-sums' 220
+# to 240 chains (seeds 1-10) and the 287 blocks over Z of `properties`.
+_MEMO_CAP = 384
 
 
 class _Table(dict):
@@ -585,26 +590,24 @@ class _Table(dict):
         dict.__setitem__(self, key, value)
 
 
-# ring tag -> (reduced blocks, reduced pieces, gcds, lcms, chains, products), for the
-# life of the process
+# ring tag -> (reduced blocks, reduced pieces, chains, products), for the life of the process
 _tables: dict = {}
 
 
 def _memo(ring) -> tuple:
-    """The ring's (reduced blocks, reduced pieces, gcds, lcms, chains, products)."""
+    """The ring's (reduced blocks, reduced pieces, chains, products)."""
     tables = _tables.get(ring.tag)
     if tables is None:
-        tables = _tables[ring.tag] = tuple(_Table() for _ in range(6))
+        tables = _tables[ring.tag] = tuple(_Table() for _ in range(4))
     return tables
 
 
-def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
+def _reduced_blocks(ring, m: Mat, cancel, reduced: dict):
     """Each connected block of m with its elimination, in `_split_blocks` order.
 
-    Yields (rows, cols, pivots, V columns), V as sparse block-local lines
-    (None when not accumulated).  Equal blocks are reduced once per memo
-    `reduced` and share their result, pivot objects included.  A block first
-    reduced without V is reduced again, once, when V is asked for.
+    Yields (rows, cols, pivots, V columns), V as sparse block-local lines.
+    Equal blocks are reduced once per memo `reduced` and share their result,
+    pivot objects included.
     """
     zero, lines = ring.zero, m.lines
     local = [0] * m.ncols  # a column's index inside its block
@@ -613,10 +616,10 @@ def _reduced_blocks(ring, m: Mat, with_v: bool, cancel, reduced: dict):
             local[j] = p
         key = tuple([tuple([(local[j], x) for j, x in lines[i]]) for i in rows])
         done = reduced.get(key)
-        if done is None or with_v and done[1] is None:
+        if done is None:
             # rows fix the width: a block without rows is one zero column
-            pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, with_v, cancel)
-            done = reduced[key] = pivots, _nonzeros(bvt) if with_v else None
+            pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, True, cancel)
+            done = reduced[key] = pivots, _nonzeros(bvt)
         yield (rows, cols) + done
 
 
@@ -632,35 +635,31 @@ def _count_pivots(one, runs) -> tuple:
     return units, tuple(counts.items())
 
 
-def _block_kernel(ring, ncols: int, blocks) -> tuple:
-    """The kernel columns of reduced blocks, in block order, and the zero columns."""
-    kernel, zero_cols = [], []
-    for rows, cols, pivots, bvt in blocks:
-        if not rows:
-            zero_cols.append(cols[0])
-        kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(pivots):]]
-    return _by_rows(ring.zero, kernel, ncols), tuple(zero_cols)
+def _piece(ring, p: Mat, tables: tuple, cancel) -> tuple:
+    """A piece's (pivots, kernel, zero columns), from one reduction of its blocks; once per memo.
 
-
-def _piece(ring, p: Mat, with_v: bool, tables: tuple, cancel) -> tuple:
-    """A piece's pivots, or with V its kernel and zero columns; once per memo."""
-    key = (with_v, p)
-    done = tables[1].get(key)
+    The pivots are the blocks' in block order; the kernel's columns are each
+    block's non-pivot V columns embedded at the block's columns, in block
+    order; the zero columns are the blocks without rows.
+    """
+    done = tables[1].get(p)
     if done is None:
-        blocks = list(_reduced_blocks(ring, p, with_v, cancel, tables[0]))
-        pivots = tuple([x for _, _, block_pivots, _ in blocks for x in block_pivots])
-        done = tables[1][key] = _block_kernel(ring, p.ncols, blocks) if with_v else pivots
+        pivots, kernel, zero_cols = [], [], []
+        for rows, cols, block_pivots, bvt in _reduced_blocks(ring, p, cancel, tables[0]):
+            pivots += block_pivots
+            if not rows:
+                zero_cols.append(cols[0])
+            kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(block_pivots):]]
+        kernel = _by_rows(ring.zero, kernel, p.ncols)
+        done = tables[1][p] = tuple(pivots), kernel, tuple(zero_cols)
     return done
 
 
 def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
-    """`_count_pivots` of all of m's blocks; a recorded m reads each distinct piece once."""
+    """`_count_pivots` of m's pieces: each distinct piece of a record once, or m itself."""
     b = m._blocks
-    if b is None:
-        blocks = _reduced_blocks(ring, m, False, cancel, tables[0])
-        return _count_pivots(ring.one, [(pivots, 1) for _, _, pivots, _ in blocks])
-    pieces = [(b.kinds[j], k) for j, k in Counter(b.which).items()]
-    return _count_pivots(ring.one, [(_piece(ring, p, False, tables, cancel), k) for p, k in pieces])
+    pieces = [(m, 1)] if b is None else [(b.kinds[j], k) for j, k in Counter(b.which).items()]
+    return _count_pivots(ring.one, [(_piece(ring, p, tables, cancel)[0], k) for p, k in pieces])
 
 
 def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> tuple:
@@ -675,17 +674,19 @@ def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> tuple:
     merges k copies of x's valuation into a sorted list.  The chain is kept as
     runs of equal values, and e_i is constant between the run ends of d and
     those ends shifted by k, so an insertion costs the runs, not n.  Each
-    gcd and lcm is taken once per memo.
+    gcd and lcm is taken once per merge.
     """
-    chains = tables[4]
+    chains = tables[2]
     merged = chains.get(counts)
     if merged is None:
-        merged = chains[counts] = _merged_runs(ring, counts, tables[2], tables[3])
+        merged = chains[counts] = _merged_runs(ring, counts)
     return ((ring.one, units),) + merged
 
 
-def _merged_runs(ring, counts: tuple, gcds: dict, lcms: dict) -> tuple:
-    """The nonunit runs of `_chain_of_values`, each gcd and lcm taken once per memo."""
+def _merged_runs(ring, counts: tuple) -> tuple:
+    """The nonunit runs of `_chain_of_values`, each gcd and lcm taken once per merge."""
+    gcds: dict = {}
+    lcms: dict = {}
 
     def gcd(a, b):
         if (a, b) not in gcds:
@@ -719,7 +720,7 @@ def _merged_runs(ring, counts: tuple, gcds: dict, lcms: dict) -> tuple:
 
 def product(ring, values: tuple):
     """The canonical associate of the product of `values`, once per memo and tuple of values."""
-    products = _memo(ring)[5]
+    products = _memo(ring)[3]
     done = products.get(values)
     if done is None:
         acc = ring.one
@@ -790,10 +791,10 @@ def kernel_basis(ring, m: Mat) -> Mat:
     tables = _memo(ring)
     b = m._blocks
     if b is None or len(b.rows) != 1:
-        return _block_kernel(ring, m.ncols, _reduced_blocks(ring, m, True, None, tables[0]))[0]
-    kernels = [_piece(ring, p, True, tables, None) for p in b.kinds]
-    bands = [list(map([k.ncols - len(z) for k, z in kernels].__getitem__, b.which))]
-    zeros = [kernels[j][1] for j in b.which] if any(z for _, z in kernels) else ()
+        return _piece(ring, m, tables, None)[1]
+    reduced = [_piece(ring, p, tables, None) for p in b.kinds]
+    bands = [list(map([k.ncols - len(z) for _, k, z in reduced].__getitem__, b.which))]
+    zeros = [reduced[j][2] for j in b.which] if any(z for _, _, z in reduced) else ()
     if zeros:
         starts = [0] * len(zeros)
         for band in b.cols:  # each piece's zero columns that lie in this band
@@ -803,4 +804,4 @@ def kernel_basis(ring, m: Mat) -> Mat:
                 bands.append(counts)
             starts = ends
     shape = (m.ncols, sum(map(sum, bands)))
-    return _block_sum(ring.zero, [k for k, _ in kernels], b.which, b.cols, tuple(bands), shape)
+    return _block_sum(ring.zero, [k for _, k, _ in reduced], b.which, b.cols, tuple(bands), shape)

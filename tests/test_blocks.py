@@ -6,7 +6,9 @@ carry that record when their operands line up.  Each test builds seeded
 random block sums over Z, Q[t^±1] and Z[w] -- repeated piece objects, zero
 rows and columns, empty pieces, pieces whose nonzeros split into several
 blocks, sums of sums -- and compares every result with the same operation on
-a record-free copy, `_mat(zero, m.lines, m.ncols)`.
+a record-free copy, `_mat(zero, m.lines, m.ncols)`.  At the cap, where no
+such copy can be reduced in time, the Smith diagonals over Z are checked
+against ranks modulo primes (`oracles.rank_mod_p`).
 """
 
 import operator
@@ -15,6 +17,8 @@ import random
 import pytest
 
 from stabkit import cli, linalg
+from stabkit.catalog import builtin_catalog
+from stabkit.knots import branched_double_cover, disc_kernel_Q
 from stabkit.linalg import (
     Mat,
     _mat,
@@ -26,6 +30,8 @@ from stabkit.linalg import (
     transpose,
     zip_entries,
 )
+from stabkit.modules import pair_quotients
+from stabkit.oracles import rank_mod_p
 from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
@@ -236,8 +242,8 @@ def test_smith_memo_is_shared_by_equal_pieces_of_one_command(monkeypatch, fresh_
     assert smith_normal_form(INTEGERS, m, False, False).diagonal == (2,) * 12 + (6,) * 12
     kernel_basis(INTEGERS, m)
     kernel_basis(INTEGERS, transpose(transpose(m)))
-    # one 2x2 block and one zero column, each without and with V
-    assert len(calls) == len(set(calls)) == 4
+    # one 2x2 block and one zero column, each reduced once, with V
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_bound_d2_of_a_sum_splits_only_summand_pieces(capsys, monkeypatch, fresh_memo):
@@ -260,3 +266,34 @@ def test_bound_d2_of_a_sum_splits_only_summand_pieces(capsys, monkeypatch, fresh
     # no recorded matrix is split by union-find; only pieces of one summand are
     assert splits and all(b is None and r <= 4 and c <= 4 for b, r, c in splits), splits
     assert reduced and len(reduced) == len(set(reduced))
+
+
+def _kernels_modules_at_t_minus_one(ref: str, specs: list) -> list:
+    """What `kernels` reduces for ref and two disc specs, over Z at t = -1.
+
+    The knot's module, each disc kernel's presentation, and the two quotients
+    of the pair.
+    """
+    leaves = cli.resolve_knot_ref(builtin_catalog(), ref)
+    knot = cli.knot_of_leaves(leaves)
+    ambient = branched_double_cover(knot)
+    kernels = [disc_kernel_Q(cli.resolve_disc_spec(leaves, s, knot), ambient) for s in specs]
+    q12, q21, _ = pair_quotients(*kernels)
+    return [ambient] + [k.presentation for k in kernels] + [q12, q21]
+
+
+def test_smith_diagonals_at_the_cap_agree_with_ranks_mod_p(fresh_memo):
+    # over a PID, the rank of M mod p is the number of invariant factors p does not divide
+    ref = "sum(sum^128(9_46),sum^128(6_1))"
+    specs = ["+".join([disc] * 128 + ["gamma"] * 128) for disc in ("left", "right")]
+    primes = (3, 5, 1_000_003)
+    for memo in ("cold", "warm"):
+        modules = _kernels_modules_at_t_minus_one(ref, specs)
+        presentation = modules[0].relations
+        assert (presentation.nrows, presentation.ncols) == (512, 512)
+        assert [rank_mod_p(presentation.lines, p) for p in primes] == [128, 512, 512]
+        for module in modules:
+            rels = module.relations
+            diagonal = smith_normal_form(INTEGERS, rels, False, False).diagonal
+            for p in primes:
+                assert rank_mod_p(rels.lines, p) == sum(1 for d in diagonal if d % p), (memo, p)

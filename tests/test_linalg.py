@@ -420,7 +420,7 @@ def test_a_second_identical_library_call_reduces_nothing(monkeypatch, fresh_memo
     assert len(calls) == count
 
 
-def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch, fresh_memo):
+def test_diagonal_only_snf_then_kernel_reduces_each_block_once(monkeypatch, fresh_memo):
     entries = (LaurentPolyQ({0: -1, 1: 2}), LAURENT.zero, LaurentPolyQ({0: -2, 1: 1}))
     m = block_diag(LAURENT, *[Mat([[x]]) for x in entries])
     m = hstack(m, m)
@@ -435,12 +435,33 @@ def test_block_reduced_without_v_then_with_v_gives_the_fresh_kernel(monkeypatch,
     monkeypatch.setattr(linalg, "_smith_block", counted)
     monkeypatch.setattr(linalg, "_tables", {})  # `fresh` above filled the memo
     bare = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
+    # the four distinct blocks (two 1x2, a zero row, a zero column), each once, with V
+    assert calls == [True] * 4
     assert kernel_basis(LAURENT, m) == fresh
     assert kernel_basis(LAURENT, m) == fresh
     assert smith_normal_form(LAURENT, m, with_u=False, with_v=False) == bare
-    # the four distinct blocks (two 1x2, a zero row, a zero column) once
-    # without V, then once with V, and never again
-    assert calls == [False] * 4 + [True] * 4
+    # and nothing after the first call
+    assert len(calls) == 4
+
+
+def test_an_unrecorded_matrix_is_split_once(monkeypatch, fresh_memo):
+    splits = []
+    inner = linalg._split_blocks
+
+    def counted(m):
+        splits.append((m.nrows, m.ncols))
+        return inner(m)
+
+    monkeypatch.setattr(linalg, "_split_blocks", counted)
+    rows = [[2, 4, 0, 0], [0, 6, 0, 0], [0, 0, 0, 3]]
+    m = Mat(rows)
+    assert m._blocks is None
+    dec = smith_normal_form(INTEGERS, m, False, False)
+    assert dec.diagonal == (1, 6, 6)
+    # an equal but distinct matrix, then the kernel: both read the first call's reduction
+    assert smith_normal_form(INTEGERS, Mat(rows), False, False) == dec
+    assert kernel_basis(INTEGERS, m).rows == ((0,), (0,), (1,), (0,))
+    assert splits == [(3, 4)]
 
 
 def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
@@ -448,8 +469,8 @@ def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
     monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
     largest = [0] * len(linalg._memo(INTEGERS))
     for k in range(1, 30):
-        # a recorded sum of two distinct pieces, whose pivots 2k and 3k take a gcd and
-        # an lcm, merge into a new chain and multiply into a new product
+        # a recorded sum of two distinct pieces, whose pivots 2k and 3k merge into a new
+        # chain and multiply into a new product
         a, b = Mat([[2 * k]]), Mat([[3 * k, 0]])
         m = block_diag(INTEGERS, *[a, b] * 4)
         assert m._blocks is not None
@@ -460,8 +481,8 @@ def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
         sizes = list(map(len, linalg._memo(INTEGERS)))
         assert max(sizes) <= cap, sizes
         largest = list(map(max, largest, sizes))
-    # every table (blocks, pieces, gcds, lcms, chains, products) reached the cap and was emptied
-    assert largest == [cap] * len(largest) and len(largest) == 6
+    # every table (blocks, pieces, chains, products) reached the cap and was emptied
+    assert largest == [cap] * len(largest) and len(largest) == 4
 
 
 def test_kernel_basis_makes_no_diagonal_moves():

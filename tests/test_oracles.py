@@ -11,6 +11,7 @@ from stabkit.oracles import (
     brute_submodule_ops,
     brute_subgroup_rank,
     minor_gcd_divisors,
+    rank_mod_p,
 )
 from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ
 
@@ -29,6 +30,16 @@ def test_minor_gcd_divisors_laurent():
     d1, d2 = minor_gcd_divisors(LAURENT, rows)
     assert LAURENT.canonical(d1)[0] == LAURENT.one
     assert str(d2) == "1 - 5/2*t + t^2"
+
+
+def test_rank_mod_p_examples():
+    lines = (((0, 2), (1, 1)), ((0, 1), (1, -4)))  # det -9
+    assert [rank_mod_p(lines, p) for p in (2, 3, 5)] == [2, 1, 2]
+    diagonal = (((0, 4),), ((1, 6),), ())  # diag(4, 6) over a zero row
+    assert [rank_mod_p(diagonal, p) for p in (2, 3, 5)] == [0, 1, 2]
+    assert rank_mod_p((), 3) == rank_mod_p(((), ()), 3) == 0
+    # fill-in: the third row is the sum of the first two, which share no column
+    assert rank_mod_p((((0, 1), (2, 1)), ((1, 1), (3, 2)), ((0, 1), (1, 1), (2, 1), (3, 2))), 7) == 2
 
 
 def test_brute_generating_rank():
