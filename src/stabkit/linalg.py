@@ -47,27 +47,38 @@ matrix takes its blocks from its pieces, each distinct piece looked up once;
 any other matrix (a small sum, a catalog knot, the kernel of a sum whose
 rows are stacked parts) is a piece of its own.  A piece is split by
 union-find over its stored nonzeros (`_split_blocks`) and each of its
-blocks reduced with V (`_piece`), so one reduction gives the piece's pivots,
-its kernel and its zero columns, whichever a caller asks for first.
+blocks reduced with V (`_piece`), so one reduction gives the piece's pivot
+counts, its kernel and its zero columns, whichever a caller asks for first.
 One memo per ring lasts for the process.  Its four tables are keyed by
-content, and a matrix has one entry in each table it reaches: every block
-and every piece already reduced, the merged chain of each distinct tuple of
-(pivot, multiplicity) counts, and the canonical product of each tuple of
-values `product` was asked for (a module's order, both sides of
-`modules.pair_quotients`).  So the Smith calls, kernels and orders of all
-requests on the same matrices share them.  A table that would pass
-`_MEMO_CAP` entries is emptied first.  Keys are contents and values are
-immutable, so a hit returns what a fresh computation would.  Both piece
-readers do only the work their callers use:
+content, and a matrix has one entry in each table it reaches:
 
-* `kernel_basis` embeds each block's non-pivot V columns at the block's
-  columns, in block order.  Those columns span the kernel, and nothing is
-  merged.
+* blocks: each distinct block's pivots and kernel (its non-pivot V columns,
+  as block-local rows);
+* pieces: each piece's number of unit pivots, its nonunit (pivot,
+  multiplicity) counts, where its blocks' kernels go, and its zero columns.
+  A piece keeps no kernel of its own: its entry points at the blocks' rows;
+* decompositions: the finished diagonal-only `SmithDecomposition` of each
+  (unit count, nonunit counts, min(R, C)), taken before the merge, which can
+  make units of coprime pivots; under 2-tuple keys, beside them, the gcd and
+  lcm of each pair of values a merge met;
+* products: the canonical product of each tuple of values `product` was
+  asked for (a module's order, both sides of `modules.pair_quotients`).
+
+So a warm diagonal-only Smith call is one piece lookup and one decomposition
+lookup, and the Smith calls, kernels and orders of all requests on the same
+matrices share them.  A table that would pass `_MEMO_CAP` entries is emptied
+first.  Keys are contents and values are immutable, so a hit returns what a
+fresh computation would.  Both piece readers do only the work their callers
+use:
+
+* `kernel_basis` places each block's kernel rows at the block's columns, its
+  kernel columns after the previous blocks', in block order.  Those columns
+  span the kernel, and nothing is merged.
 * The concatenated diagonal is not yet a divisibility chain (diag(2, 3) has
   invariant factors (1, 6)).  Without transforms, which is how `modules` and
   `knots` ask, units go first and each distinct nonunit value is inserted,
   with its multiplicity, into the chain of invariant factors by a sorted
-  merge that holds prime by prime (`_chain_of_values`).  Its cost grows with
+  merge that holds prime by prime (`_merged_runs`).  Its cost grows with
   the distinct values, not with the number of entries.
 
 A caller that asks for U or V gets one elimination of the whole matrix,
@@ -323,9 +334,11 @@ def hstack(*mats: Mat) -> Mat:
         if all(r is not None and r.rows == rec.rows for r in recs):  # rows line up piece by piece
             cols = sum((r.cols for r in recs), ())
             return _block_sum(zero, *_each(hstack, *recs), rec.rows, cols, (n, ncols))
+    # the first matrix's entries keep their columns, so its (column, value) pairs are shared
+    rest = [(m.lines, off) for m, off in zip(mats[1:], offsets[1:])]
     lines = tuple([
-        tuple([(j + off, x) for m, off in zip(mats, offsets) for j, x in m.lines[i]])
-        for i in range(n)
+        line + tuple([(j + off, x) for rows, off in rest for j, x in rows[i]])
+        for i, line in enumerate(mats[0].lines)
     ])
     return _mat(zero, lines, ncols)
 
@@ -570,15 +583,21 @@ def _nonzeros(lines: list) -> tuple:
     return tuple([tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines])
 
 
-# The most entries one memo table holds.  A piece entry is a whole matrix
-# with its kernel: 2 to 3 KB on the property suites' and kernels-witness's
-# matrices, about 10 KB on the witness's Z[w] span matrices.  A cap of 1,024
-# would keep all of kernels-witness's 485 to 537 Q[t^±1] pieces (seeds 1-3,
-# 600 requests), and 55 s benchmark runs then read 11-12% more peak RSS than
-# a memo that keeps no whole matrices.  At 384 a full table of those pieces
-# holds about 1 MB, and the largest other tables stay whole: bound-sums' 220
-# to 240 chains (seeds 1-10) and the 287 blocks over Z of `properties`.
-_MEMO_CAP = 384
+# The most entries one memo table holds.  The working sets, by table (blocks,
+# pieces, decompositions, products), over two passes of a benchmark request
+# list (seeds 1-3, 600 requests): kernels-witness 16, 485-537, 68-70 and 16
+# over Q[t^±1] and 14, 44-50, 16 and 0 over Z[w]; bound-sums 20, 37-39,
+# 483-501 and 0 over Q[t^±1].  `stabkit --seed 11 properties` makes 392 pieces
+# over Z.  At 1,024 no table empties itself on these, and kernels-witness's
+# whole working set (seed 1) holds 1.19 MB (tracemalloc, by allocation site):
+# 0.45 MB the relation columns L of the span matrices [G | L] kept as piece
+# keys (`hstack`), 0.11 MB their G columns and the other block sums
+# (`_diagonal_lines`), 0.19 MB the piece entries, 0.13 MB the kernel rows
+# that key the presentations' pieces (`_kernel`), 0.08 MB the pivot counts,
+# 0.24 MB the rest.  Pieces keep no kernels: at 384, with whole kernels in
+# the piece entries, the same workload's memo held 1.36 MB and emptied its
+# piece table every ~300 requests.
+_MEMO_CAP = 1024
 
 
 class _Table(dict):
@@ -590,12 +609,12 @@ class _Table(dict):
         dict.__setitem__(self, key, value)
 
 
-# ring tag -> (reduced blocks, reduced pieces, chains, products), for the life of the process
+# ring tag -> (blocks, pieces, decompositions, products), for the life of the process
 _tables: dict = {}
 
 
 def _memo(ring) -> tuple:
-    """The ring's (reduced blocks, reduced pieces, chains, products)."""
+    """The ring's (reduced blocks, reduced pieces, decompositions, products)."""
     tables = _tables.get(ring.tag)
     if tables is None:
         tables = _tables[ring.tag] = tuple(_Table() for _ in range(4))
@@ -605,9 +624,10 @@ def _memo(ring) -> tuple:
 def _reduced_blocks(ring, m: Mat, cancel, reduced: dict):
     """Each connected block of m with its elimination, in `_split_blocks` order.
 
-    Yields (rows, cols, pivots, V columns), V as sparse block-local lines.
-    Equal blocks are reduced once per memo `reduced` and share their result,
-    pivot objects included.
+    Yields (rows, cols, pivots, kernel rows).  The kernel rows are the
+    block's non-pivot V columns as a block-local matrix, one line per block
+    column.  Equal blocks are reduced once per memo `reduced` and share their
+    result, pivot objects included.
     """
     zero, lines = ring.zero, m.lines
     local = [0] * m.ncols  # a column's index inside its block
@@ -619,84 +639,114 @@ def _reduced_blocks(ring, m: Mat, cancel, reduced: dict):
         if done is None:
             # rows fix the width: a block without rows is one zero column
             pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, True, cancel)
-            done = reduced[key] = pivots, _nonzeros(bvt)
+            kernel = _by_rows(zero, _nonzeros(bvt[len(pivots):]), len(cols)).lines
+            done = reduced[key] = pivots, kernel
         yield (rows, cols) + done
 
 
-def _count_pivots(one, runs) -> tuple:
-    """(number of unit pivots, ((nonunit pivot, multiplicity), ...)) of (pivots, times) runs."""
+def _count_pivots(one, pivots) -> tuple:
+    """(number of unit pivots, ((nonunit pivot, multiplicity), ...)), in first-seen order."""
     units, counts = 0, {}
-    for pivots, k in runs:
-        for x in pivots:
-            if x == one:
-                units += k
-            else:
-                counts[x] = counts.get(x, 0) + k
+    for x in pivots:
+        if x == one:
+            units += 1
+        else:
+            counts[x] = counts.get(x, 0) + 1
     return units, tuple(counts.items())
 
 
 def _piece(ring, p: Mat, tables: tuple, cancel) -> tuple:
-    """A piece's (pivots, kernel, zero columns), from one reduction of its blocks; once per memo.
+    """A piece's (unit count, nonunit counts, kernel columns, kernel blocks, zero columns).
 
-    The pivots are the blocks' in block order; the kernel's columns are each
-    block's non-pivot V columns embedded at the block's columns, in block
-    order; the zero columns are the blocks without rows.
+    One reduction of its blocks, once per memo, gives all five.  The counts
+    are `_count_pivots` of the blocks' pivots in block order.  The blocks with
+    a kernel keep their columns, concatenated in block order, and (kernel
+    rows, rank) in one flat tuple, the rows shared with the block table:
+    `_kernel` places them only when a caller asks, so a piece keeps no kernel
+    of its own.  The zero columns are the blocks without rows.
     """
     done = tables[1].get(p)
     if done is None:
-        pivots, kernel, zero_cols = [], [], []
-        for rows, cols, block_pivots, bvt in _reduced_blocks(ring, p, cancel, tables[0]):
+        pivots, columns, blocks, zero_cols = [], [], [], []
+        for rows, cols, block_pivots, kernel in _reduced_blocks(ring, p, cancel, tables[0]):
             pivots += block_pivots
             if not rows:
                 zero_cols.append(cols[0])
-            kernel += [tuple([(cols[k], x) for k, x in line]) for line in bvt[len(block_pivots):]]
-        kernel = _by_rows(ring.zero, kernel, p.ncols)
-        done = tables[1][p] = tuple(pivots), kernel, tuple(zero_cols)
+            if len(cols) > len(block_pivots):
+                columns += cols
+                blocks += (kernel, len(block_pivots))
+        counts = _count_pivots(ring.one, pivots)
+        done = tables[1][p] = counts + (tuple(columns), tuple(blocks), tuple(zero_cols))
     return done
 
 
+def _kernel(zero, columns: tuple, blocks: tuple, ncols: int) -> Mat:
+    """The kernel of a piece from `_piece`'s kernel columns and blocks.
+
+    Each block's kernel rows go to the block's columns, its kernel columns
+    after the previous blocks' (block order); a column outside these blocks
+    has a zero row.
+    """
+    lines = [()] * ncols
+    at = width = 0
+    for rows, rank in zip(blocks[::2], blocks[1::2]):
+        for j, line in zip(columns[at : at + len(rows)], rows):
+            lines[j] = tuple([(k + width, x) for k, x in line]) if width else line
+        at += len(rows)
+        width += len(rows) - rank
+    return _mat(zero, tuple(lines), width)
+
+
 def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
-    """`_count_pivots` of m's pieces: each distinct piece of a record once, or m itself."""
+    """(unit count, nonunit counts) of m itself, or of each distinct piece of its record once."""
     b = m._blocks
-    pieces = [(m, 1)] if b is None else [(b.kinds[j], k) for j, k in Counter(b.which).items()]
-    return _count_pivots(ring.one, [(_piece(ring, p, tables, cancel)[0], k) for p, k in pieces])
+    if b is None:
+        return _piece(ring, m, tables, cancel)[:2]
+    units, counts = 0, {}
+    for j, k in Counter(b.which).items():
+        piece_units, piece_counts = _piece(ring, b.kinds[j], tables, cancel)[:2]
+        units += k * piece_units
+        for x, c in piece_counts:
+            counts[x] = counts.get(x, 0) + k * c
+    return units, tuple(counts.items())
 
 
-def _chain_of_values(ring, units: int, counts: tuple, tables: tuple) -> tuple:
-    """The diagonal of `units` units and the nonunit (pivot, multiplicity) `counts`, as runs.
+def _diagonal_only(ring, units: int, counts: tuple, width: int, tables: tuple):
+    """The decomposition without transforms of a matrix's pivots; once per memo and key.
 
-    The diagonal is returned as (value, count) runs in chain order, units
-    first.  The nonunit runs are merged once per memo and `counts` tuple.
+    The key is all the diagonal depends on: the number of unit pivots, the
+    nonunit (pivot, multiplicity) `counts` and `width` = min(R, C).  It is
+    taken before the merge, which can make units of coprime pivots.
+    """
+    table = tables[2]
+    key = (units, counts, width)
+    done = table.get(key)
+    if done is None:
+        runs = ((ring.one, units),) + _merged_runs(ring, counts, table)
+        done = table[key] = _decomposition(ring, runs, width, None, None)
+    return done
+
+
+def _merged_runs(ring, counts: tuple, table: dict) -> tuple:
+    """The nonunit (pivot, multiplicity) `counts` merged into a chain, as (value, count) runs.
 
     Each distinct nonunit x, with multiplicity k, is inserted into the chain
     d_1 | ... | d_n built so far by e_i = lcm(d_{i-k}, gcd(d_i, x)), where
     d_j = 1 for j <= 0 and gcd(d_j, x) = x for j > n.  Prime by prime this
     merges k copies of x's valuation into a sorted list.  The chain is kept as
     runs of equal values, and e_i is constant between the run ends of d and
-    those ends shifted by k, so an insertion costs the runs, not n.  Each
-    gcd and lcm is taken once per merge.
+    those ends shifted by k, so an insertion costs the runs, not n.  The gcd
+    and lcm of a pair are taken together, once per `table`: the
+    decomposition table keeps them under the pair, a 2-tuple key beside its
+    3-tuple decomposition keys.
     """
-    chains = tables[2]
-    merged = chains.get(counts)
-    if merged is None:
-        merged = chains[counts] = _merged_runs(ring, counts)
-    return ((ring.one, units),) + merged
 
-
-def _merged_runs(ring, counts: tuple) -> tuple:
-    """The nonunit runs of `_chain_of_values`, each gcd and lcm taken once per merge."""
-    gcds: dict = {}
-    lcms: dict = {}
-
-    def gcd(a, b):
-        if (a, b) not in gcds:
-            gcds[a, b] = euclid_gcd(ring, a, b)
-        return gcds[a, b]
-
-    def lcm(a, b):
-        if (a, b) not in lcms:
-            lcms[a, b] = ring.canonical(a * divmod(b, gcd(a, b))[0])[0]
-        return lcms[a, b]
+    def gcd_lcm(a, b):
+        done = table.get((a, b))
+        if done is None:
+            g = euclid_gcd(ring, a, b)
+            done = table[a, b] = g, ring.canonical(a * divmod(b, g)[0])[0]
+        return done
 
     runs: list = []  # [value, count] in chain order
     for x, k in counts:
@@ -708,8 +758,8 @@ def _merged_runs(ring, counts: tuple) -> tuple:
         out: list = []
         for s, e in zip(cuts, cuts[1:]):
             # positions s+1..e; read d at e and at e - k, which share their runs
-            hi = x if e > n else gcd(runs[bisect_left(ends, e) - 1][0], x)
-            y = hi if e - k <= 0 else lcm(runs[bisect_left(ends, e - k) - 1][0], hi)
+            hi = x if e > n else gcd_lcm(runs[bisect_left(ends, e) - 1][0], x)[0]
+            y = hi if e - k <= 0 else gcd_lcm(runs[bisect_left(ends, e - k) - 1][0], hi)[1]
             if out and (out[-1][0] is y or out[-1][0] == y):
                 out[-1][1] += e - s
             else:
@@ -746,6 +796,24 @@ def transpose(m: Mat) -> Mat:
     return _by_rows(m.zero, m.lines, m.ncols)
 
 
+def _decomposition(ring, runs, width: int, u: Optional[Mat], v: Optional[Mat]):
+    """The decomposition whose diagonal is the (value, count) `runs`, zeros up to `width`."""
+    diag = []
+    for x, c in runs:
+        diag += [x] * c
+    # a chain puts its units first, and a canonical unit is `one`
+    units = sum(c for x, c in runs if x == ring.one)
+    diagonal = tuple(diag) + (ring.zero,) * (width - len(diag))
+    return SmithDecomposition(
+        u=u,
+        v=v,
+        diagonal=diagonal,
+        rank=len(diag),
+        unit_count=units,
+        invariant_factors=diagonal[units:],
+    )
+
+
 def smith_normal_form(
     ring,
     m: Mat,
@@ -754,27 +822,17 @@ def smith_normal_form(
     cancel: Optional[Callable[[], bool]] = None,
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
-    zero, one = ring.zero, ring.one
-    if with_u or with_v:
-        diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
-        runs = [(x, 1) for x in diag]
-    else:
+    if not (with_u or with_v):
         tables = _memo(ring)
-        runs = _chain_of_values(ring, *_pivot_counts(ring, m, tables, cancel), tables)
-        u = vt = None
-    diag = []
-    for x, c in runs:
-        diag += [x] * c
-    # a chain puts its units first, and a canonical unit is `one`
-    units = sum(c for x, c in runs if x == one)
-    diagonal = tuple(diag) + (zero,) * (min(R, C) - len(diag))
-    return SmithDecomposition(
-        u=_mat(zero, _nonzeros(u), R) if with_u else None,
-        v=_by_rows(zero, _nonzeros(vt), C) if with_v else None,
-        diagonal=diagonal,
-        rank=len(diag),
-        unit_count=units,
-        invariant_factors=diagonal[units:],
+        return _diagonal_only(ring, *_pivot_counts(ring, m, tables, cancel), min(R, C), tables)
+    zero = ring.zero
+    diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
+    return _decomposition(
+        ring,
+        [(x, 1) for x in diag],
+        min(R, C),
+        _mat(zero, _nonzeros(u), R) if with_u else None,
+        _by_rows(zero, _nonzeros(vt), C) if with_v else None,
     )
 
 
@@ -788,13 +846,15 @@ def kernel_basis(ring, m: Mat) -> Mat:
     pieces' kernels, with the zero columns' unit vectors in bands of their
     own after the rest.
     """
-    tables = _memo(ring)
+    tables, zero = _memo(ring), ring.zero
     b = m._blocks
     if b is None or len(b.rows) != 1:
-        return _piece(ring, m, tables, None)[1]
+        return _kernel(zero, *_piece(ring, m, tables, None)[2:4], m.ncols)
     reduced = [_piece(ring, p, tables, None) for p in b.kinds]
-    bands = [list(map([k.ncols - len(z) for _, k, z in reduced].__getitem__, b.which))]
-    zeros = [reduced[j][2] for j in b.which] if any(z for _, _, z in reduced) else ()
+    kinds = [_kernel(zero, *r[2:4], p.ncols) for r, p in zip(reduced, b.kinds)]
+    zero_cols = [r[4] for r in reduced]
+    bands = [list(map([k.ncols - len(z) for k, z in zip(kinds, zero_cols)].__getitem__, b.which))]
+    zeros = list(map(zero_cols.__getitem__, b.which)) if any(zero_cols) else ()
     if zeros:
         starts = [0] * len(zeros)
         for band in b.cols:  # each piece's zero columns that lie in this band
@@ -804,4 +864,4 @@ def kernel_basis(ring, m: Mat) -> Mat:
                 bands.append(counts)
             starts = ends
     shape = (m.ncols, sum(map(sum, bands)))
-    return _block_sum(ring.zero, [k for _, k, _ in reduced], b.which, b.cols, tuple(bands), shape)
+    return _block_sum(zero, kinds, b.which, b.cols, tuple(bands), shape)

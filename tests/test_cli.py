@@ -1,5 +1,6 @@
 """CLI behavior: reference grammar, output formats, exit codes, determinism."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -16,7 +17,7 @@ from stabkit import cli, linalg
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError, UnknownReferenceError
-from stabkit.linalg import Mat
+from stabkit.linalg import Mat, SmithDecomposition
 from stabkit.modules import PresentedModule
 from stabkit.rings import EisensteinInt, LaurentPolyQ
 
@@ -792,6 +793,8 @@ def test_memo_values_are_immutable(capsys, fresh_memo):
     def frozen(x):
         if isinstance(x, tuple):
             return all(map(frozen, x))
+        if isinstance(x, SmithDecomposition):  # a frozen dataclass: its fields must be frozen too
+            return all(frozen(getattr(x, f.name)) for f in dataclasses.fields(x))
         return x is None or isinstance(x, (int, Mat, LaurentPolyQ, EisensteinInt))
 
     for argv in README_ARGVS:
@@ -811,6 +814,42 @@ def test_commands_print_the_same_on_a_cold_and_a_warm_memo(capsys, monkeypatch):
         assert run(capsys, *argv)[0] == 0, argv
     assert [run(capsys, *argv) for argv in argvs] == cold
     assert all(code == 0 for code, _, _ in cold)
+
+
+def _kernels_argvs(seed: int, count: int) -> list:
+    """Seeded `kernels` command lines: sums of 1-4 of 9_46 and 6_1, each with 2-4 disc specs."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        ids = [rng.choice(("9_46", "6_1")) for _ in range(rng.randint(1, 4))]
+        specs = [
+            "+".join(rng.choice(("left", "right")) if i == "9_46" else "gamma" for i in ids)
+            for _ in range(rng.randint(2, 4))
+        ]
+        ref = ids[0] if len(ids) == 1 else f"sum({','.join(ids)})"
+        argvs.append(["--json", "kernels", ref, "--discs", ",".join(specs)])
+    return argvs
+
+
+def test_the_memo_keeps_the_working_set_of_many_kernels_requests(capsys, monkeypatch, fresh_memo):
+    """A second pass over 200 `kernels` requests finds every matrix in the memo.
+
+    They make over 500 distinct Q[t^±1] pieces, so a piece table of a few
+    hundred entries empties itself during each pass.
+    """
+    argvs = _kernels_argvs(28, 200)
+    first = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in first)
+    splits = []
+    real = linalg._split_blocks
+
+    def counted(m):
+        splits.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(linalg, "_split_blocks", counted)
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert splits == []
 
 
 def test_kernels_reduces_each_distinct_block_once(capsys, monkeypatch, fresh_memo):

@@ -464,6 +464,46 @@ def test_an_unrecorded_matrix_is_split_once(monkeypatch, fresh_memo):
     assert splits == [(3, 4)]
 
 
+def test_each_matrix_gets_its_own_diagonal_from_a_warm_memo(monkeypatch, fresh_memo):
+    # t - 2 and t - 1/2 are coprime, so their merge makes a unit: diag(t - 2, t - 1/2)
+    # has the diagonal (1, p) with p = (t - 2)(t - 1/2)
+    a, b = LaurentPolyQ({0: -2, 1: 1}), LaurentPolyQ({0: Fraction(-1, 2), 1: 1})
+    one, zero, p = LAURENT.one, LAURENT.zero, a * b
+
+    def diag(ring, *entries):
+        return block_diag(ring, *[Mat([[x]]) for x in entries])
+
+    def padded(ring, m, rows, cols):  # m with zero rows below it and zero columns after it
+        return block_diag(ring, m, Mat([(ring.zero,) * cols] * rows, cols))
+
+    cases = [  # (ring, matrix, diagonal)
+        # the same nonunit pivot counts, with and without a unit pivot, at min(R, C) 2 and 3
+        (LAURENT, diag(LAURENT, a, b), (one, p)),
+        (LAURENT, diag(LAURENT, one, a, b), (one, one, p)),
+        (LAURENT, padded(LAURENT, diag(LAURENT, a, b), 1, 1), (one, p, zero)),
+        (LAURENT, padded(LAURENT, diag(LAURENT, a, b), 1, 0), (one, p)),
+        (LAURENT, padded(LAURENT, diag(LAURENT, one, a, b), 0, 2), (one, one, p)),
+        (LAURENT, hstack(diag(LAURENT, a, b), diag(LAURENT, a, b)), (one, p)),
+        # recorded sums, whose counts add up piece by piece
+        (LAURENT, diag(LAURENT, *[a, b] * 4), (one,) * 4 + (p,) * 4),
+        (LAURENT, diag(LAURENT, *[a, b] * 4, one), (one,) * 5 + (p,) * 4),
+        (LAURENT, diag(LAURENT, *[a, b, zero] * 4), (one,) * 4 + (p,) * 4 + (zero,) * 4),
+        (INTEGERS, diag(INTEGERS, 2, 3), (1, 6)),
+        (INTEGERS, diag(INTEGERS, 1, 2, 3), (1, 1, 6)),
+        (INTEGERS, padded(INTEGERS, diag(INTEGERS, 2, 3), 1, 1), (1, 6, 0)),
+    ]
+    cold = []
+    for ring, m, want in cases:
+        monkeypatch.setattr(linalg, "_tables", {})
+        cold.append(smith_normal_form(ring, m, False, False))
+        # the transform path's one dense elimination, which never reads the memo
+        assert cold[-1].diagonal == smith_normal_form(ring, m).diagonal == want
+    monkeypatch.setattr(linalg, "_tables", {})
+    for _ in range(2):  # one memo for every case; the second pass reads it only
+        for (ring, m, _), dec in zip(cases, cold):
+            assert smith_normal_form(ring, m, False, False) == dec
+
+
 def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
     cap = 8
     monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
