@@ -17,13 +17,14 @@ repeat enough to pay for it (`_FEW_PIECES`), as they do in a sum of many
 copies of a few summands.  The operations that map a block sum to a block
 sum carry the record, applying themselves once per distinct piece object:
 `transpose`, `hstack` of sums whose rows line up piece by piece, `mat_mul`
-of sums whose inner indices line up, the entry maps `Mat.map_entries` and
-`zip_entries`, `Mat.split_rows` at a boundary between stacked parts, and
-`kernel_basis` of a sum whose rows are one run of pieces.  Any other operand
-makes the result a plain matrix.  A recorded matrix builds its `lines` only
-when a caller reads them (`rows`, equality, hashing, printing, or an
-operation that cannot keep the record).  The pieces of a record are plain
-matrices: a block sum of block sums records the inner pieces.
+of sums whose inner indices line up, `zip_entries` of sums cut alike,
+`Mat.split_rows` at a boundary between stacked parts, and `kernel_basis` of
+a sum whose rows are one run of pieces, none of them with a zero column.
+Any other operand, and `Mat.map_entries`, makes the result a plain matrix.
+A recorded matrix builds its `lines` only when a caller reads them (`rows`,
+equality, hashing, printing, or an operation that cannot keep the record).
+The pieces of a record are plain matrices: a block sum of block sums records
+the inner pieces.
 
 The Smith pass is the classic elimination, one loop per pivot position:
 move the smallest-size nonzero entry of the remaining block to the diagonal
@@ -59,8 +60,8 @@ content, and a matrix has one entry in each table it reaches:
   A piece keeps no kernel of its own: its entry points at the blocks' rows;
 * decompositions: the finished diagonal-only `SmithDecomposition` of each
   (unit count, nonunit counts, min(R, C)), taken before the merge, which can
-  make units of coprime pivots; under 2-tuple keys, beside them, the gcd and
-  lcm of each pair of values a merge met;
+  make units of coprime pivots.  The merge runs only on a miss, so it takes
+  its gcds and lcms afresh;
 * products: the canonical product of each tuple of values `product` was
   asked for (a module's order, both sides of `modules.pair_quotients`).
 
@@ -91,6 +92,12 @@ isomorphism test of two quotients in `modules`, which needs no transforms;
 for a square matrix the product of the diagonal is det M up to a unit, so a
 direct sum costs what its distinct blocks cost.  `knots` checks
 det(V - V^T) of a Seifert matrix this way.
+
+Over a prime field there is one elimination, `rref_mod_p`, on the nonzeros
+of integer rows: `metabelian` selects its Z/3 characters with it, and over a
+PID the rank of M modulo a prime is the number of invariant factors the
+prime does not divide, which is how the tests check Smith diagonals at sizes
+no other oracle reaches.
 """
 
 from __future__ import annotations
@@ -183,10 +190,6 @@ class Mat:
         zero of the new entries.
         """
         zero = None if self.zero is None else fn(self.zero)
-        b = self._blocks
-        if b is not None:
-            pieces = _each(lambda p: p.map_entries(fn), b)
-            return _block_sum(zero, *pieces, b.rows, b.cols, (self.nrows, self.ncols))
         lines = tuple(
             [tuple([(j, y) for j, y in [(j, fn(x)) for j, x in line] if y]) for line in self.lines]
         )
@@ -585,9 +588,9 @@ def _nonzeros(lines: list) -> tuple:
 
 # The most entries one memo table holds.  The working sets, by table (blocks,
 # pieces, decompositions, products), over two passes of a benchmark request
-# list (seeds 1-3, 600 requests): kernels-witness 16, 485-537, 68-70 and 16
-# over Q[t^±1] and 14, 44-50, 16 and 0 over Z[w]; bound-sums 20, 37-39,
-# 483-501 and 0 over Q[t^±1].  `stabkit --seed 11 properties` makes 392 pieces
+# list (seeds 1-3, 600 requests): kernels-witness 16, 485-537, 59-61 and 16
+# over Q[t^±1] and 14, 44-50, 15 and 0 over Z[w]; bound-sums 20, 37-39,
+# 479-497 and 0 over Q[t^±1].  `stabkit --seed 11 properties` makes 392 pieces
 # over Z.  At 1,024 no table empties itself on these, and kernels-witness's
 # whole working set (seed 1) holds 1.19 MB (tracemalloc, by allocation site):
 # 0.45 MB the relation columns L of the span matrices [G | L] kept as piece
@@ -656,27 +659,25 @@ def _count_pivots(one, pivots) -> tuple:
 
 
 def _piece(ring, p: Mat, tables: tuple, cancel) -> tuple:
-    """A piece's (unit count, nonunit counts, kernel columns, kernel blocks, zero columns).
+    """A piece's (unit count, nonunit counts, kernel columns, kernel blocks).
 
-    One reduction of its blocks, once per memo, gives all five.  The counts
+    One reduction of its blocks, once per memo, gives all four.  The counts
     are `_count_pivots` of the blocks' pivots in block order.  The blocks with
     a kernel keep their columns, concatenated in block order, and (kernel
     rows, rank) in one flat tuple, the rows shared with the block table:
     `_kernel` places them only when a caller asks, so a piece keeps no kernel
-    of its own.  The zero columns are the blocks without rows.
+    of its own.  A block of rank 0 is a zero column.
     """
     done = tables[1].get(p)
     if done is None:
-        pivots, columns, blocks, zero_cols = [], [], [], []
-        for rows, cols, block_pivots, kernel in _reduced_blocks(ring, p, cancel, tables[0]):
+        pivots, columns, blocks = [], [], []
+        for _, cols, block_pivots, kernel in _reduced_blocks(ring, p, cancel, tables[0]):
             pivots += block_pivots
-            if not rows:
-                zero_cols.append(cols[0])
             if len(cols) > len(block_pivots):
                 columns += cols
                 blocks += (kernel, len(block_pivots))
         counts = _count_pivots(ring.one, pivots)
-        done = tables[1][p] = counts + (tuple(columns), tuple(blocks), tuple(zero_cols))
+        done = tables[1][p] = counts + (tuple(columns), tuple(blocks))
     return done
 
 
@@ -722,12 +723,12 @@ def _diagonal_only(ring, units: int, counts: tuple, width: int, tables: tuple):
     key = (units, counts, width)
     done = table.get(key)
     if done is None:
-        runs = ((ring.one, units),) + _merged_runs(ring, counts, table)
+        runs = ((ring.one, units),) + _merged_runs(ring, counts)
         done = table[key] = _decomposition(ring, runs, width, None, None)
     return done
 
 
-def _merged_runs(ring, counts: tuple, table: dict) -> tuple:
+def _merged_runs(ring, counts: tuple) -> tuple:
     """The nonunit (pivot, multiplicity) `counts` merged into a chain, as (value, count) runs.
 
     Each distinct nonunit x, with multiplicity k, is inserted into the chain
@@ -735,19 +736,8 @@ def _merged_runs(ring, counts: tuple, table: dict) -> tuple:
     d_j = 1 for j <= 0 and gcd(d_j, x) = x for j > n.  Prime by prime this
     merges k copies of x's valuation into a sorted list.  The chain is kept as
     runs of equal values, and e_i is constant between the run ends of d and
-    those ends shifted by k, so an insertion costs the runs, not n.  The gcd
-    and lcm of a pair are taken together, once per `table`: the
-    decomposition table keeps them under the pair, a 2-tuple key beside its
-    3-tuple decomposition keys.
+    those ends shifted by k, so an insertion costs the runs, not n.
     """
-
-    def gcd_lcm(a, b):
-        done = table.get((a, b))
-        if done is None:
-            g = euclid_gcd(ring, a, b)
-            done = table[a, b] = g, ring.canonical(a * divmod(b, g)[0])[0]
-        return done
-
     runs: list = []  # [value, count] in chain order
     for x, k in counts:
         ends = [0]
@@ -758,8 +748,10 @@ def _merged_runs(ring, counts: tuple, table: dict) -> tuple:
         out: list = []
         for s, e in zip(cuts, cuts[1:]):
             # positions s+1..e; read d at e and at e - k, which share their runs
-            hi = x if e > n else gcd_lcm(runs[bisect_left(ends, e) - 1][0], x)[0]
-            y = hi if e - k <= 0 else gcd_lcm(runs[bisect_left(ends, e - k) - 1][0], hi)[1]
+            y = x if e > n else euclid_gcd(ring, runs[bisect_left(ends, e) - 1][0], x)
+            if e - k > 0:  # the lcm of d at e - k and y
+                d = runs[bisect_left(ends, e - k) - 1][0]
+                y = ring.canonical(d * divmod(y, euclid_gcd(ring, d, y))[0])[0]
             if out and (out[-1][0] is y or out[-1][0] == y):
                 out[-1][1] += e - s
             else:
@@ -841,27 +833,59 @@ def kernel_basis(ring, m: Mat) -> Mat:
 
     They are each block's non-pivot V columns, embedded at the block's
     columns, in block order: blocks with rows by their first row, then the
-    zero columns.  A sum whose rows are one run of pieces keeps that order
-    piece by piece, so its kernel is recorded too: its pieces are the
-    pieces' kernels, with the zero columns' unit vectors in bands of their
-    own after the rest.
+    zero columns.  A sum whose rows are one run of pieces, none of them with a
+    zero column, keeps that order piece by piece, so its kernel is recorded
+    too: its pieces are the pieces' kernels.
     """
     tables, zero = _memo(ring), ring.zero
     b = m._blocks
-    if b is None or len(b.rows) != 1:
-        return _kernel(zero, *_piece(ring, m, tables, None)[2:4], m.ncols)
-    reduced = [_piece(ring, p, tables, None) for p in b.kinds]
-    kinds = [_kernel(zero, *r[2:4], p.ncols) for r, p in zip(reduced, b.kinds)]
-    zero_cols = [r[4] for r in reduced]
-    bands = [list(map([k.ncols - len(z) for k, z in zip(kinds, zero_cols)].__getitem__, b.which))]
-    zeros = list(map(zero_cols.__getitem__, b.which)) if any(zero_cols) else ()
-    if zeros:
-        starts = [0] * len(zeros)
-        for band in b.cols:  # each piece's zero columns that lie in this band
-            ends = [s + w for s, w in zip(starts, band)]
-            counts = [bisect_left(z, e) - bisect_left(z, s) for z, s, e in zip(zeros, starts, ends)]
-            if any(counts):
-                bands.append(counts)
-            starts = ends
-    shape = (m.ncols, sum(map(sum, bands)))
-    return _block_sum(zero, kinds, b.which, b.cols, tuple(bands), shape)
+    if b is not None and len(b.rows) == 1:
+        reduced = [_piece(ring, p, tables, None) for p in b.kinds]
+        if not any(0 in r[3][1::2] for r in reduced):  # no block of rank 0, a zero column
+            kinds = [_kernel(zero, *r[2:], p.ncols) for r, p in zip(reduced, b.kinds)]
+            band = list(map([k.ncols for k in kinds].__getitem__, b.which))
+            return _block_sum(zero, kinds, b.which, b.cols, (band,), (m.ncols, sum(band)))
+    return _kernel(zero, *_piece(ring, m, tables, None)[2:], m.ncols)
+
+
+def rref_mod_p(lines, p: int) -> list:
+    """The reduced row echelon form over F_p of the integer matrix whose rows hold `lines`.
+
+    `lines` holds per row its (column, value) pairs, as `Mat.lines` does, and
+    so does each row of the result: the nonzero reduced rows, ordered by
+    pivot column, each 1 at its pivot, its least column, and every row 0 at
+    the other rows' pivots.  Over a PID the number of rows is the number of
+    invariant factors that the prime p does not divide.
+
+    Rows are dicts, reduced in turn by the pivot rows kept so far at their
+    least column, so a matrix costs what its nonzeros and their fill-in cost.
+    A row left nonzero becomes a pivot row, scaled to 1 at its pivot.  Then
+    each pivot row, the last pivot first, is cleared from the rows above it.
+    """
+
+    def subtract(row: dict, c: int, pivot: dict) -> None:  # row -= c * pivot
+        for k, x in pivot.items():
+            y = (row.get(k, 0) - c * x) % p
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+
+    pivots: dict = {}  # pivot column -> its row
+    for line in lines:
+        row = {j: x % p for j, x in line if x % p}
+        while row:
+            j = min(row)
+            pivot = pivots.get(j)
+            if pivot is None:
+                inverse = pow(row[j], -1, p)
+                pivots[j] = {k: x * inverse % p for k, x in row.items()}
+                break
+            subtract(row, row[j], pivot)
+    order = sorted(pivots)
+    for at, j in reversed(list(enumerate(order))):
+        for i in order[:at]:
+            row = pivots[i]
+            if j in row:
+                subtract(row, row[j], pivots[j])
+    return [tuple(sorted(pivots[j].items())) for j in order]

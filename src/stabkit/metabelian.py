@@ -38,7 +38,7 @@ from .knots import (
     branched_double_cover,
     disc_kernel_Q,
 )
-from .linalg import Mat, block_diag
+from .linalg import Mat, block_diag, rref_mod_p
 from .modules import (
     PresentedModule,
     Submodule,
@@ -156,41 +156,6 @@ def character_space_dimension(scenario: SatelliteScenario) -> int:
     return scenario.copies * per_copy
 
 
-def _f3_rref(rows: list[list[int]], width: int) -> list[list[int]]:
-    """Reduced row echelon form over F3; returns the nonzero rows."""
-    mat = [list(r) for r in rows]
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] % 3 != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 if mat[r][c] % 3 == 1 else 2
-        mat[r] = [(x * inv) % 3 for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % 3 != 0:
-                f = mat[i][c] % 3
-                mat[i] = [(a - f * b) % 3 for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return mat[:r]
-
-
-def _f3_nullspace(rows: list[list[int]], width: int) -> list[list[int]]:
-    rref = _f3_rref(rows, width)
-    pivot_cols = []
-    for row in rref:
-        pivot_cols.append(next(c for c in range(width) if row[c] % 3 != 0))
-    free_cols = [c for c in range(width) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * width
-        vec[fc] = 1
-        for row, pc in zip(rref, pivot_cols):
-            vec[pc] = (-row[fc]) % 3
-        basis.append(vec)
-    return basis
-
-
 def character_selection(n: int, constraints) -> Character:
     """A character vanishing on every constraint with at least n - m nonzero slots.
 
@@ -205,8 +170,14 @@ def character_selection(n: int, constraints) -> Character:
         raise SchemaError("too many constraints", f"{m} constraints in dimension {n}")
     if any(len(r) != n for r in rows):
         raise SchemaError("constraint has wrong length", f"expected vectors of length {n}")
-    rows = [[x % 3 for x in r] for r in rows]
-    basis = _f3_rref(_f3_nullspace(rows, n), n)
+    # the solution space: per free column f, 1 at f and -x at each pivot whose row has x at f
+    solutions: dict = {f: [] for f in range(n)}
+    for line in rref_mod_p([list(enumerate(r)) for r in rows], 3):
+        del solutions[line[0][0]]
+        for f, x in line[1:]:
+            solutions[f].append((line[0][0], -x % 3))
+    reduced = rref_mod_p([v + [(f, 1)] for f, v in solutions.items()], 3)
+    basis = [[row.get(j, 0) for j in range(n)] for row in map(dict, reduced)]
 
     def support(vec: list[int]) -> int:
         return sum(1 for x in vec if x % 3 != 0)

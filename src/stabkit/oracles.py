@@ -1,11 +1,11 @@
 """Independent brute-force oracles used by the test suite.
 
 Nothing here touches the Smith normal form engine or the module calculus:
-results come from explicit element enumeration (finite Z- and F3-modules),
-from first-principles minor expansions, or from elimination over a prime
-field, so they can referee those algorithms.  The last one reaches the cap:
-over a PID, the rank of M modulo a prime p is the number of invariant factors
-p does not divide (`rank_mod_p`).
+results come from explicit element enumeration (finite Z- and F3-modules) or
+from first-principles minor expansions, so they can referee those
+algorithms.  The check that reaches the cap is elimination over a prime
+field, `linalg.rref_mod_p`: over a PID, the rank of M modulo a prime p is the
+number of invariant factors p does not divide.
 
 Enumeration is capped: instances larger than `CAP` (200 elements) raise
 OracleCapExceeded rather than stall.  Every least-generator search is one
@@ -49,34 +49,6 @@ def _minor_dets(ring, rows: Sequence[Sequence[object]], k: int) -> Iterable[obje
     for ridx in itertools.combinations(range(nr), k):
         for cidx in itertools.combinations(range(nc), k):
             yield det(ridx, cidx)
-
-
-def rank_mod_p(lines, p: int) -> int:
-    """The rank over F_p of the integer matrix whose rows hold the nonzeros `lines`.
-
-    `lines` is what `Mat.lines` holds: per row, (column, value) pairs.  Rows
-    are dicts, reduced in turn by the pivot rows kept so far at their least
-    column, so a matrix costs what its nonzeros and their fill-in cost.  A
-    row left nonzero becomes a pivot row, scaled to 1 at its least column.
-    """
-    pivots: dict = {}  # least column -> its pivot row
-    for line in lines:
-        row = {j: x % p for j, x in line if x % p}
-        while row:
-            j = min(row)
-            pivot = pivots.get(j)
-            if pivot is None:
-                inverse = pow(row[j], -1, p)
-                pivots[j] = {k: x * inverse % p for k, x in row.items()}
-                break
-            c = row[j]
-            for k, x in pivot.items():
-                y = (row.get(k, 0) - c * x) % p
-                if y:
-                    row[k] = y
-                else:
-                    del row[k]
-    return len(pivots)
 
 
 def minor_gcd_divisors(ring, rows: Sequence[Sequence[object]]) -> tuple:

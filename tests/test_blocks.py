@@ -1,14 +1,14 @@
 """The block record of `linalg`: every operation that keeps it agrees with a plain matrix.
 
 `block_diag` records the pieces it places on the diagonal, and `transpose`,
-`hstack`, `mat_mul`, the entry maps, `kernel_basis` and `Mat.split_rows`
+`hstack`, `mat_mul`, `zip_entries`, `kernel_basis` and `Mat.split_rows`
 carry that record when their operands line up.  Each test builds seeded
 random block sums over Z, Q[t^±1] and Z[w] -- repeated piece objects, zero
 rows and columns, empty pieces, pieces whose nonzeros split into several
 blocks, sums of sums -- and compares every result with the same operation on
 a record-free copy, `_mat(zero, m.lines, m.ncols)`.  At the cap, where no
-such copy can be reduced in time, the Smith diagonals over Z are checked
-against ranks modulo primes (`oracles.rank_mod_p`).
+such copy can be reduced in time, the Smith diagonals over Z and Z[w] are
+checked against ranks modulo primes (`linalg.rref_mod_p`).
 """
 
 import operator
@@ -26,12 +26,13 @@ from stabkit.linalg import (
     hstack,
     kernel_basis,
     mat_mul,
+    rref_mod_p,
     smith_normal_form,
     transpose,
     zip_entries,
 )
+from stabkit.metabelian import eisenstein_alexander
 from stabkit.modules import pair_quotients
-from stabkit.oracles import rank_mod_p
 from stabkit.rings import EISENSTEIN, INTEGERS, LAURENT, EisensteinInt, LaurentPolyQ
 
 
@@ -115,14 +116,12 @@ def test_block_diag_places_each_piece(ring, entry):
 def test_transpose_and_entry_maps_keep_the_record(ring, entry):
     for rng, pool, which, nest in _cases(ring, entry, 2):
         m = _block_sum(ring, [pool[j] for j in which], nest)
-        for got, want in (
-            (transpose(m), transpose(_plain(m))),
-            (transpose(transpose(m)), _plain(m)),
-            (m.map_entries(lambda x: x * x), _plain(m).map_entries(lambda x: x * x)),
-            (m.map_entries(lambda x: x - x), _plain(m).map_entries(lambda x: x - x)),
-        ):
+        for got, want in ((transpose(m), transpose(_plain(m))), (transpose(transpose(m)), _plain(m))):
             assert got._blocks is not None
             _same(got, want)
+        # `Mat.map_entries` reads the lines, so it gives a plain matrix with the same entries
+        for fn in (lambda x: x * x, lambda x: x - x):
+            _same(m.map_entries(fn), _plain(m).map_entries(fn))
         doubled = [p.map_entries(lambda x: x + x) for p in pool]
         other = _block_sum(ring, [doubled[j] for j in which], nest)
         for fn in (operator.add, operator.sub):
@@ -195,36 +194,53 @@ def test_equality_of_recorded_sums(ring, entry):
     assert a != block_diag(ring, *[x, y] * 3, x, Mat([[one, one], [zero, -one]]))
 
 
+def _filled(ring, p: Mat) -> Mat:
+    """p with a row of ones below it, so that none of its columns is zero."""
+    return Mat(list(p.rows) + [[ring.one] * p.ncols], p.ncols)
+
+
+def _has_zero_column(p: Mat) -> bool:
+    return len({j for line in p.lines for j, _ in line}) < p.ncols
+
+
 @pytest.mark.parametrize("ring, entry", RINGS, ids=IDS)
 def test_kernels_split_rows_and_smith_forms_agree(ring, entry):
     for rng, pool, which, nest in _cases(ring, entry, 5, count=12):
         beside = [_random_piece(rng, ring, entry, nrows=p.nrows) for p in pool]
-        a = _block_sum(ring, [pool[j] for j in which], nest)
-        b = _block_sum(ring, [beside[j] for j in which], nest)
-        for m in (a, hstack(b, a), hstack(a, b, a), transpose(hstack(a, b))):
-            kern = kernel_basis(ring, m)
-            want = kernel_basis(ring, _plain(m))
-            _same(kern, want)
-            assert not any(mat_mul(ring, m, kern).lines)
-            got = smith_normal_form(ring, m, False, False)
-            plain = smith_normal_form(ring, _plain(m), False, False)
-            assert (got.diagonal, got.rank, got.unit_count, got.invariant_factors) == (
-                plain.diagonal, plain.rank, plain.unit_count, plain.invariant_factors
-            )
-            # at the boundaries between stacked parts, and at two other rows
-            cuts = [sum(map(sum, m._blocks.cols[:i])) for i in range(len(m._blocks.cols) + 1)]
-            for k in cuts + [rng.randint(0, kern.nrows) for _ in range(2)]:
-                for half, plain_half in zip(kern.split_rows(k), want.split_rows(k)):
-                    _same(half, plain_half)
-                    assert smith_normal_form(ring, half, False, False) == smith_normal_form(
-                        ring, _plain(half), False, False
-                    )
-            assert (kern.nrows, kern.ncols) == (m.ncols, m.ncols - got.rank)
-        # the kernel of a stack keeps its record, split into the stacked parts
-        kern = kernel_basis(ring, hstack(b, a))
-        assert kern._blocks is not None
-        top, bottom = kern.split_rows(b.ncols)
-        assert top._blocks is not None and bottom._blocks is not None
+        # the pieces as drawn, most with a zero column, and the same pieces filled
+        filled = [[_filled(ring, p) for p in ps] for ps in (pool, beside)]
+        for pieces, partners in ((pool, beside), filled):
+            a = _block_sum(ring, [pieces[j] for j in which], nest)
+            b = _block_sum(ring, [partners[j] for j in which], nest)
+            for m in (a, hstack(b, a), hstack(a, b, a), transpose(hstack(a, b))):
+                kern = kernel_basis(ring, m)
+                want = kernel_basis(ring, _plain(m))
+                _same(kern, want)
+                assert not any(mat_mul(ring, m, kern).lines)
+                got = smith_normal_form(ring, m, False, False)
+                plain = smith_normal_form(ring, _plain(m), False, False)
+                assert (got.diagonal, got.rank, got.unit_count, got.invariant_factors) == (
+                    plain.diagonal, plain.rank, plain.unit_count, plain.invariant_factors
+                )
+                # at the boundaries between stacked parts, and at two other rows
+                cuts = [sum(map(sum, m._blocks.cols[:i])) for i in range(len(m._blocks.cols) + 1)]
+                for k in cuts + [rng.randint(0, kern.nrows) for _ in range(2)]:
+                    for half, plain_half in zip(kern.split_rows(k), want.split_rows(k)):
+                        _same(half, plain_half)
+                        assert smith_normal_form(ring, half, False, False) == smith_normal_form(
+                            ring, _plain(half), False, False
+                        )
+                assert (kern.nrows, kern.ncols) == (m.ncols, m.ncols - got.rank)
+            # the kernel of a stack keeps its record, split into the stacked parts, unless a
+            # piece of the stack has a zero column
+            stack = hstack(b, a)
+            kern = kernel_basis(ring, stack)
+            if any(map(_has_zero_column, stack._blocks.kinds)):
+                assert pieces is pool and kern._blocks is None
+            else:
+                assert kern._blocks is not None
+                top, bottom = kern.split_rows(b.ncols)
+                assert top._blocks is not None and bottom._blocks is not None
 
 
 def test_smith_memo_is_shared_by_equal_pieces_of_one_command(monkeypatch, fresh_memo):
@@ -268,32 +284,56 @@ def test_bound_d2_of_a_sum_splits_only_summand_pieces(capsys, monkeypatch, fresh
     assert reduced and len(reduced) == len(set(reduced))
 
 
-def _kernels_modules_at_t_minus_one(ref: str, specs: list) -> list:
-    """What `kernels` reduces for ref and two disc specs, over Z at t = -1.
+def _kernels_modules(ref: str, specs: list, at) -> list:
+    """What `kernels` reduces for ref and two disc specs, with the knot's module `at` it.
 
     The knot's module, each disc kernel's presentation, and the two quotients
     of the pair.
     """
     leaves = cli.resolve_knot_ref(builtin_catalog(), ref)
     knot = cli.knot_of_leaves(leaves)
-    ambient = branched_double_cover(knot)
+    ambient = at(knot)
     kernels = [disc_kernel_Q(cli.resolve_disc_spec(leaves, s, knot), ambient) for s in specs]
     q12, q21, _ = pair_quotients(*kernels)
     return [ambient] + [k.presentation for k in kernels] + [q12, q21]
 
 
+_CAP_REF = "sum(sum^128(9_46),sum^128(6_1))"
+_CAP_SPECS = ["+".join([disc] * 128 + ["gamma"] * 128) for disc in ("left", "right")]
+
+
 def test_smith_diagonals_at_the_cap_agree_with_ranks_mod_p(fresh_memo):
     # over a PID, the rank of M mod p is the number of invariant factors p does not divide
-    ref = "sum(sum^128(9_46),sum^128(6_1))"
-    specs = ["+".join([disc] * 128 + ["gamma"] * 128) for disc in ("left", "right")]
     primes = (3, 5, 1_000_003)
     for memo in ("cold", "warm"):
-        modules = _kernels_modules_at_t_minus_one(ref, specs)
+        modules = _kernels_modules(_CAP_REF, _CAP_SPECS, branched_double_cover)
         presentation = modules[0].relations
         assert (presentation.nrows, presentation.ncols) == (512, 512)
-        assert [rank_mod_p(presentation.lines, p) for p in primes] == [128, 512, 512]
+        assert [len(rref_mod_p(presentation.lines, p)) for p in primes] == [128, 512, 512]
         for module in modules:
             rels = module.relations
             diagonal = smith_normal_form(INTEGERS, rels, False, False).diagonal
             for p in primes:
-                assert rank_mod_p(rels.lines, p) == sum(1 for d in diagonal if d % p), (memo, p)
+                assert len(rref_mod_p(rels.lines, p)) == sum(1 for d in diagonal if d % p), (memo, p)
+
+
+def test_eisenstein_smith_diagonals_at_the_cap_agree_with_ranks_mod_p(fresh_memo):
+    # Z[w] -> F_p by w -> r, with r^2 + r + 1 = 0 mod p: the prime 1 - w over 3, whose
+    # residue field is where the mod-3 characters live, and the two primes over 7.  Its
+    # kernel is the prime, so the rank there counts the diagonal entries it does not divide
+    primes = ((3, 1), (7, 2), (7, 4))
+    ranks = [
+        [512, 256, 256],  # A(K) at t = w
+        [256, 128, 128], [256, 256, 0],  # the two disc kernels
+        [256, 128, 256], [256, 256, 128],  # the pair's quotients
+    ]
+    for memo in ("cold", "warm"):
+        modules = _kernels_modules(_CAP_REF, _CAP_SPECS, eisenstein_alexander)
+        assert (modules[0].relations.nrows, modules[0].relations.ncols) == (512, 512)
+        for module, want in zip(modules, ranks):
+            rels = module.relations
+            diagonal = smith_normal_form(EISENSTEIN, rels, False, False).diagonal
+            for (p, r), rank in zip(primes, want):
+                lines = [[(j, x.a + x.b * r) for j, x in line] for line in rels.lines]
+                kept = sum(1 for d in diagonal if (d.a + d.b * r) % p)
+                assert len(rref_mod_p(lines, p)) == kept == rank, (memo, p, r)

@@ -503,6 +503,31 @@ def test_custom_catalog_keeps_builtins(capsys, tmp_path):
     assert code == 0
 
 
+ZERO_CLASS_ENTRY = {
+    "name": "z",
+    "genus": 1,
+    "seifert": [[0, 1], [0, 0]],
+    # the curve class of a, V^T (0, 1), is zero
+    "discs": [{"name": "a", "curves": [[0, 1]]}, {"name": "b", "curves": [[1, 0]]}],
+}
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["kernels", "sum^8(z)", "--discs", "a^8,b^8,a+b+a+b+a+b+a+b"],
+     "219a08e5ff28ca02345f9ddef50abc12c83efe472eea2f2bac395253da068189"),
+    (["bound", "d2", "--knot", "sum^12(z)", "--discs", "a^12,b^12"],
+     "9826879d7ccd1ae5930bc3f99a946b6719e1398e97daf41cd9978d90fa2f8c75"),
+    (["alexander", "sum^9(z)"], "ec787c12da27cc2227127bd3bfcc4adf891384fc6dd266c5f778530d703f0078"),
+])
+def test_sums_with_a_zero_curve_class_print_the_recorded_bytes(capsys, tmp_path, argv, sha256):
+    # a zero curve class gives the sums zero columns, whose kernels `kernel_basis` reduces
+    # as whole matrices; the digests were recorded while those kernels were block sums
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([ZERO_CLASS_ENTRY]))
+    code, out, _ = run(capsys, "--json", "--catalog", str(path), *argv)
+    assert hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest() == sha256
+
+
 def test_invalid_catalog_curve_is_exit_2(capsys, tmp_path):
     bad = dict(CUSTOM_ENTRY, discs=[{"name": "d", "curves": [[1, 0]]}])
     path = tmp_path / "catalog.json"

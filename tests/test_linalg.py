@@ -508,20 +508,27 @@ def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
     cap = 8
     monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
     largest = [0] * len(linalg._memo(INTEGERS))
+
+    def check_sizes():
+        sizes = list(map(len, linalg._memo(INTEGERS)))
+        assert max(sizes) <= cap, sizes
+        largest[:] = map(max, largest, sizes)
+
     for k in range(1, 30):
         # a recorded sum of two distinct pieces, whose pivots 2k and 3k merge into a new
-        # chain and multiply into a new product
+        # decomposition and multiply into a new product
         a, b = Mat([[2 * k]]), Mat([[3 * k, 0]])
         m = block_diag(INTEGERS, *[a, b] * 4)
         assert m._blocks is not None
         dec = smith_normal_form(INTEGERS, m, False, False)
         assert dec.diagonal == (k,) * 4 + (6 * k,) * 4
+        check_sizes()
         assert linalg.product(INTEGERS, dec.invariant_factors) == k**4 * (6 * k) ** 4
+        check_sizes()
+        # b has a zero column, so the kernel reduces the whole sum as a piece of its own
         assert kernel_basis(INTEGERS, m).ncols == 4
-        sizes = list(map(len, linalg._memo(INTEGERS)))
-        assert max(sizes) <= cap, sizes
-        largest = list(map(max, largest, sizes))
-    # every table (blocks, pieces, chains, products) reached the cap and was emptied
+        check_sizes()
+    # every table (blocks, pieces, decompositions, products) reached the cap and was emptied
     assert largest == [cap] * len(largest) and len(largest) == 4
 
 

@@ -1,6 +1,8 @@
 """Eisenstein specializations, characters, and the satellite kernel machinery."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -255,6 +257,36 @@ def test_selection_support_bound_8_by_3():
     for c in constraints:
         assert sum(a * b for a, b in zip(chi.values, c)) % 3 == 0
     assert chi.m_nonzero >= 5
+
+
+def _seeded_constraint_systems():
+    """(n, constraints): 200 systems with n <= 16 of mixed density, then n = 256 with m = 16, 64, 128."""
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(0, 16)
+        m = rng.randint(0, n)
+        density = rng.choice((0.2, 0.5, 1.0))
+        yield n, [
+            tuple(rng.randrange(1, 3) if rng.random() < density else 0 for _ in range(n))
+            for _ in range(m)
+        ]
+    for m in (16, 64, 128):
+        yield 256, [tuple(rng.randrange(3) for _ in range(256)) for _ in range(m)]
+
+
+def test_selection_returns_the_pinned_characters():
+    # the reduced echelon form of a row space is unique, so any correct elimination
+    # selects these characters: their digest and the supports at n = 256
+    digest, supports = hashlib.sha256(), []
+    for n, constraints in _seeded_constraint_systems():
+        chi = character_selection(n, constraints)
+        assert all(sum(a * b for a, b in zip(chi.values, c)) % 3 == 0 for c in constraints)
+        assert chi.m_nonzero >= n - len(constraints)
+        digest.update(f"{chi}\n".encode())
+        if n == 256:
+            supports.append(chi.m_nonzero)
+    assert supports == [255, 245, 229]
+    assert digest.hexdigest() == "57f4ad2554967afb025c49516700385c7cfb7f0762d9245c636138f262876001"
 
 
 def test_selection_rejects_overdetermined_system():

@@ -3,6 +3,7 @@
 import pytest
 
 from stabkit import oracles
+from stabkit.linalg import rref_mod_p
 from stabkit.oracles import (
     FiniteModuleTable,
     OracleCapExceeded,
@@ -11,7 +12,6 @@ from stabkit.oracles import (
     brute_submodule_ops,
     brute_subgroup_rank,
     minor_gcd_divisors,
-    rank_mod_p,
 )
 from stabkit.rings import INTEGERS, LAURENT, LaurentPolyQ
 
@@ -33,13 +33,23 @@ def test_minor_gcd_divisors_laurent():
 
 
 def test_rank_mod_p_examples():
+    # the rank mod p is the number of rows of the reduced echelon form
     lines = (((0, 2), (1, 1)), ((0, 1), (1, -4)))  # det -9
-    assert [rank_mod_p(lines, p) for p in (2, 3, 5)] == [2, 1, 2]
+    assert [len(rref_mod_p(lines, p)) for p in (2, 3, 5)] == [2, 1, 2]
+    assert rref_mod_p(lines, 3) == [((0, 1), (1, 2))]
     diagonal = (((0, 4),), ((1, 6),), ())  # diag(4, 6) over a zero row
-    assert [rank_mod_p(diagonal, p) for p in (2, 3, 5)] == [0, 1, 2]
-    assert rank_mod_p((), 3) == rank_mod_p(((), ()), 3) == 0
+    assert [len(rref_mod_p(diagonal, p)) for p in (2, 3, 5)] == [0, 1, 2]
+    assert rref_mod_p((), 3) == rref_mod_p(((), ()), 3) == []
     # fill-in: the third row is the sum of the first two, which share no column
-    assert rank_mod_p((((0, 1), (2, 1)), ((1, 1), (3, 2)), ((0, 1), (1, 1), (2, 1), (3, 2))), 7) == 2
+    sums = (((0, 1), (2, 1)), ((1, 1), (3, 2)), ((0, 1), (1, 1), (2, 1), (3, 2)))
+    assert rref_mod_p(sums, 7) == [((0, 1), (2, 1)), ((1, 1), (3, 2))]
+    # the later pivot row is cleared from the earlier one, and rows come in pivot order
+    assert rref_mod_p((((1, 1), (2, 1)), ((0, 2), (1, 1)), ((2, 1),)), 3) == [
+        ((0, 1),), ((1, 1),), ((2, 1),)
+    ]
+    assert rref_mod_p((((1, 2), (3, 1)), ((0, 1), (1, 1), (2, 1))), 5) == [
+        ((0, 1), (2, 1), (3, 2)), ((1, 1), (3, 3))
+    ]
 
 
 def test_brute_generating_rank():
