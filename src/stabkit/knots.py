@@ -251,7 +251,7 @@ class SurgeryDisc:
     def _double_relations(self) -> Mat:
         """The relations of the double's module, built and certified once (`double_of_disc`)."""
         ambient = alexander_module_Q(self.knot)
-        quotient = ambient.quotient_by(disc_kernel_Q(self, ambient).generators)
+        quotient = disc_quotient_Q(self, ambient)
         target = direct_sum(LAURENT, quotient, quotient)
         n = ambient.ngens
         matrix = antidiagonal_columns(LAURENT, n)
@@ -319,9 +319,13 @@ def _curve_classes(disc: SurgeryDisc, ring) -> Mat:
     return kept[ring]
 
 
-def disc_quotient_Q(disc: SurgeryDisc) -> PresentedModule:
-    """A_Q(D) itself: the Alexander module modulo the disc kernel."""
-    ambient = alexander_module_Q(disc.knot)
+def disc_quotient_Q(disc: SurgeryDisc, ambient: PresentedModule = None) -> PresentedModule:
+    """A(D) itself: the Alexander module `ambient` modulo the disc kernel.
+
+    `ambient` is as for `disc_kernel_Q`; by default it is A_Q(K) over Q[t^±1].
+    """
+    if ambient is None:
+        ambient = alexander_module_Q(disc.knot)
     return ambient.quotient_by(disc_kernel_Q(disc, ambient).generators)
 
 

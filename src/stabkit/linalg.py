@@ -50,27 +50,30 @@ rows are stacked parts) is a piece of its own.  A piece is split by
 union-find over its stored nonzeros (`_split_blocks`) and each of its
 blocks reduced with V (`_piece`), so one reduction gives the piece's pivot
 counts, its kernel and its zero columns, whichever a caller asks for first.
-One memo per ring lasts for the process.  Its four tables are keyed by
-content, and a matrix has one entry in each table it reaches:
+The Smith memo is four `functools.lru_cache`s that last for the process.
+Each is keyed by the ring and the contents of its arguments, so one cache
+serves Z, Q[t^±1] and Z[w], and a matrix has one entry in each cache it
+reaches:
 
-* blocks: each distinct block's pivots and kernel (its non-pivot V columns,
-  as block-local rows);
-* pieces: each piece's number of unit pivots, its nonunit (pivot,
+* blocks (`_reduced_block`): each distinct block's pivots and kernel (its
+  non-pivot V columns, as block-local rows);
+* pieces (`_piece`): each piece's number of unit pivots, its nonunit (pivot,
   multiplicity) counts, where its blocks' kernels go, and its zero columns.
   A piece keeps no kernel of its own: its entry points at the blocks' rows;
-* decompositions: the finished diagonal-only `SmithDecomposition` of each
-  (unit count, nonunit counts, min(R, C)), taken before the merge, which can
-  make units of coprime pivots.  The merge runs only on a miss, so it takes
-  its gcds and lcms afresh;
-* products: the canonical product of each tuple of values `product` was
-  asked for (a module's order, both sides of `modules.pair_quotients`).
+* decompositions (`_diagonal_only`): the finished diagonal-only
+  `SmithDecomposition` of each (unit count, nonunit counts, min(R, C)),
+  taken before the merge, which can make units of coprime pivots.  The merge
+  runs only on a miss, so it takes its gcds and lcms afresh;
+* products (`product`): the canonical product of each tuple of values (a
+  module's order, both sides of `modules.pair_quotients`).
 
 So a warm diagonal-only Smith call is one piece lookup and one decomposition
 lookup, and the Smith calls, kernels and orders of all requests on the same
-matrices share them.  A table that would pass `_MEMO_CAP` entries is emptied
-first.  Keys are contents and values are immutable, so a hit returns what a
-fresh computation would.  Both piece readers do only the work their callers
-use:
+matrices share them.  A cache holds at most `_MEMO_CAP` entries and drops
+the least recently used first; `cache_info()` counts its hits and misses and
+`cache_clear()` empties it.  Keys are contents and values are immutable, so
+a hit returns what a fresh computation would.  Both piece readers do only
+the work their callers use:
 
 * `kernel_basis` places each block's kernel rows at the block's columns, its
   kernel columns after the previous blocks', in block order.  Those columns
@@ -105,6 +108,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .rings import euclid_gcd
@@ -586,65 +590,16 @@ def _nonzeros(lines: list) -> tuple:
     return tuple([tuple([(k, x) for k, x in enumerate(line) if x]) for line in lines])
 
 
-# The most entries one memo table holds.  The working sets, by table (blocks,
-# pieces, decompositions, products), over two passes of a benchmark request
-# list (seeds 1-3, 600 requests): kernels-witness 16, 485-537, 59-61 and 16
-# over Q[t^±1] and 14, 44-50, 15 and 0 over Z[w]; bound-sums 20, 37-39,
-# 479-497 and 0 over Q[t^±1].  `stabkit --seed 11 properties` makes 392 pieces
-# over Z.  At 1,024 no table empties itself on these, and kernels-witness's
-# whole working set (seed 1) holds 1.19 MB (tracemalloc, by allocation site):
-# 0.45 MB the relation columns L of the span matrices [G | L] kept as piece
-# keys (`hstack`), 0.11 MB their G columns and the other block sums
-# (`_diagonal_lines`), 0.19 MB the piece entries, 0.13 MB the kernel rows
-# that key the presentations' pieces (`_kernel`), 0.08 MB the pivot counts,
-# 0.24 MB the rest.  Pieces keep no kernels: at 384, with whole kernels in
-# the piece entries, the same workload's memo held 1.36 MB and emptied its
-# piece table every ~300 requests.
+# The most entries one memo cache holds.  The working sets, by cache (blocks,
+# pieces, decompositions, products, all rings together), after two passes of
+# a benchmark request list (seeds 1-3, 600 requests): bound-sums 28, 45-47,
+# 512-530 and 0; kernels-witness 35, 620-680, 80-82 and 16.  `stabkit --seed
+# 11 properties` leaves 421, 552, 246 and 0.  At 1,024 no cache evicts on
+# these, and kernels-witness's whole working set (seed 1) holds 1.28 MB
+# (tracemalloc, what `cache_clear()` frees).  Pieces keep no kernels: at 384,
+# with whole kernels in the piece entries, the same workload's memo held
+# 1.36 MB and emptied its piece table every ~300 requests.
 _MEMO_CAP = 1024
-
-
-class _Table(dict):
-    """A memo table: a new key that would take it past `_MEMO_CAP` empties it first."""
-
-    def __setitem__(self, key, value):
-        if len(self) >= _MEMO_CAP and key not in self:
-            self.clear()
-        dict.__setitem__(self, key, value)
-
-
-# ring tag -> (blocks, pieces, decompositions, products), for the life of the process
-_tables: dict = {}
-
-
-def _memo(ring) -> tuple:
-    """The ring's (reduced blocks, reduced pieces, decompositions, products)."""
-    tables = _tables.get(ring.tag)
-    if tables is None:
-        tables = _tables[ring.tag] = tuple(_Table() for _ in range(4))
-    return tables
-
-
-def _reduced_blocks(ring, m: Mat, cancel, reduced: dict):
-    """Each connected block of m with its elimination, in `_split_blocks` order.
-
-    Yields (rows, cols, pivots, kernel rows).  The kernel rows are the
-    block's non-pivot V columns as a block-local matrix, one line per block
-    column.  Equal blocks are reduced once per memo `reduced` and share their
-    result, pivot objects included.
-    """
-    zero, lines = ring.zero, m.lines
-    local = [0] * m.ncols  # a column's index inside its block
-    for rows, cols in _split_blocks(m):
-        for p, j in enumerate(cols):
-            local[j] = p
-        key = tuple([tuple([(local[j], x) for j, x in lines[i]]) for i in rows])
-        done = reduced.get(key)
-        if done is None:
-            # rows fix the width: a block without rows is one zero column
-            pivots, _, bvt = _smith_block(ring, _mat(zero, key, len(cols)), False, True, cancel)
-            kernel = _by_rows(zero, _nonzeros(bvt[len(pivots):]), len(cols)).lines
-            done = reduced[key] = pivots, kernel
-        yield (rows, cols) + done
 
 
 def _count_pivots(one, pivots) -> tuple:
@@ -658,27 +613,44 @@ def _count_pivots(one, pivots) -> tuple:
     return units, tuple(counts.items())
 
 
-def _piece(ring, p: Mat, tables: tuple, cancel) -> tuple:
+@lru_cache(maxsize=_MEMO_CAP)
+def _reduced_block(ring, key: tuple, ncols: int, cancel) -> tuple:
+    """The (pivots, kernel rows) of the connected block whose block-local lines are `key`.
+
+    The kernel rows are the block's non-pivot V columns as a block-local
+    matrix, one line per block column.  Equal blocks share their result,
+    pivot objects included.
+    """
+    zero = ring.zero
+    pivots, _, bvt = _smith_block(ring, _mat(zero, key, ncols), False, True, cancel)
+    return pivots, _by_rows(zero, _nonzeros(bvt[len(pivots):]), ncols).lines
+
+
+@lru_cache(maxsize=_MEMO_CAP)
+def _piece(ring, p: Mat, cancel) -> tuple:
     """A piece's (unit count, nonunit counts, kernel columns, kernel blocks).
 
-    One reduction of its blocks, once per memo, gives all four.  The counts
-    are `_count_pivots` of the blocks' pivots in block order.  The blocks with
-    a kernel keep their columns, concatenated in block order, and (kernel
-    rows, rank) in one flat tuple, the rows shared with the block table:
-    `_kernel` places them only when a caller asks, so a piece keeps no kernel
-    of its own.  A block of rank 0 is a zero column.
+    One reduction of its blocks (`_split_blocks` order) gives all four.  The
+    counts are `_count_pivots` of the blocks' pivots in block order.  The
+    blocks with a kernel keep their columns, concatenated in block order, and
+    (kernel rows, rank) in one flat tuple, the rows shared with
+    `_reduced_block`: `_kernel` places them only when a caller asks, so a
+    piece keeps no kernel of its own.  A block of rank 0 is a zero column.
     """
-    done = tables[1].get(p)
-    if done is None:
-        pivots, columns, blocks = [], [], []
-        for _, cols, block_pivots, kernel in _reduced_blocks(ring, p, cancel, tables[0]):
-            pivots += block_pivots
-            if len(cols) > len(block_pivots):
-                columns += cols
-                blocks += (kernel, len(block_pivots))
-        counts = _count_pivots(ring.one, pivots)
-        done = tables[1][p] = counts + (tuple(columns), tuple(blocks))
-    return done
+    lines = p.lines
+    local = [0] * p.ncols  # a column's index inside its block
+    pivots, columns, blocks = [], [], []
+    for rows, cols in _split_blocks(p):
+        for k, j in enumerate(cols):
+            local[j] = k
+        key = tuple([tuple([(local[j], x) for j, x in lines[i]]) for i in rows])
+        # rows fix the width: a block without rows is one zero column
+        block_pivots, kernel = _reduced_block(ring, key, len(cols), cancel)
+        pivots += block_pivots
+        if len(cols) > len(block_pivots):
+            columns += cols
+            blocks += (kernel, len(block_pivots))
+    return _count_pivots(ring.one, pivots) + (tuple(columns), tuple(blocks))
 
 
 def _kernel(zero, columns: tuple, blocks: tuple, ncols: int) -> Mat:
@@ -698,34 +670,30 @@ def _kernel(zero, columns: tuple, blocks: tuple, ncols: int) -> Mat:
     return _mat(zero, tuple(lines), width)
 
 
-def _pivot_counts(ring, m: Mat, tables: tuple, cancel) -> tuple:
+def _pivot_counts(ring, m: Mat, cancel) -> tuple:
     """(unit count, nonunit counts) of m itself, or of each distinct piece of its record once."""
     b = m._blocks
     if b is None:
-        return _piece(ring, m, tables, cancel)[:2]
+        return _piece(ring, m, cancel)[:2]
     units, counts = 0, {}
     for j, k in Counter(b.which).items():
-        piece_units, piece_counts = _piece(ring, b.kinds[j], tables, cancel)[:2]
+        piece_units, piece_counts = _piece(ring, b.kinds[j], cancel)[:2]
         units += k * piece_units
         for x, c in piece_counts:
             counts[x] = counts.get(x, 0) + k * c
     return units, tuple(counts.items())
 
 
-def _diagonal_only(ring, units: int, counts: tuple, width: int, tables: tuple):
-    """The decomposition without transforms of a matrix's pivots; once per memo and key.
+@lru_cache(maxsize=_MEMO_CAP)
+def _diagonal_only(ring, units: int, counts: tuple, width: int):
+    """The decomposition without transforms of a matrix's pivots.
 
-    The key is all the diagonal depends on: the number of unit pivots, the
-    nonunit (pivot, multiplicity) `counts` and `width` = min(R, C).  It is
-    taken before the merge, which can make units of coprime pivots.
+    Its arguments are all the diagonal depends on: the number of unit pivots,
+    the nonunit (pivot, multiplicity) `counts` and `width` = min(R, C), taken
+    before the merge, which can make units of coprime pivots.
     """
-    table = tables[2]
-    key = (units, counts, width)
-    done = table.get(key)
-    if done is None:
-        runs = ((ring.one, units),) + _merged_runs(ring, counts)
-        done = table[key] = _decomposition(ring, runs, width, None, None)
-    return done
+    runs = ((ring.one, units),) + _merged_runs(ring, counts)
+    return _decomposition(ring, runs, width, None, None)
 
 
 def _merged_runs(ring, counts: tuple) -> tuple:
@@ -760,16 +728,13 @@ def _merged_runs(ring, counts: tuple) -> tuple:
     return tuple([tuple(run) for run in runs])
 
 
+@lru_cache(maxsize=_MEMO_CAP)
 def product(ring, values: tuple):
-    """The canonical associate of the product of `values`, once per memo and tuple of values."""
-    products = _memo(ring)[3]
-    done = products.get(values)
-    if done is None:
-        acc = ring.one
-        for x in values:
-            acc = acc * x
-        done = products[values] = ring.canonical(acc)[0]
-    return done
+    """The canonical associate of the product of `values`."""
+    acc = ring.one
+    for x in values:
+        acc = acc * x
+    return ring.canonical(acc)[0]
 
 
 def _by_rows(zero, columns: list, nrows: int) -> Mat:
@@ -815,8 +780,7 @@ def smith_normal_form(
 ) -> SmithDecomposition:
     R, C = m.nrows, m.ncols
     if not (with_u or with_v):
-        tables = _memo(ring)
-        return _diagonal_only(ring, *_pivot_counts(ring, m, tables, cancel), min(R, C), tables)
+        return _diagonal_only(ring, *_pivot_counts(ring, m, cancel), min(R, C))
     zero = ring.zero
     diag, u, vt = _smith_block(ring, m, with_u, with_v, cancel)
     return _decomposition(
@@ -837,15 +801,14 @@ def kernel_basis(ring, m: Mat) -> Mat:
     zero column, keeps that order piece by piece, so its kernel is recorded
     too: its pieces are the pieces' kernels.
     """
-    tables, zero = _memo(ring), ring.zero
-    b = m._blocks
+    zero, b = ring.zero, m._blocks
     if b is not None and len(b.rows) == 1:
-        reduced = [_piece(ring, p, tables, None) for p in b.kinds]
+        reduced = [_piece(ring, p, None) for p in b.kinds]
         if not any(0 in r[3][1::2] for r in reduced):  # no block of rank 0, a zero column
             kinds = [_kernel(zero, *r[2:], p.ncols) for r, p in zip(reduced, b.kinds)]
             band = list(map([k.ncols for k in kinds].__getitem__, b.which))
             return _block_sum(zero, kinds, b.which, b.cols, (band,), (m.ncols, sum(band)))
-    return _kernel(zero, *_piece(ring, m, tables, None)[2:], m.ncols)
+    return _kernel(zero, *_piece(ring, m, None)[2:], m.ncols)
 
 
 def rref_mod_p(lines, p: int) -> list:

@@ -37,6 +37,7 @@ from .knots import (
     antidiagonal_columns,
     branched_double_cover,
     disc_kernel_Q,
+    disc_quotient_Q,
 )
 from .linalg import Mat, block_diag, rref_mod_p
 from .modules import (
@@ -70,9 +71,7 @@ def metabelian_obstruction(d0: SurgeryDisc):
 
     A nonzero quotient is the obstruction fueling the lower bound machine.
     """
-    ambient = eisenstein_alexander(d0.knot)
-    kern = disc_kernel_Q(d0, ambient)
-    quotient = ambient.quotient_by(kern.generators)
+    quotient = disc_quotient_Q(d0, eisenstein_alexander(d0.knot))
     return quotient, not quotient.is_zero_module()
 
 

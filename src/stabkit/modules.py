@@ -226,7 +226,7 @@ def pair_quotients(s1: Submodule, s2: Submodule) -> tuple:
     the intersection is order(s1) / order(q12), canonical, and it is the
     ring's one exactly when the intersection is zero.  The invariant factors
     s1 and q12 share cancel before anything is multiplied, and each side's
-    product is taken once per memo (`linalg.product`).  An s1 that is not
+    product comes from the Smith memo (`linalg.product`).  An s1 that is not
     torsion (order zero) or a division that leaves a remainder is a
     ValueError.
     """

@@ -29,8 +29,15 @@ def k61(catalog):
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty Smith memo for one test; the process memo is back afterwards."""
+def fresh_memo():
+    """The Smith memo's four caches (blocks, pieces, decompositions, products), emptied.
+
+    What the test adds to them stays for later tests.  A test that wants a
+    cold memo again calls `cache_clear()` on each.
+    """
     from stabkit import linalg
 
-    monkeypatch.setattr(linalg, "_tables", {})
+    caches = (linalg._reduced_block, linalg._piece, linalg._diagonal_only, linalg.product)
+    for cache in caches:
+        cache.cache_clear()
+    return caches

@@ -7,18 +7,19 @@ random block sums over Z, Q[t^±1] and Z[w] -- repeated piece objects, zero
 rows and columns, empty pieces, pieces whose nonzeros split into several
 blocks, sums of sums -- and compares every result with the same operation on
 a record-free copy, `_mat(zero, m.lines, m.ncols)`.  At the cap, where no
-such copy can be reduced in time, the Smith diagonals over Z and Z[w] are
-checked against ranks modulo primes (`linalg.rref_mod_p`).
+such copy can be reduced in time, the Smith diagonals over Z, Q[t^±1] and
+Z[w] are checked against ranks modulo primes (`linalg.rref_mod_p`).
 """
 
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from stabkit import cli, linalg
 from stabkit.catalog import builtin_catalog
-from stabkit.knots import branched_double_cover, disc_kernel_Q
+from stabkit.knots import alexander_module_Q, branched_double_cover, disc_kernel_Q
 from stabkit.linalg import (
     Mat,
     _mat,
@@ -337,3 +338,34 @@ def test_eisenstein_smith_diagonals_at_the_cap_agree_with_ranks_mod_p(fresh_memo
                 lines = [[(j, x.a + x.b * r) for j, x in line] for line in rels.lines]
                 kept = sum(1 for d in diagonal if (d.a + d.b * r) % p)
                 assert len(rref_mod_p(lines, p)) == kept == rank, (memo, p, r)
+
+
+def test_laurent_smith_diagonals_at_the_cap_agree_with_ranks_mod_p(fresh_memo):
+    # Q[t^±1] -> F_p by t -> a: c/d goes to c * d^-1 and t^-e to (a^-1)^e.  Where that map
+    # is defined on the transforms too, the rank at t = a counts the diagonal entries
+    # that do not vanish at a
+    p = 1_000_003
+    points = (2, pow(2, -1, p), 5)
+
+    def at(x, a):  # x(a) in F_p
+        value = 0
+        for e, c in x.terms:
+            c = Fraction(c)
+            value += c.numerator * pow(c.denominator, -1, p) * pow(a, e, p)
+        return value % p
+
+    ranks = [
+        [256, 256, 512],  # A(K) at t = 2, 1/2, 5
+        [128, 128, 256], [256, 0, 256],  # the two disc kernels
+        [128, 256, 256], [256, 128, 256],  # the pair's quotients
+    ]
+    for memo in ("cold", "warm"):
+        modules = _kernels_modules(_CAP_REF, _CAP_SPECS, alexander_module_Q)
+        assert (modules[0].relations.nrows, modules[0].relations.ncols) == (512, 512)
+        for module, want in zip(modules, ranks):
+            rels = module.relations
+            diagonal = smith_normal_form(LAURENT, rels, False, False).diagonal
+            for a, rank in zip(points, want):
+                lines = [[(j, at(x, a)) for j, x in line] for line in rels.lines]
+                kept = sum(1 for d in diagonal if at(d, a))
+                assert len(rref_mod_p(lines, p)) == kept == rank, (memo, a)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import stabkit
-from stabkit import cli, linalg
+from stabkit import cli, linalg, modules
 from stabkit.catalog import builtin_catalog, entry_from_json_dict, load_catalog
 from stabkit.cli import main
 from stabkit.errors import SchemaError, UnknownReferenceError
@@ -812,7 +812,7 @@ MIXED_ARGVS = (
 )
 
 
-def test_memo_values_are_immutable(capsys, fresh_memo):
+def test_memo_values_are_immutable(capsys, monkeypatch, fresh_memo):
     """The memo lasts for the process, so no caller may get a value it could change."""
 
     def frozen(x):
@@ -822,19 +822,33 @@ def test_memo_values_are_immutable(capsys, fresh_memo):
             return all(frozen(getattr(x, f.name)) for f in dataclasses.fields(x))
         return x is None or isinstance(x, (int, Mat, LaurentPolyQ, EisensteinInt))
 
+    values = {cache.__name__: [] for cache in fresh_memo}
+
+    def recorded(cache):
+        def call(*args):
+            values[cache.__name__].append(cache(*args))
+            return values[cache.__name__][-1]
+
+        return call
+
+    for cache in fresh_memo:
+        monkeypatch.setattr(linalg, cache.__name__, recorded(cache))
+    monkeypatch.setattr(modules, "product", linalg.product)
     for argv in README_ARGVS:
         assert run(capsys, *argv)[0] == 0, argv
-    values = [v for tables in linalg._tables.values() for t in tables for v in t.values()]
-    assert values and all(map(frozen, values))
+    assert all(values.values()), {name: len(v) for name, v in values.items()}
+    assert all(frozen(v) for vs in values.values() for v in vs)
 
 
-def test_commands_print_the_same_on_a_cold_and_a_warm_memo(capsys, monkeypatch):
+def test_commands_print_the_same_on_a_cold_and_a_warm_memo(capsys, fresh_memo):
     argvs = README_ARGVS + [["verify"]]
     cold = []
     for argv in argvs:
-        monkeypatch.setattr(linalg, "_tables", {})
+        for cache in fresh_memo:
+            cache.cache_clear()
         cold.append(run(capsys, *argv))
-    monkeypatch.setattr(linalg, "_tables", {})
+    for cache in fresh_memo:
+        cache.cache_clear()
     for argv in MIXED_ARGVS:
         assert run(capsys, *argv)[0] == 0, argv
     assert [run(capsys, *argv) for argv in argvs] == cold

@@ -697,7 +697,7 @@ def test_boundary_sum_takes_decorated_and_hand_built_discs_on_sums(k946, k61):
             assert disc_kernel_Q(total).generators == disc_kernel_Q(whole).generators
 
 
-def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946):
+def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946, fresh_memo):
     calls = []
     real = linalg._smith_block
 
@@ -709,7 +709,8 @@ def test_sum_validation_reduces_each_distinct_block_once(monkeypatch, k946):
     counts = []
     for copies in (2, 8, 64):
         calls.clear()
-        monkeypatch.setattr(linalg, "_tables", {})  # the memo would keep the last sum's blocks
+        for cache in fresh_memo:  # the memo would keep the last sum's blocks
+            cache.cache_clear()
         connected_sum(*[k946.knot] * copies)
         counts.append(len(calls))
     # V - V^T of 9_46 splits into two 1x1 blocks; more copies add no distinct block

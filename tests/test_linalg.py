@@ -433,7 +433,8 @@ def test_diagonal_only_snf_then_kernel_reduces_each_block_once(monkeypatch, fres
         return inner(*args)
 
     monkeypatch.setattr(linalg, "_smith_block", counted)
-    monkeypatch.setattr(linalg, "_tables", {})  # `fresh` above filled the memo
+    for cache in fresh_memo:  # `fresh` above filled the memo
+        cache.cache_clear()
     bare = smith_normal_form(LAURENT, m, with_u=False, with_v=False)
     # the four distinct blocks (two 1x2, a zero row, a zero column), each once, with V
     assert calls == [True] * 4
@@ -464,7 +465,7 @@ def test_an_unrecorded_matrix_is_split_once(monkeypatch, fresh_memo):
     assert splits == [(3, 4)]
 
 
-def test_each_matrix_gets_its_own_diagonal_from_a_warm_memo(monkeypatch, fresh_memo):
+def test_each_matrix_gets_its_own_diagonal_from_a_warm_memo(fresh_memo):
     # t - 2 and t - 1/2 are coprime, so their merge makes a unit: diag(t - 2, t - 1/2)
     # has the diagonal (1, p) with p = (t - 2)(t - 1/2)
     a, b = LaurentPolyQ({0: -2, 1: 1}), LaurentPolyQ({0: Fraction(-1, 2), 1: 1})
@@ -494,42 +495,26 @@ def test_each_matrix_gets_its_own_diagonal_from_a_warm_memo(monkeypatch, fresh_m
     ]
     cold = []
     for ring, m, want in cases:
-        monkeypatch.setattr(linalg, "_tables", {})
+        for cache in fresh_memo:
+            cache.cache_clear()
         cold.append(smith_normal_form(ring, m, False, False))
         # the transform path's one dense elimination, which never reads the memo
         assert cold[-1].diagonal == smith_normal_form(ring, m).diagonal == want
-    monkeypatch.setattr(linalg, "_tables", {})
+    for cache in fresh_memo:
+        cache.cache_clear()
     for _ in range(2):  # one memo for every case; the second pass reads it only
         for (ring, m, _), dec in zip(cases, cold):
             assert smith_normal_form(ring, m, False, False) == dec
 
 
-def test_memo_tables_never_pass_the_cap(monkeypatch, fresh_memo):
-    cap = 8
-    monkeypatch.setattr(linalg, "_MEMO_CAP", cap)
-    largest = [0] * len(linalg._memo(INTEGERS))
-
-    def check_sizes():
-        sizes = list(map(len, linalg._memo(INTEGERS)))
-        assert max(sizes) <= cap, sizes
-        largest[:] = map(max, largest, sizes)
-
-    for k in range(1, 30):
-        # a recorded sum of two distinct pieces, whose pivots 2k and 3k merge into a new
-        # decomposition and multiply into a new product
-        a, b = Mat([[2 * k]]), Mat([[3 * k, 0]])
-        m = block_diag(INTEGERS, *[a, b] * 4)
-        assert m._blocks is not None
-        dec = smith_normal_form(INTEGERS, m, False, False)
-        assert dec.diagonal == (k,) * 4 + (6 * k,) * 4
-        check_sizes()
-        assert linalg.product(INTEGERS, dec.invariant_factors) == k**4 * (6 * k) ** 4
-        check_sizes()
-        # b has a zero column, so the kernel reduces the whole sum as a piece of its own
-        assert kernel_basis(INTEGERS, m).ncols == 4
-        check_sizes()
-    # every table (blocks, pieces, decompositions, products) reached the cap and was emptied
-    assert largest == [cap] * len(largest) and len(largest) == 4
+def test_memo_tables_never_pass_the_cap(fresh_memo):
+    assert [cache.cache_info().maxsize for cache in fresh_memo] == [linalg._MEMO_CAP] * 4
+    for k in range(1, 1_101):
+        # a new block, piece, decomposition (of the pivot k) and product each
+        dec = smith_normal_form(INTEGERS, Mat([[k]]), False, False)
+        assert linalg.product(INTEGERS, dec.diagonal) == k
+    # every cache (blocks, pieces, decompositions, products) filled up and then evicted
+    assert [cache.cache_info().currsize for cache in fresh_memo] == [linalg._MEMO_CAP] * 4
 
 
 def test_kernel_basis_makes_no_diagonal_moves():

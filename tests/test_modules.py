@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabkit import linalg, modules
+from stabkit import modules
 from stabkit.bounds import kernel_quotient_ranks
 from stabkit.catalog import builtin_catalog
 from stabkit.knots import alexander_module_Q, boundary_connect_sum, connected_sum, disc_kernel_Q
@@ -85,7 +85,7 @@ def test_order_of_finite_module():
     ],
     ids=["Z", "Laurent", "Eisenstein"],
 )
-def test_order_is_the_running_product_over_the_whole_diagonal(monkeypatch, ring, entry):
+def test_order_is_the_running_product_over_the_whole_diagonal(fresh_memo, ring, entry):
     rng = random.Random(23)
     free = 0
     matrices, cold = [], []
@@ -96,7 +96,8 @@ def test_order_is_the_running_product_over_the_whole_diagonal(monkeypatch, ring,
             k = rng.randrange(n)
             m = Mat([[x if k not in (i, j) else ring.zero for j, x in enumerate(row)]
                      for i, row in enumerate(m.rows)], n)
-        monkeypatch.setattr(linalg, "_tables", {})
+        for cache in fresh_memo:
+            cache.cache_clear()
         cold.append(PresentedModule(ring, m).order())
         matrices.append(m)
     for m, order in zip(matrices, cold):
